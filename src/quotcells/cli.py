@@ -13,11 +13,12 @@ import sys
 
 from . import cells, localization, pullback, series, suites
 from .grammar import ParseError, format_element, parse
-from .ring import UNBOUNDED, RingContext
-from .weights import is_decreasing
+from .ring import UNBOUNDED, RingContext, project_invariant
+from .weights import is_decreasing, stabilizer
 
 USAGE_ERROR = 2
 IDENTITY_ERROR = 1
+RANK_NOT_GIVEN = object()  # --rank absent; UNBOUNDED (None) is --rank inf
 
 
 def _parse_rank(text):
@@ -34,7 +35,7 @@ def _int_list(text):
 
 
 def _context(args, factors, need_rank=False):
-    rank = args.rank if args.rank is not None else (1 if need_rank else 0)
+    rank = args.rank if args.rank is not RANK_NOT_GIVEN else (1 if need_rank else 0)
     degrees = args.degrees or ()
     if rank == 0:
         degrees = ()
@@ -57,7 +58,7 @@ def _emit_element(args, element, extra=None):
 
 def _add_common(parser):
     parser.add_argument("--genus", type=int, default=0)
-    parser.add_argument("--rank", type=_parse_rank, default=None,
+    parser.add_argument("--rank", type=_parse_rank, default=RANK_NOT_GIVEN,
                         help="equivariant rank, an integer or 'inf'")
     parser.add_argument("--degrees", type=_int_list, default=None,
                         help="comma-separated line-bundle degrees")
@@ -78,7 +79,7 @@ def _cmd_psi(args):
         raise ValueError("--u must be decreasing")
     ctx = _context(args, len(u))
     a = parse(ctx, args.a) if args.a else ctx.one()
-    averaged = pullback.stabilizer_average(ctx, u, a)
+    averaged = project_invariant(stabilizer(u), a)
     flagged = averaged != a
     results = {}
     if args.method in ("recursion", "both"):
@@ -112,7 +113,7 @@ def _cmd_restrict(args):
     w = _int_list(args.w)
     if len(v) != len(w):
         raise ValueError("--v and --w must have the same length")
-    if args.rank is None:
+    if args.rank is RANK_NOT_GIVEN:
         raise ValueError("--rank is required for restriction")
     ctx = _context(args, len(v), need_rank=True)
     restricted = localization.restrict_to_fixed_point(
@@ -143,6 +144,14 @@ def _poly_text(p):
 
 def _cmd_poincare(args):
     g = args.genus
+    if args.length < 0:
+        raise ValueError("--length must be >= 0")
+    if args.n < 0:
+        raise ValueError("--n must be >= 0")
+    if args.max_t is None and args.target == "limits":
+        raise ValueError("--max-t is required for limits")
+    if args.max_t is not None and args.max_t < 0:
+        raise ValueError("--max-t must be >= 0")
     if args.target == "symprod":
         poly = series.symmetric_product_poincare(g, args.length)
         payload = {"target": "symprod", "genus": g, "length": args.length,
@@ -179,6 +188,8 @@ def _cmd_parse(args):
 
 
 def _cmd_verify(args):
+    if args.rank is UNBOUNDED:
+        raise ValueError("verify needs a finite --rank")
     names = suites.SUITE_NAMES if args.suite == "all" else (args.suite,)
     overrides = {
         "n_values": tuple(args.n) if args.n else None,
@@ -247,7 +258,7 @@ def build_parser():
     p.add_argument("--length", type=int, default=0)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--max-t", dest="max_t", type=int, default=None)
-    p.add_argument("--format", choices=("text", "table", "json"), default="text")
+    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_poincare)
 
     p = sub.add_parser("parse", help="canonicalize an element")
@@ -263,7 +274,7 @@ def build_parser():
                    help="comma-separated factor counts")
     p.add_argument("--genus", dest="genus_list", type=_int_list, default=None,
                    help="comma-separated genera")
-    p.add_argument("--rank", type=_parse_rank, default=None)
+    p.add_argument("--rank", type=_parse_rank, default=RANK_NOT_GIVEN)
     p.add_argument("--max-co", dest="max_co", type=int, default=None)
     p.add_argument("--max-degree", dest="max_degree", type=int, default=None)
     p.add_argument("--max-t", dest="max_t", type=int, default=None)

@@ -12,36 +12,28 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .cells import (cell_class, complete_homogeneous, symmetrized_cell_class)
+from .cells import (_require_letters_only, cell_class, complete_homogeneous,
+                    symmetrized_cell_class)
 from .linalg import exact_rank
 from .ring import (RingContext, RingElement, graded_piece, is_homogeneous,
                    letter_monomials, monomial_degree, monomials_of_degree,
                    permute_factors, permute_factors_omega, point_class,
-                   small_diagonal)
+                   project_invariant, small_diagonal)
 from .weights import (admissible_row_tuples, apply_perm, classify,
                       incidence_tuple, is_decreasing, permutations,
                       row_exponent, stabilizer, stabilizer_order,
                       transposition, tuple_support)
 
 
-def _letters_only(a: RingElement) -> bool:
-    return all(not any(omega) and not t for (_l, omega, t) in a.coeffs)
-
-
-def stabilizer_average(ctx: RingContext, u, a: RingElement) -> RingElement:
-    group = stabilizer(tuple(u))
-    acc = ctx.zero()
-    for sigma in group:
-        acc = acc + permute_factors(sigma, a)
-    return acc * Fraction(1, len(group))
-
-
-def _prepare_class(ctx: RingContext, u, a: RingElement, strict: bool) -> RingElement:
-    if not _letters_only(a):
-        raise ValueError("the class a must be free of omega and t variables")
-    averaged = stabilizer_average(ctx, u, a)
+def _average_twist(ctx: RingContext, group, a: RingElement, strict: bool) -> RingElement:
+    """The twist class a (default 1) averaged over the stabilizer group;
+    strict mode rejects a class that the average changes."""
+    if a is None:
+        a = ctx.one()
+    _require_letters_only(a)
+    averaged = project_invariant(group, a)
     if strict and averaged != a:
-        raise ValueError("a is not invariant under the stabilizer of u")
+        raise ValueError("a is not invariant under the stabilizer")
     return averaged
 
 
@@ -57,9 +49,7 @@ def quot_pullback(ctx: RingContext, u, a: RingElement = None,
     u = tuple(u)
     if not is_decreasing(u):
         raise ValueError("u must be decreasing")
-    if a is None:
-        a = ctx.one()
-    a = _prepare_class(ctx, u, a, strict)
+    a = _average_twist(ctx, stabilizer(u), a, strict)
     return symmetrized_cell_class(ctx, u, a) * Fraction(1, stabilizer_order(u))
 
 
@@ -94,9 +84,7 @@ def quot_pullback_combinatorial(ctx: RingContext, u, a: RingElement = None,
     u = tuple(u)
     if not is_decreasing(u):
         raise ValueError("u must be decreasing")
-    if a is None:
-        a = ctx.one()
-    a = _prepare_class(ctx, u, a, strict)
+    a = _average_twist(ctx, stabilizer(u), a, strict)
     acc = ctx.zero()
     for sigma in permutations(ctx.factors):
         pref = _prefactor_sum(ctx, u, sigma, convention)
@@ -135,18 +123,9 @@ def partial_flag_pullback(ctx: RingContext, composition, v_star,
             raise ValueError("each block must be decreasing")
     v = tuple(x for b in blocks for x in b)
     group = young_subgroup(composition)
-    if a is None:
-        a = ctx.one()
-    if not _letters_only(a):
-        raise ValueError("the class a must be free of omega and t variables")
     # the blockwise stabilizer is exactly the Young-subgroup stabilizer of v
     stab = [sigma for sigma in group if apply_perm(sigma, v) == v]
-    averaged = ctx.zero()
-    for sigma in stab:
-        averaged = averaged + permute_factors(sigma, a)
-    averaged = averaged * Fraction(1, len(stab))
-    if strict and averaged != a:
-        raise ValueError("a is not invariant under the block stabilizer")
+    averaged = _average_twist(ctx, stab, a, strict)
     acc = ctx.zero()
     for sigma in group:
         acc = acc + cell_class(ctx, apply_perm(sigma, v)) * permute_factors(sigma, averaged)
@@ -167,9 +146,14 @@ def is_invariant(x: RingElement) -> bool:
 
 def invariant_dimension(ctx: RingContext, degree: int) -> int:
     """Dimension of the invariant subspace of the omega-twisted action in
-    the given cohomological degree, via the trace of the averaging
-    projector over the monomial basis."""
-    basis = list(monomials_of_degree(ctx, degree))
+    the given cohomological degree."""
+    return projector_trace(ctx, list(monomials_of_degree(ctx, degree)))
+
+
+def projector_trace(ctx: RingContext, basis) -> int:
+    """Trace of the averaging projector of the omega-twisted action on the
+    span of `basis`, a list of monomials closed under the action up to
+    sign: the dimension of the invariants in that span."""
     n = ctx.factors
     total = 0
     for sigma in permutations(n):

@@ -22,6 +22,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .weights import compositions
+
 # Letter codes for the H*(C) basis: UNIT, POINT, alpha_k = 2k, beta_k = 2k+1.
 UNIT = 0
 POINT = 1
@@ -539,15 +541,5 @@ def monomials_of_degree(ctx: RingContext, degree: int):
         rest = degree - sum(letter_degree(c) for c in letters)
         if rest < 0 or rest % 2:
             continue
-        for omega in _compositions(rest // 2, n):
+        for omega in compositions(rest // 2, n):
             yield (letters, omega, ())
-
-
-def _compositions(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest

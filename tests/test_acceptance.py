@@ -1,6 +1,8 @@
-"""Acceptance criteria: every identity is checked exactly (rational
-arithmetic, tolerance zero) on the stated grids.  One pass/fail line per
-criterion is printed; run with `pytest tests/test_acceptance.py -v -s`.
+"""Acceptance criteria: the checks of the verification catalogue
+(quotcells.suites) run exactly (rational arithmetic, tolerance zero) on
+the stated grids.  This module only builds the grids; the checks are the
+ones `quotcells verify` runs.  One pass/fail line per criterion is
+printed; run with `pytest tests/test_acceptance.py -v -s`.
 """
 
 import functools
@@ -8,41 +10,27 @@ import itertools
 import random
 import time
 
-from quotcells.cells import (cell_class, cell_class_equivariant,
-                             cell_class_series,
-                             cell_class_series_closed_form,
-                             lower_index_step_residual,
-                             module_recursion_residual, to_cell_basis)
-from quotcells.localization import (degree_bound_check,
-                                    restrict_to_fixed_point, t_degree,
-                                    top_term_residual, vanishing_check)
-from quotcells.pullback import (generator_span_check, invariant_dimension,
-                                invariant_letter_classes, is_invariant,
-                                quot_pullback, quot_pullback_combinatorial,
-                                quot_pullback_spanning_classes, span_rank)
-from quotcells.ring import (RingContext, cohomological_degree, omega_top_part,
-                            point_class, small_diagonal)
-from quotcells.series import (filt_presentation_check, infinite_limits_check,
-                              quot_series_check)
-from quotcells.weights import (betti_b1, connected_components,
-                               decreasing_vectors, stabilizer, tuple_support)
+from quotcells import suites
+from quotcells.ring import RingContext
+from quotcells.weights import connected_components, decreasing_vectors
 
-_CONTEXTS = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _ctx(genus, factors, rank=0):
-    key = (genus, factors, rank)
-    if key not in _CONTEXTS:
-        _CONTEXTS[key] = RingContext(genus=genus, factors=factors, rank=rank)
-    return _CONTEXTS[key]
+    return RingContext(genus=genus, factors=factors, rank=rank)
 
 
-def _report(name, ok, started, detail=""):
-    line = "%s %s (%.1fs)%s" % (name, "PASS" if ok else "FAIL",
-                                time.time() - started,
-                                " " + detail if detail else "")
+def _report(name, cases, started, checked):
+    """Print one line for the criterion; every case must pass, and the
+    inputs checked must add up to the size of the criterion's grid."""
+    failed = [c for c in cases if not c["pass"]]
+    total = sum(c["checked"] for c in cases)
+    line = "%s %s (%.1fs) %d inputs checked%s" % (
+        name, "FAIL" if failed else "PASS", time.time() - started, total,
+        ", first failure: %s got %s" % (failed[0]["inputs"], failed[0]["got"])
+        if failed else "")
     print(line)
-    assert ok, line
+    assert not failed, line
+    assert total == checked, line
 
 
 # A1 grid: decreasing u with co <= 4 at n in {2,3}, co <= 3 at n = 4,
@@ -52,213 +40,137 @@ _A1_GRID = [(g, n, 4) for g in (0, 1, 2) for n in (2, 3)] + \
 
 
 @functools.lru_cache(maxsize=None)
-def _a1_scan():
-    cases = 0
-    mismatches = []
-    noninvariant = []
+def _a1_cases():
+    """A1's route comparisons and A5's invariance tests over the same
+    pullbacks, so that each pullback is computed once."""
+    routes, invariance = [], []
     for g, n, max_co in _A1_GRID:
         ctx = _ctx(g, n)
-        for u in decreasing_vectors(n, None, max_co=max_co):
-            st = stabilizer(u)
-            for degree in range(5):
-                for a in invariant_letter_classes(ctx, degree, st):
-                    cases += 1
-                    lhs = quot_pullback(ctx, u, a)
-                    if lhs != quot_pullback_combinatorial(ctx, u, a):
-                        mismatches.append((g, n, u, degree))
-                    if lhs and not is_invariant(lhs):
-                        noninvariant.append((g, n, u, degree))
-    return {"cases": cases, "mismatches": mismatches,
-            "noninvariant": noninvariant}
+        classes = suites.pullback_classes(
+            ctx, decreasing_vectors(n, None, max_co=max_co), range(5))
+        label = {"genus": g, "factors": n, "max_co": max_co}
+        routes += suites.check_pullback_routes(label, ctx, classes)
+        invariance += suites.check_pullback_invariance(label, ctx, classes)
+    return routes, invariance
 
 
 def test_a1_pullback_oracle_equivalence():
     started = time.time()
-    scan = _a1_scan()
     _report("A1 combinatorial pullback == symmetrization oracle",
-            not scan["mismatches"], started,
-            "%d classes, first mismatch: %s" % (scan["cases"],
-                                                scan["mismatches"][:1]))
+            _a1_cases()[0], started, 3275)
 
 
 def test_a2_generating_function():
     started = time.time()
-    bad = []
+    cases = []
     for g in (0, 1, 2):
         for n in (1, 2, 3, 4):
-            ctx = _ctx(g, n)
-            if cell_class_series(ctx, n, 6) != \
-                    cell_class_series_closed_form(ctx, n, 6):
-                bad.append((g, n))
+            cases += suites.check_series_closed_form(
+                {"genus": g, "factors": n, "order": 6}, _ctx(g, n), 6)
     _report("A2 cell-class series == closed product form up to t^6",
-            not bad, started, str(bad[:3]))
+            cases, started, 84)
 
 
 def test_a3_cross_index_identity():
     started = time.time()
-    bad = []
-    for g in (0, 1, 2):
-        for n in (2, 3):
-            ctx = _ctx(g, n)
-            for v in itertools.product(range(5), repeat=n):
-                if sum(v) > 4 or v[-1] < 1:
-                    continue
-                for m in range(1, n):
-                    if lower_index_step_residual(ctx, v, m):
-                        bad.append((g, v, m))
+    steps = [(_ctx(g, n), v, m) for g in (0, 1, 2) for n in (2, 3)
+             for v in itertools.product(range(5), repeat=n)
+             if sum(v) <= 4 and v[-1] >= 1 for m in range(1, n)]
     rng = random.Random(20260810)
     for _ in range(200):
         g = rng.choice((0, 1, 2))
-        ctx = _ctx(g, 4)
         v = tuple(rng.randrange(0, 4) for _ in range(3)) + (rng.randrange(1, 4),)
-        m = rng.randrange(1, 4)
-        if lower_index_step_residual(ctx, v, m):
-            bad.append(("random", g, v, m))
-    _report("A3 cross-index recursion residual == 0", not bad, started,
-            str(bad[:3]))
+        steps.append((_ctx(g, 4), v, rng.randrange(1, 4)))
+    _report("A3 cross-index recursion residual == 0",
+            suites.check_cross_index({"factors": "2-4"}, steps), started, 350)
 
 
 def test_a4_diagonal_calculus():
     started = time.time()
-    figures = [(({1, 2}, {2, 3}), 0),
-               (({1, 2}, {2, 3}, {1, 3}), 1),
-               (({1, 2}, {2, 3}, {1, 2, 3}), 2)]
-    bad = [sets for sets, expected in figures if betti_b1(sets) != expected]
+    cases = suites.check_incidence_betti(
+        [(({1, 2}, {2, 3}), 0),
+         (({1, 2}, {2, 3}, {1, 3}), 1),
+         (({1, 2}, {2, 3}, {1, 2, 3}), 2)])
     ground = 4
     subsets = [frozenset(s) for size in range(1, ground + 1)
                for s in itertools.combinations(range(1, ground + 1), size)]
+    tuples = [sets for count in (1, 2, 3)
+              for sets in itertools.product(subsets, repeat=count)
+              if len(connected_components(sets)) == 1]
     for g in (0, 1, 2):
-        ctx = _ctx(g, ground)
-        for count in (1, 2, 3):
-            for sets in itertools.product(subsets, repeat=count):
-                if len(connected_components(sets)) != 1:
-                    continue
-                product = ctx.one()
-                for s in sets:
-                    product = product * small_diagonal(ctx, s)
-                b1 = betti_b1(sets)
-                members = tuple_support(sets)
-                if b1 == 0:
-                    expected = small_diagonal(ctx, members)
-                elif b1 == 1:
-                    expected = (2 - 2 * g) * point_class(ctx, members)
-                else:
-                    expected = ctx.zero()
-                if product != expected:
-                    bad.append((g, sets))
+        cases += suites.check_diagonal_products(
+            {"genus": g, "ground": ground}, _ctx(g, ground), tuples)
     _report("A4 diagonal products match the Betti classification",
-            not bad, started, str(bad[:2]))
+            cases, started, 8772)
 
 
 def test_a5_invariance_and_rank_equality():
     started = time.time()
-    scan = _a1_scan()
-    bad = list(scan["noninvariant"])
+    cases = list(_a1_cases()[1])
     for g in (0, 1):
         for n in (2, 3):
-            ctx = _ctx(g, n)
-            for degree in range(9):
-                rank = span_rank(quot_pullback_spanning_classes(ctx, degree),
-                                 degree)
-                dim = invariant_dimension(ctx, degree)
-                if rank != dim:
-                    bad.append(("rank", g, n, degree, rank, dim))
+            cases += suites.check_span_rank({"genus": g, "factors": n},
+                                            _ctx(g, n), range(9))
     _report("A5 pullbacks invariant; span rank == invariant dimension",
-            not bad, started, str(bad[:3]))
+            cases, started, 7534)
 
 
 def test_a6_localization_lemmas():
     started = time.time()
-    bad = []
+    cases = []
     for g in (0, 1):
         for n in (2, 3):
             for r in (2, 3):
-                ctx = _ctx(g, n, rank=r)
                 vs = [v for v in itertools.product(range(r), repeat=n)
                       if sum(v) <= 3]
                 ws = list(itertools.product(range(r), repeat=n))
-                for v in vs:
-                    x = cell_class_equivariant(ctx, v)
-                    for w in ws:
-                        restricted = restrict_to_fixed_point(x, w)
-                        dominated = all(a <= b for a, b in zip(v, w))
-                        if dominated:
-                            if top_term_residual(ctx, v, w) \
-                                    or t_degree(restricted) != sum(v):
-                                bad.append(("top", g, n, r, v, w))
-                        elif t_degree(restricted) == sum(v):
-                            bad.append(("reverse", g, n, r, v, w))
-                        if not vanishing_check(ctx, v, w):
-                            bad.append(("vanishing", g, n, r, v, w))
-                        if sorted(v) == sorted(w) and \
-                                not degree_bound_check(ctx, v, w):
-                            bad.append(("bound", g, n, r, v, w))
-    _report("A6 localization lemmas on the exhaustive grid", not bad,
-            started, str(bad[:3]))
+                cases += suites.check_localization(
+                    {"genus": g, "factors": n, "rank": r}, _ctx(g, n, rank=r),
+                    vs, ws)
+    _report("A6 localization lemmas on the exhaustive grid", cases, started, 2654)
 
 
 def test_a7_series_identities():
     started = time.time()
-    bad = []
+    cases = []
     for g in (0, 1, 2):
         for r in (1, 2, 3):
-            if any(p for p in quot_series_check(g, r, 4, 10)):
-                bad.append(("quot", g, r))
+            cases += suites.check_quot_series(g, r, 4, 10)
             for n in (1, 2, 3, 4):
-                if filt_presentation_check(g, r, n):
-                    bad.append(("filt", g, r, n))
+                cases += suites.check_filt_presentation(g, r, n)
     for g in (0, 1):
-        if not infinite_limits_check(g, 10)["pass"]:
-            bad.append(("limits", g))
-    _report("A7 Poincare series identities", not bad, started, str(bad[:3]))
+        cases += suites.check_infinite_limits(g, 10)
+    _report("A7 Poincare series identities", cases, started, 103)
 
 
 def test_a8_structural_invariants():
     started = time.time()
-    bad = []
+    cases = []
     for g in (0, 1, 2):
         for n in (2, 3):
             ctx = _ctx(g, n)
+            label = {"genus": g, "factors": n}
             vectors = [v for v in itertools.product(range(5), repeat=n)
                        if sum(v) <= 4]
-            for v in vectors:
-                x = cell_class(ctx, v)
-                if cohomological_degree(x) != 2 * sum(v):
-                    bad.append(("degree", g, n, v))
-                if omega_top_part(x) != ctx.monomial(omega=v):
-                    bad.append(("leading", g, n, v))
+            cases += suites.check_cell_classes(label, ctx, vectors)
             positive = [v for v in vectors if sum(v)]
-            for v in positive:
-                for w in positive:
-                    if sum(v) + sum(w) > 5:
-                        continue
-                    basis = to_cell_basis(cell_class(ctx, v) * cell_class(ctx, w))
-                    target = tuple(a + b for a, b in zip(v, w))
-                    if basis.get(target) != ctx.one():
-                        bad.append(("product-leading", g, n, v, w))
-                    if any(sum(u) > sum(v) + sum(w) for u in basis):
-                        bad.append(("product-support", g, n, v, w))
-            for u in itertools.product(range(4), repeat=n - 1):
-                if sum(u) > 3:
-                    continue
-                for l in range(1, 5 - sum(u)):
-                    for code in ctx.curve_basis():
-                        if module_recursion_residual(ctx, u, l,
-                                                     ctx.letter_at(1, code)):
-                            bad.append(("module", g, n, u, l, code))
+            cases += suites.check_product_filtration(
+                label, ctx, [(v, w) for v in positive for w in positive
+                             if sum(v) + sum(w) <= 5])
+            cases += suites.check_module_recursion(
+                label, ctx, [(u, l) for u in itertools.product(range(4), repeat=n - 1)
+                             if sum(u) <= 3 for l in range(1, 5 - sum(u))])
     _report("A8 homogeneity, leading terms, product filtration, module "
-            "recursion", not bad, started, str(bad[:3]))
+            "recursion", cases, started, 1968)
 
 
 def test_a9_generator_span():
     started = time.time()
-    bad = []
+    cases = []
     for g in (0, 1):
-        report = generator_span_check(_ctx(g, 2), 8)
-        if not report["pass"]:
-            bad.append((g, 2, report["per_degree"]))
-    report = generator_span_check(_ctx(0, 3), 6)
-    if not report["pass"]:
-        bad.append((0, 3, report["per_degree"]))
+        cases += suites.check_generator_span({"genus": g, "factors": 2},
+                                             _ctx(g, 2), 8)
+    cases += suites.check_generator_span({"genus": 0, "factors": 3},
+                                         _ctx(0, 3), 6)
     _report("A9 single-row pullbacks generate the invariant subring",
-            not bad, started, str(bad[:1]))
+            cases, started, 25)

@@ -1,7 +1,10 @@
 """Command-line interface: outputs, exit codes, JSON round trips,
 deterministic reports."""
 
+import hashlib
 import json
+
+import pytest
 
 from quotcells.cli import main
 from quotcells.grammar import parse
@@ -121,3 +124,61 @@ def test_verify_reports_are_deterministic(capsys):
     assert report["summary"]["failed"] == 0
     for case in report["cases"]:
         assert set(case) == {"inputs", "expected", "got", "pass"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "localization", "--rank", "0"),
+    ("verify", "--suite", "recursion", "--n", "1", "--random-cases", "0"),
+    ("verify", "--suite", "ranks", "--n", "0"),
+])
+def test_verify_zero_coverage_fails(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert "got:      no cases checked" in out
+    assert "result: FAILED" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("poincare", "quot", "--length", "-1"),
+    ("poincare", "limits"),
+    ("poincare", "limits", "--max-t", "-3"),
+    ("poincare", "filt", "--n", "-1"),
+    ("verify", "--suite", "localization", "--rank", "inf"),
+])
+def test_bad_input_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [("restrict", "--v", "0,1", "--w", "1,2"),
+                                  ("xi", "--v", "2", "--equivariant")])
+def test_rank_inf_is_unbounded(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--rank", "inf")
+    assert code == 0
+    assert out == run(capsys, *argv, "--rank", "3")[1]
+
+
+def test_restrict_rank_inf_element_and_missing_rank(capsys):
+    argv = ("restrict", "--v", "0,1", "--w", "1,2")
+    assert run(capsys, *argv, "--rank", "inf")[1].split("\n")[0] == (
+        "-1 * [one|one] t^(1) + 1 * [one|one] t^(0,0,1) + 1 * [pt|one] + 1 * [one|pt]")
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "--rank is required" in err
+
+
+# sha256 of the default text output of three suites, as first recorded;
+# a change that moves any byte of a report fails here.
+GOLDEN_VERIFY = {
+    "series": "a794325c7d41744b149efa220fe19eeed3d07b5287cc7043b3c980a2f1c2b2a8",
+    "localization": "b48eadaa791d60ef6a29904bdd62cc459bcf61d3c0719dd91f7d7f8e3b31a79d",
+    "ranks": "d302e0d580dd9321dcc99d92302899bcb239c5e81ead81b1c7e53a32f35e8a81",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(GOLDEN_VERIFY))
+def test_verify_golden_output(capsys, suite):
+    code, out, _ = run(capsys, "verify", "--suite", suite)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY[suite]
