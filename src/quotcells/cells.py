@@ -55,34 +55,57 @@ def cell_class_equivariant(ctx: RingContext, v) -> RingElement:
     return _cell(ctx, v, True)
 
 
-def _cell(ctx: RingContext, v, eq: bool) -> RingElement:
-    cache = ctx._cell_cache
-    key = (v, eq)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
+def _descent(v):
+    """(j, u, [(k, swap_{k,j} u)]) of the descent step at the last nonzero
+    index j (1-based) with u = v - e_j; j is 0 for the zero vector."""
     j = 0
     for i in range(len(v) - 1, -1, -1):
         if v[i]:
             j = i + 1
             break
     if j == 0:
-        result = ctx.one()
-    else:
-        w = v[:j - 1] + (v[j - 1] - 1,) + v[j:]
+        return 0, None, []
+    u = v[:j - 1] + (v[j - 1] - 1,) + v[j:]
+    swaps = [(k, apply_perm(transposition(len(v), k, j), u))
+             for k in range(1, j) if u[k - 1] <= u[j - 1]]
+    return j, u, swaps
+
+
+def _cell(ctx: RingContext, v, eq: bool) -> RingElement:
+    # Iterative along the descent chain, so co(v) is not bounded by the
+    # recursion limit: a vector waits on the stack until every vector its
+    # step needs is cached.
+    cache = ctx._cell_cache
+    hit = cache.get((v, eq))
+    if hit is not None:
+        return hit
+    stack = [v]
+    while stack:
+        top = stack[-1]
+        if (top, eq) in cache:
+            stack.pop()
+            continue
+        j, u, swaps = _descent(top)
+        if j == 0:
+            cache[top, eq] = ctx.one()
+            continue
+        needed = [u] + [w for _k, w in swaps]
+        missing = [w for w in needed if (w, eq) not in cache]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
         step = ctx.omega(j)
-        d = ctx.bundle_degree(w[j - 1])
+        d = ctx.bundle_degree(u[j - 1])
         if d:
             step = step - d * ctx.pt(j)
         if eq:
-            step = step - ctx.t_var(w[j - 1])
-        result = step * _cell(ctx, w, eq)
-        for k in range(1, j):
-            if w[k - 1] <= w[j - 1]:
-                swapped = apply_perm(transposition(len(v), k, j), w)
-                result = result + diagonal(ctx, k, j) * _cell(ctx, swapped, eq)
-    cache[key] = result
-    return result
+            step = step - ctx.t_var(u[j - 1])
+        result = step * cache[u, eq]
+        for k, w in swaps:
+            result = result + diagonal(ctx, k, j) * cache[w, eq]
+        cache[top, eq] = result
+    return cache[v, eq]
 
 
 def symmetrized_cell_class(ctx: RingContext, v, a: RingElement) -> RingElement:

@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 a verified identity failed, 2 usage error.
+Exit codes: 0 success, 1 a verified identity failed, 2 usage error,
+3 an unexpected internal error (one `error:` line on stderr, no
+traceback).
 Element-valued results are printed in the canonical grammar, so JSON
 output round-trips through `parse`.
 """
@@ -18,6 +20,7 @@ from .weights import is_decreasing, stabilizer
 
 USAGE_ERROR = 2
 IDENTITY_ERROR = 1
+INTERNAL_ERROR = 3
 RANK_NOT_GIVEN = object()  # --rank absent; UNBOUNDED (None) is --rank inf
 
 
@@ -293,6 +296,11 @@ def main(argv=None) -> int:
     except (ParseError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return USAGE_ERROR
+    except Exception as exc:  # never a traceback, and never 1
+        detail = " ".join(str(exc).split())  # one line
+        print("error: internal error (%s) %s" % (type(exc).__name__, detail),
+              file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -158,7 +158,7 @@ def projector_trace(ctx: RingContext, basis) -> int:
     total = 0
     for sigma in permutations(n):
         for mono in basis:
-            image = permute_factors_omega(sigma, RingElement(ctx, {mono: Fraction(1)}))
+            image = permute_factors_omega(sigma, RingElement(ctx, {mono: 1}))
             c = image.coeffs.get(mono)
             if c:
                 total += c
@@ -192,7 +192,7 @@ def invariant_letter_classes(ctx: RingContext, degree: int, group=None):
             continue
         mono = (letters, (0,) * ctx.factors, ())
         orbit_sum = ctx.zero()
-        element = RingElement(ctx, {mono: Fraction(1)})
+        element = RingElement(ctx, {mono: 1})
         for sigma in group:
             image = permute_factors(sigma, element)
             seen.add(next(iter(image.coeffs))[0])

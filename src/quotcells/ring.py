@@ -10,10 +10,13 @@ every other product of positive-degree classes vanishes.  Tensor factors
 multiply with the Koszul sign (-1)^{sum_{i<j} |y_i||x_j|}; the variables
 w_i and t_a are even and central.
 
-Elements are sparse maps monomial -> Fraction.  All arithmetic is exact;
-no floating point anywhere.  Elements are immutable values: every
-operation returns a fresh element, so they are safe to share between
-concurrent tasks.
+Elements are sparse maps monomial -> coefficient, where a coefficient is
+an int when it is integral and a Fraction (denominator > 1) otherwise;
+the few places that make coefficients (scalar, monomial, sums, products
+and element_from_terms) keep that normalization.  All arithmetic is
+exact; no floating point anywhere.  Elements are immutable values: every
+operation returns a fresh element and `coeffs` is a read-only view, so
+elements are safe to share between concurrent tasks and caches.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
+from types import MappingProxyType
 
 from .weights import compositions
 
@@ -54,25 +59,17 @@ def letter_name(code: int) -> str:
     return ("b%d" if odd else "a%d") % k
 
 
-def _letter_product(a: int, b: int):
-    """Product of two basis letters: (sign, code), or None when zero."""
-    if a == UNIT:
-        return (1, b)
-    if b == UNIT:
-        return (1, a)
-    if a == POINT or b == POINT:
-        return None
-    if a ^ 1 == b:  # the symplectic pair a_k, b_k
-        return (1, POINT) if a < b else (-1, POINT)
-    return None
-
-
 def _trim(t):
     """Drop trailing zeros so t-monomials hash canonically."""
     n = len(t)
     while n and t[n - 1] == 0:
         n -= 1
     return t[:n]
+
+
+def _normal(q):
+    """A coefficient as an int when it is integral, else as a Fraction."""
+    return q.numerator if q.denominator == 1 else q
 
 
 UNBOUNDED = None  # rank sentinel: t-variables indexed on demand
@@ -115,7 +112,7 @@ class RingContext:
         return self.scalar(1)
 
     def scalar(self, q) -> "RingElement":
-        q = Fraction(q)
+        q = _normal(Fraction(q))
         if q == 0:
             return self.zero()
         mono = ((UNIT,) * self.factors, (0,) * self.factors, ())
@@ -133,7 +130,7 @@ class RingContext:
             raise ValueError("exponents must be non-negative")
         t = _trim(tuple(t))
         self._check_t_length(len(t))
-        coeff = Fraction(coeff)
+        coeff = _normal(Fraction(coeff))
         if coeff == 0:
             return self.zero()
         return RingElement(self, {(letters, omega, t): coeff})
@@ -215,43 +212,78 @@ def monomial_sort_key(mono):
     )
 
 
-def _koszul_sign(lx, ly) -> int:
-    # (-1)^{sum_{i<j} |y_i||x_j|}; only odd letters contribute.
-    total = 0
-    suffix = 0
-    odd_x = [letter_degree(c) == 1 for c in lx]
-    for i in range(len(lx) - 1, -1, -1):
-        if letter_degree(ly[i]) == 1:
-            total += suffix
-        if odd_x[i]:
-            suffix += 1
-    return -1 if total % 2 else 1
+def _letters_product(lx, ly):
+    """Product of two letter tuples: (sign, letters), or None when the
+    letters of some factor collide.  The sign is the product of the
+    symplectic signs (b_k * a_k = -pt) and the Koszul sign
+    (-1)^{sum_{i<j} |y_i||x_j|}, both counted in one pass over the
+    factors; the odd letters are the codes above POINT."""
+    flips = 0
+    odd_y = 0  # odd letters of ly left of the current factor
+    letters = []
+    for a, b in zip(lx, ly):
+        if a > POINT:
+            flips += odd_y
+        if b > POINT:
+            odd_y += 1
+        if a == UNIT:
+            letters.append(b)
+        elif b == UNIT:
+            letters.append(a)
+        elif a ^ 1 == b:  # neither is UNIT, so this is a_k * b_k or b_k * a_k
+            letters.append(POINT)
+            if a > b:
+                flips += 1
+        else:
+            return None
+    return (-1 if flips & 1 else 1), tuple(letters)
+
+
+def _by_letters(coeffs):
+    """The terms grouped by letter tuple: letters -> [(omega, t, coeff)]."""
+    groups = {}
+    for (letters, omega, t), c in coeffs.items():
+        terms = groups.get(letters)
+        if terms is None:
+            groups[letters] = [(omega, t, c)]
+        else:
+            terms.append((omega, t, c))
+    return groups
 
 
 class RingElement:
-    """Sparse exact-rational combination of tensor-omega-t monomials."""
+    """Sparse exact-rational combination of tensor-omega-t monomials.
 
-    __slots__ = ("ctx", "coeffs")
+    The constructor takes ownership of a dict monomial -> nonzero
+    coefficient, each an int or a Fraction with denominator > 1.
+    """
+
+    __slots__ = ("ctx", "_coeffs")
 
     def __init__(self, ctx: RingContext, coeffs: dict):
         self.ctx = ctx
-        self.coeffs = coeffs
+        self._coeffs = coeffs
+
+    @property
+    def coeffs(self):
+        """Read-only view of the terms, monomial -> coefficient."""
+        return MappingProxyType(self._coeffs)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._coeffs)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._coeffs
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.ctx.scalar(other)
         if not isinstance(other, RingElement):
             return NotImplemented
-        return self.ctx == other.ctx and self.coeffs == other.coeffs
+        return self.ctx == other.ctx and self._coeffs == other._coeffs
 
     def __hash__(self):
-        return hash((self.ctx, frozenset(self.coeffs.items())))
+        return hash((self.ctx, frozenset(self._coeffs.items())))
 
     def _require_same_ctx(self, other):
         if self.ctx != other.ctx:
@@ -261,19 +293,21 @@ class RingElement:
         if isinstance(other, (int, Fraction)):
             other = self.ctx.scalar(other)
         self._require_same_ctx(other)
-        out = dict(self.coeffs)
-        for mono, c in other.coeffs.items():
+        out = dict(self._coeffs)
+        for mono, c in other._coeffs.items():
             s = out.get(mono, 0) + c
-            if s:
+            if not s:
+                out.pop(mono, None)
+            elif type(s) is int or s.denominator != 1:
                 out[mono] = s
             else:
-                out.pop(mono, None)
+                out[mono] = s.numerator
         return RingElement(self.ctx, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RingElement(self.ctx, {m: -c for m, c in self.coeffs.items()})
+        return RingElement(self.ctx, {m: -c for m, c in self._coeffs.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -285,36 +319,41 @@ class RingElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
+            q = _normal(Fraction(other))
             if q == 0:
                 return self.ctx.zero()
-            return RingElement(self.ctx, {m: c * q for m, c in self.coeffs.items()})
+            return RingElement(self.ctx, {m: _normal(c * q)
+                                          for m, c in self._coeffs.items()})
         self._require_same_ctx(other)
+        # The letters decide whether a pair of terms survives and with
+        # which sign, so that is settled once per pair of letter tuples;
+        # only exponent sums and coefficient products run per term pair.
         out = {}
-        for (lx, ox, tx), cx in self.coeffs.items():
-            for (ly, oy, ty), cy in other.coeffs.items():
-                sign = 1
-                letters = []
-                for a, b in zip(lx, ly):
-                    p = _letter_product(a, b)
-                    if p is None:
-                        break
-                    sign *= p[0]
-                    letters.append(p[1])
-                else:
-                    sign *= _koszul_sign(lx, ly)
-                    if tx and ty:
-                        ta, tb = (tx, ty) if len(tx) >= len(ty) else (ty, tx)
-                        t = tuple(a + b for a, b in zip(ta, tb)) + ta[len(tb):]
-                    else:
-                        t = tx or ty
-                    mono = (tuple(letters),
-                            tuple(a + b for a, b in zip(ox, oy)), t)
-                    s = out.get(mono, 0) + sign * cx * cy
-                    if s:
-                        out[mono] = s
-                    else:
-                        del out[mono]
+        right = _by_letters(other._coeffs).items()
+        for lx, xs in _by_letters(self._coeffs).items():
+            for ly, ys in right:
+                p = _letters_product(lx, ly)
+                if p is None:
+                    continue
+                sign, letters = p
+                for ox, tx, cx in xs:
+                    if sign < 0:
+                        cx = -cx
+                    for oy, ty, cy in ys:
+                        if tx and ty:
+                            ta, tb = (tx, ty) if len(tx) >= len(ty) else (ty, tx)
+                            t = tuple(map(add, ta, tb)) + ta[len(tb):]
+                        else:
+                            t = tx or ty
+                        mono = (letters, tuple(map(add, ox, oy)), t)
+                        s = out.get(mono, 0) + cx * cy
+                        if s:
+                            out[mono] = s
+                        else:
+                            del out[mono]
+        for mono, c in out.items():
+            if type(c) is not int and c.denominator == 1:
+                out[mono] = c.numerator
         return RingElement(self.ctx, out)
 
     def __rmul__(self, other):
@@ -349,12 +388,12 @@ def element_from_terms(ctx: RingContext, terms) -> RingElement:
             out[mono] = s
         else:
             out.pop(mono, None)
-    return RingElement(ctx, out)
+    return RingElement(ctx, {m: _normal(c) for m, c in out.items()})
 
 
 def cohomological_degree(x: RingElement):
     """Degree of a homogeneous element; "inhomogeneous" otherwise, None for 0."""
-    degs = {monomial_degree(m) for m in x.coeffs}
+    degs = {monomial_degree(m) for m in x._coeffs}
     if not degs:
         return None
     if len(degs) > 1:
@@ -363,7 +402,7 @@ def cohomological_degree(x: RingElement):
 
 
 def graded_piece(x: RingElement, degree: int) -> RingElement:
-    return RingElement(x.ctx, {m: c for m, c in x.coeffs.items()
+    return RingElement(x.ctx, {m: c for m, c in x._coeffs.items()
                                if monomial_degree(m) == degree})
 
 
@@ -373,14 +412,31 @@ def is_homogeneous(x: RingElement) -> bool:
 
 # -- symmetric-group actions ------------------------------------------------
 
-def _perm_sign_on_letters(sigma, letters) -> int:
-    odd = [i for i, c in enumerate(letters) if letter_degree(c) == 1]
-    inv = 0
-    for a in range(len(odd)):
-        for b in range(a + 1, len(odd)):
-            if sigma[odd[a]] > sigma[odd[b]]:
-                inv += 1
-    return -1 if inv % 2 else 1
+def _sources(sigma, n):
+    """Inverse of the permutation sigma of n positions, as a list."""
+    if len(sigma) != n or set(sigma) != set(range(n)):
+        raise ValueError("not a permutation of %d factors" % n)
+    source = [0] * n
+    for i, target in enumerate(sigma):
+        source[target] = i
+    return source
+
+
+def _moved_letters(sigma, source, letters, moved):
+    """(sign, letters) of a letter tuple moved by sigma, computed once per
+    letter tuple in `moved`; the sign is -1 to the number of pairs of odd
+    letters whose order sigma reverses."""
+    image = moved.get(letters)
+    if image is None:
+        targets = [sigma[i] for i, c in enumerate(letters) if c > POINT]
+        inversions = 0
+        for a in range(len(targets)):
+            for b in range(a + 1, len(targets)):
+                if targets[a] > targets[b]:
+                    inversions += 1
+        image = moved[letters] = (-1 if inversions % 2 else 1,
+                                  tuple([letters[i] for i in source]))
+    return image
 
 
 def permute_factors(sigma, x: RingElement) -> RingElement:
@@ -390,20 +446,13 @@ def permute_factors(sigma, x: RingElement) -> RingElement:
     letter in factor i moves to factor sigma[i]; transposing two odd
     letters costs a sign; omega and t exponents are untouched.
     """
-    n = x.ctx.factors
-    if len(sigma) != n or set(sigma) != set(range(n)):
-        raise ValueError("not a permutation of %d factors" % n)
+    source = _sources(sigma, x.ctx.factors)
+    moved = {}
     out = {}
-    for (letters, omega, t), c in x.coeffs.items():
-        nl = [UNIT] * n
-        for i, code in enumerate(letters):
-            nl[sigma[i]] = code
-        mono = (tuple(nl), omega, t)
-        s = out.get(mono, 0) + c * _perm_sign_on_letters(sigma, letters)
-        if s:
-            out[mono] = s
-        else:
-            del out[mono]
+    # the action is a bijection on monomials, so no two terms meet
+    for (letters, omega, t), c in x._coeffs.items():
+        sign, nl = _moved_letters(sigma, source, letters, moved)
+        out[(nl, omega, t)] = c if sign > 0 else -c
     return RingElement(x.ctx, out)
 
 
@@ -414,22 +463,12 @@ def permute_factors_omega(sigma, x: RingElement) -> RingElement:
     p_{sigma(i)}^*(a) w_{sigma(i)}^l; its invariants realize the image of
     the quot-scheme cohomology inside the complete-flag model.
     """
-    n = x.ctx.factors
-    if len(sigma) != n or set(sigma) != set(range(n)):
-        raise ValueError("not a permutation of %d factors" % n)
+    source = _sources(sigma, x.ctx.factors)
+    moved = {}
     out = {}
-    for (letters, omega, t), c in x.coeffs.items():
-        nl = [UNIT] * n
-        no = [0] * n
-        for i in range(n):
-            nl[sigma[i]] = letters[i]
-            no[sigma[i]] = omega[i]
-        mono = (tuple(nl), tuple(no), t)
-        s = out.get(mono, 0) + c * _perm_sign_on_letters(sigma, letters)
-        if s:
-            out[mono] = s
-        else:
-            del out[mono]
+    for (letters, omega, t), c in x._coeffs.items():
+        sign, nl = _moved_letters(sigma, source, letters, moved)
+        out[(nl, tuple([omega[i] for i in source]), t)] = c if sign > 0 else -c
     return RingElement(x.ctx, out)
 
 
@@ -501,28 +540,28 @@ def embed(x: RingElement, target: RingContext) -> RingElement:
         raise ValueError("target context has fewer factors")
     pad = target.factors - src.factors
     out = {}
-    for (letters, omega, t), c in x.coeffs.items():
+    for (letters, omega, t), c in x._coeffs.items():
         out[(letters + (UNIT,) * pad, omega + (0,) * pad, t)] = c
     return RingElement(target, out)
 
 
 def specialize_t_zero(x: RingElement) -> RingElement:
     """Set every equivariant parameter t_a to zero."""
-    return RingElement(x.ctx, {m: c for m, c in x.coeffs.items() if not m[2]})
+    return RingElement(x.ctx, {m: c for m, c in x._coeffs.items() if not m[2]})
 
 
 def omega_degree(x: RingElement):
     """Largest total omega-exponent over the support (None for 0)."""
-    if not x.coeffs:
+    if not x._coeffs:
         return None
-    return max(sum(m[1]) for m in x.coeffs)
+    return max(sum(m[1]) for m in x._coeffs)
 
 
 def omega_top_part(x: RingElement) -> RingElement:
     d = omega_degree(x)
     if d is None:
         return x
-    return RingElement(x.ctx, {m: c for m, c in x.coeffs.items() if sum(m[1]) == d})
+    return RingElement(x.ctx, {m: c for m, c in x._coeffs.items() if sum(m[1]) == d})
 
 
 def letter_monomials(ctx: RingContext, degree: int):

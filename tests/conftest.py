@@ -24,3 +24,16 @@ def random_homogeneous(ctx, degree, rng, terms=3):
     for mono in rng.sample(basis, min(terms, len(basis))):
         coeffs[mono] = Fraction(rng.randint(-4, 4))
     return RingElement(ctx, {m: c for m, c in coeffs.items() if c})
+
+
+def assert_read_only(x):
+    """No caller can write through an element's public term view."""
+    mono = next(iter(x.coeffs))
+    with pytest.raises(AttributeError):
+        x.coeffs.clear()
+    with pytest.raises(TypeError):
+        x.coeffs[mono] = 0
+    with pytest.raises(TypeError):
+        del x.coeffs[mono]
+    with pytest.raises(AttributeError):
+        x.coeffs = {}

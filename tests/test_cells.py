@@ -18,7 +18,22 @@ from quotcells.ring import (RingContext, alpha, cohomological_degree,
                             specialize_t_zero)
 from quotcells.weights import permutations
 
-from conftest import random_homogeneous
+from conftest import assert_read_only, random_homogeneous
+
+
+class TestCellCacheIsReadOnly:
+    """cell_class hands out its cached element; writing through the
+    returned element must not change later results."""
+
+    @pytest.mark.parametrize("rank, cell", [(0, cell_class),
+                                            (3, cell_class_equivariant)])
+    def test_cached_class_cannot_be_poisoned(self, rank, cell):
+        ctx = RingContext(genus=1, factors=2, rank=rank)
+        x = cell(ctx, (0, 2))
+        assert_read_only(x)
+        assert cell(ctx, (0, 2)) is x
+        assert x == cell(RingContext(genus=1, factors=2, rank=rank), (0, 2))
+        assert x
 
 
 class TestCellClass:

@@ -182,3 +182,23 @@ def test_verify_golden_output(capsys, suite):
     code, out, _ = run(capsys, "verify", "--suite", suite)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY[suite]
+
+
+def test_deep_weight_vector_runs_in_process(capsys):
+    # co(v) = 1500 is deeper than the default recursion limit
+    code, out, _ = run(capsys, "xi", "--v", "1500")
+    assert code == 0
+    assert out.strip() == "1 * [one] w^(1500)"
+
+
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    from quotcells import cli
+
+    def boom(args):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "_cmd_xi", boom)
+    code, out, err = run(capsys, "xi", "--v", "1")
+    assert code == cli.INTERNAL_ERROR == 3
+    assert out == ""
+    assert err == "error: internal error (RuntimeError) boom second line\n"

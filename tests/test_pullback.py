@@ -13,6 +13,8 @@ from quotcells.ring import (POINT, RingContext, UNIT, alpha, diagonal,
                             project_invariant)
 from quotcells.weights import decreasing_vectors, permutations, stabilizer
 
+from conftest import assert_read_only
+
 
 class TestOracle:
     def test_single_box(self):
@@ -182,3 +184,15 @@ class TestGeneratorSpan:
         ctx = RingContext(genus=1, factors=2)
         report = generator_span_check(ctx, 4)
         assert report["pass"], report
+
+
+def test_memoized_prefactor_cannot_be_poisoned():
+    from quotcells.pullback import _prefactor_sum
+    ctx = RingContext(genus=1, factors=2)
+    u, sigma = (1, 0), (0, 1)
+    prefactor = _prefactor_sum(ctx, u, sigma, "row_sum")
+    assert_read_only(prefactor)
+    assert _prefactor_sum(ctx, u, sigma, "row_sum") is prefactor
+    fresh = RingContext(genus=1, factors=2)
+    assert prefactor == _prefactor_sum(fresh, u, sigma, "row_sum")
+    assert quot_pullback_combinatorial(ctx, u) == quot_pullback(ctx, u)
