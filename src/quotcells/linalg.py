@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from math import lcm
 
 
 def exact_rank(rows) -> int:
-    """Rank of a list of sparse rows (dicts column-key -> Fraction).
+    """Rank of a list of sparse rows (dicts column-key -> int or Fraction).
 
-    Rows are scaled to integers (rank is invariant under row scaling)
-    and reduced by Bareiss fraction-free elimination, so no rounding
-    ever happens.
+    Rows are scaled to integers by the lcm of their denominators (rank
+    is invariant under row scaling) and reduced by Bareiss fraction-free
+    elimination, so no rounding ever happens.
     """
     rows = [r for r in rows if r]
     if not rows:
@@ -20,14 +19,10 @@ def exact_rank(rows) -> int:
     index = {key: i for i, key in enumerate(columns)}
     matrix = []
     for row in rows:
-        denom = 1
-        for value in row.values():
-            value = Fraction(value)
-            denom = denom * value.denominator // gcd(denom, value.denominator)
+        denom = lcm(*(value.denominator for value in row.values()))
         dense = [0] * len(columns)
         for key, value in row.items():
-            value = Fraction(value)
-            dense[index[key]] = int(value * denom)
+            dense[index[key]] = value.numerator * (denom // value.denominator)
         matrix.append(dense)
     return _bareiss_rank(matrix)
 

@@ -1,10 +1,10 @@
 """Pullbacks of quot-scheme cell classes to the complete-flag model.
 
-Two independent evaluations are provided: the stabilizer-averaged
-symmetrization (the oracle) and the combinatorial sum over admissible
-row tuples; the two must agree exactly.  The module also carries the
-symmetry/rank machinery used to certify that the pullback image is the
-full invariant subring of the omega-twisted permutation action.
+Two independent evaluations are provided, both sums over the orbit of
+the weight: of cell classes (the oracle) and of admissible row tuples;
+the two must agree exactly.  The module also carries the symmetry/rank
+machinery used to certify that the pullback image is the full invariant
+subring of the omega-twisted permutation action.
 """
 
 from __future__ import annotations
@@ -12,17 +12,16 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .cells import (_require_letters_only, cell_class, complete_homogeneous,
-                    symmetrized_cell_class)
+from .cells import _require_letters_only, cell_class, complete_homogeneous
 from .linalg import exact_rank
 from .ring import (RingContext, RingElement, graded_piece, is_homogeneous,
                    letter_monomials, monomial_degree, monomials_of_degree,
                    permute_factors, permute_factors_omega, point_class,
                    project_invariant, small_diagonal)
 from .weights import (admissible_row_tuples, apply_perm, classify,
-                      incidence_tuple, is_decreasing, permutations,
-                      row_exponent, stabilizer, stabilizer_order,
-                      transposition, tuple_support)
+                      incidence_tuple, is_decreasing, orbit, permutations,
+                      row_exponent, stabilizer, transposition, tuple_support,
+                      young_subgroup)
 
 
 def _average_twist(ctx: RingContext, group, a: RingElement, strict: bool) -> RingElement:
@@ -40,8 +39,9 @@ def _average_twist(ctx: RingContext, group, a: RingElement, strict: bool) -> Rin
 def quot_pullback(ctx: RingContext, u, a: RingElement = None,
                   strict: bool = False) -> RingElement:
     """Pullback of the quot-scheme cell class of the decreasing weight u
-    twisted by a: the stabilizer-normalized symmetrization
-    (1/|St(u)|) sum_sigma cell(sigma u) sigma(a).
+    twisted by a: the orbit sum over v in S_n u of cell(v) sigma_v(a),
+    sigma_v(u) = v, which is the symmetrization (1/|St(u)|) sum_sigma
+    cell(sigma u) sigma(a) since a is St(u)-invariant.
 
     Non-invariant a is averaged over St(u) first (lenient mode); strict
     mode raises instead.
@@ -50,7 +50,15 @@ def quot_pullback(ctx: RingContext, u, a: RingElement = None,
     if not is_decreasing(u):
         raise ValueError("u must be decreasing")
     a = _average_twist(ctx, stabilizer(u), a, strict)
-    return symmetrized_cell_class(ctx, u, a) * Fraction(1, stabilizer_order(u))
+    return _orbit_sum(ctx, u, permutations(ctx.factors), a)
+
+
+def _orbit_sum(ctx: RingContext, v, group, a: RingElement) -> RingElement:
+    """sum over w in the orbit of v of cell(w) sigma_w(a), sigma_w(v) = w."""
+    acc = ctx.zero()
+    for w, sigma in orbit(v, group).items():
+        acc = acc + cell_class(ctx, w) * permute_factors(sigma, a)
+    return acc
 
 
 def combinatorial_prefactor(ctx: RingContext, rows) -> RingElement:
@@ -70,12 +78,11 @@ def combinatorial_prefactor(ctx: RingContext, rows) -> RingElement:
 
 
 def quot_pullback_combinatorial(ctx: RingContext, u, a: RingElement = None,
-                                convention: str = "row_sum",
                                 strict: bool = False) -> RingElement:
     """The same pullback evaluated by the combinatorial formula:
 
-        (1/|St(u)|) sum over sigma and admissible row tuples of
-        prefactor(rows) * sigma(a).
+        sum over v in S_n u and admissible row tuples of (u, sigma_v) of
+        prefactor(rows) * sigma_v(a),  sigma_v(u) = v.
 
     Only derived for trivial line-bundle degrees; refuses anything else.
     """
@@ -86,20 +93,20 @@ def quot_pullback_combinatorial(ctx: RingContext, u, a: RingElement = None,
         raise ValueError("u must be decreasing")
     a = _average_twist(ctx, stabilizer(u), a, strict)
     acc = ctx.zero()
-    for sigma in permutations(ctx.factors):
-        pref = _prefactor_sum(ctx, u, sigma, convention)
+    for sigma in orbit(u, permutations(ctx.factors)).values():
+        pref = _prefactor_sum(ctx, u, sigma)
         if pref:
             acc = acc + pref * permute_factors(sigma, a)
-    return acc * Fraction(1, stabilizer_order(u))
+    return acc
 
 
-def _prefactor_sum(ctx: RingContext, u, sigma, convention: str) -> RingElement:
-    # memoized: the row-tuple enumeration does not depend on the twist class
-    key = ("prefactor", u, sigma, convention)
+def _prefactor_sum(ctx: RingContext, u, sigma) -> RingElement:
+    # memoized on sigma(u): the row tuples depend on nothing else
+    key = ("prefactor", apply_perm(sigma, u))
     got = ctx._memo.get(key)
     if got is None:
         got = ctx.zero()
-        for rows in admissible_row_tuples(u, sigma, convention):
+        for rows in admissible_row_tuples(u, sigma):
             got = got + combinatorial_prefactor(ctx, rows)
         ctx._memo[key] = got
     return got
@@ -107,11 +114,11 @@ def _prefactor_sum(ctx: RingContext, u, sigma, convention: str) -> RingElement:
 
 def partial_flag_pullback(ctx: RingContext, composition, v_star,
                           a: RingElement = None, strict: bool = False) -> RingElement:
-    """Pullback from a partial filt scheme: the average over the Young
-    subgroup of the composition of cell(sigma v) sigma(a), normalized by
-    the product of the blockwise stabilizer orders.
+    """Pullback from a partial filt scheme: the orbit sum over w in Y v of
+    cell(w) sigma_w(a), sigma_w(v) = w, for the concatenated blocks v and
+    the Young subgroup Y of the composition; a is averaged over the
+    blockwise stabilizer of v first.
     """
-    from .weights import young_subgroup
     composition = tuple(composition)
     blocks = [tuple(b) for b in v_star]
     if tuple(len(b) for b in blocks) != composition:
@@ -122,14 +129,10 @@ def partial_flag_pullback(ctx: RingContext, composition, v_star,
         if not is_decreasing(b):
             raise ValueError("each block must be decreasing")
     v = tuple(x for b in blocks for x in b)
-    group = young_subgroup(composition)
-    # the blockwise stabilizer is exactly the Young-subgroup stabilizer of v
-    stab = [sigma for sigma in group if apply_perm(sigma, v) == v]
-    averaged = _average_twist(ctx, stab, a, strict)
-    acc = ctx.zero()
-    for sigma in group:
-        acc = acc + cell_class(ctx, apply_perm(sigma, v)) * permute_factors(sigma, averaged)
-    return acc * Fraction(1, len(stab))
+    # the Young-subgroup stabilizer of v fixes each (block label, entry) pair
+    labelled = tuple((k, x) for k, b in enumerate(blocks) for x in b)
+    averaged = _average_twist(ctx, stabilizer(labelled), a, strict)
+    return _orbit_sum(ctx, v, young_subgroup(composition), averaged)
 
 
 # -- symmetry and rank certificates -------------------------------------------

@@ -105,6 +105,8 @@ def quot_series_product(g: int, r: int, max_s: int, max_t: int):
     """Coefficients of s^0..s^max_s of the closed product formula
     prod_{h<r} (1+s t^{2h+1})^{2g} / ((1-t^{2h} s)(1-t^{2h+2} s)),
     each truncated at t^max_t."""
+    if g < 0:
+        raise ValueError("g must be non-negative")
     series = [[1]] + [[] for _ in range(max_s)]
     for h in range(r):
         # (1 + s t^{2h+1})^{2g}
@@ -143,6 +145,8 @@ def quot_series_check(g: int, r: int, max_s: int, max_t: int):
 def filt_poincare(g: int, r: int, n: int):
     """Poincare polynomial of the complete filt scheme: the fixed-point
     strata contribute t^{2co(v)} (1+2gt+t^2)^n over v in [0,r-1]^n."""
+    if g < 0:
+        raise ValueError("g must be non-negative")
     if r < 1:
         raise ValueError("need r >= 1")
     strata = poly_pow(poly_trim([1 if i % 2 == 0 else 0 for i in range(2 * r - 1)]), n)
@@ -163,6 +167,8 @@ def filt_presentation_check(g: int, r: int, n: int):
 def infinite_quot_series(g: int, max_t: int):
     """Truncation of the limit series
     (1+t)^{2g}/(1-t^2) prod_{h>=1} (1+t^{2h+1})^{2g}/((1-t^{2h})(1-t^{2h+2}))."""
+    if g < 0:
+        raise ValueError("g must be non-negative")
     acc = poly_mul(poly_pow([1, 1], 2 * g, max_t), poly_geometric(2, max_t), max_t)
     h = 1
     while 2 * h <= max_t:

@@ -50,20 +50,19 @@ def apply_perm(sigma, v):
 
 
 def young_subgroup(composition):
-    """Block permutations of consecutive blocks of the given sizes."""
-    blocks = []
-    offset = 0
-    for size in composition:
-        blocks.append(range(offset, offset + size))
-        offset += size
-    members = []
-    for parts in itertools.product(*(itertools.permutations(b) for b in blocks)):
-        sigma = [0] * offset
-        for block, images in zip(blocks, parts):
-            for src, dst in zip(block, images):
-                sigma[src] = dst
-        members.append(tuple(sigma))
-    return members
+    """Block permutations of consecutive blocks of the given sizes: the
+    stabilizer of the block-label vector, e.g. (0, 0, 1) for (2, 1)."""
+    return stabilizer(tuple(k for k, size in enumerate(composition)
+                            for _ in range(size)))
+
+
+def orbit(v, group):
+    """The images of v under the group, each mapped to the first member
+    of the group that reaches it."""
+    images = {}
+    for sigma in group:
+        images.setdefault(apply_perm(sigma, v), sigma)
+    return images
 
 
 # -- weight vectors ----------------------------------------------------------
@@ -253,16 +252,15 @@ def row_exponent(row, j: int) -> int:
     return sum(row) - len(row_support_hat(row, j)) + 1
 
 
-def admissible_row_tuples(u, sigma, convention: str = "row_sum"):
+def admissible_row_tuples(u, sigma):
     """Row tuples L = (l_1, ..., l_n), l_j of length j, entering the
     combinatorial pullback formula for the decreasing weight u and the
     permutation sigma.
 
-    Conditions: (i) the padded rows sum to sigma(u) ("row_sum"; the
-    alternate "sigma_sum" reads the sum constraint as sigma(sum) = u,
-    i.e. rows summing to sigma^{-1}(u)); (ii) every connected component
-    of the incidence tuple has first Betti number <= 1; (iii) at each
-    row j the partial sums l(j) = sum_{h<=j} l_h have pairwise distinct
+    Conditions: (i) the padded rows sum to sigma(u), so the tuples depend
+    on sigma only through sigma(u); (ii) every connected component of
+    the incidence tuple has first Betti number <= 1; (iii) at each row j
+    the partial sums l(j) = sum_{h<=j} l_h have pairwise distinct
     entries on the extended support of l_j, and the smaller entry of any
     pair is bounded by the previous partial sum at the larger position.
 
@@ -273,12 +271,7 @@ def admissible_row_tuples(u, sigma, convention: str = "row_sum"):
     if not is_decreasing(u):
         raise ValueError("u must be decreasing")
     n = len(u)
-    if convention == "row_sum":
-        target = apply_perm(sigma, u)
-    elif convention == "sigma_sum":
-        target = apply_perm(invert(sigma), u)
-    else:
-        raise ValueError("unknown convention %r" % convention)
+    target = apply_perm(sigma, u)
 
     rows = [None] * n
 

@@ -1,10 +1,14 @@
 """Command-line interface: outputs, exit codes, JSON round trips,
 deterministic reports."""
 
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quotcells.cli import main
 from quotcells.grammar import parse
@@ -143,6 +147,8 @@ def test_verify_zero_coverage_fails(capsys, argv):
     ("poincare", "limits"),
     ("poincare", "limits", "--max-t", "-3"),
     ("poincare", "filt", "--n", "-1"),
+    ("poincare", "filt", "--genus", "-1", "--n", "2"),
+    ("poincare", "limits", "--genus", "-1", "--max-t", "4"),
     ("verify", "--suite", "localization", "--rank", "inf"),
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
@@ -202,3 +208,81 @@ def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
     assert code == cli.INTERNAL_ERROR == 3
     assert out == ""
     assert err == "error: internal error (RuntimeError) boom second line\n"
+
+
+# -- random argument vectors ----------------------------------------------------
+
+def _join(values):
+    return ",".join(map(str, values))
+
+
+# mostly well-formed vectors, some with a negative entry
+_vector = st.one_of(st.lists(st.integers(0, 3), max_size=3),
+                    st.lists(st.integers(-1, 3), max_size=3)).map(_join)
+_genus = st.integers(-1, 2).map(str)
+_small = st.integers(-1, 3).map(str)
+_max_t = st.integers(-1, 6).map(str)
+_format = st.sampled_from(["text", "json"])
+_rank = st.sampled_from(["0", "1", "2", "3", "inf", "x"])
+_common = {"--genus": _genus, "--format": _format, "--degrees": _vector,
+           "--rank": _rank}
+_twist = st.sampled_from(["[pt|one]", "[a1|one]", "1/2 * [one|one]",
+                          "[one|one|pt]", "[a1", ""])
+
+# flag -> values, or None for a switch; each flag is drawn in or out, the
+# ones a command requires in 9 draws of 10
+_REQUIRED = {"xi": ("--v",), "psi": ("--u",), "restrict": ("--v", "--w"),
+             "parse": ("--text", "--factors")}
+_OPTIONS = {
+    "xi": {**_common, "--v": _vector, "--equivariant": None},
+    "psi": {**_common, "--u": _vector, "--a": _twist,
+            "--method": st.sampled_from(["recursion", "combinatorial", "both"])},
+    "restrict": {**_common, "--v": _vector, "--w": _vector},
+    "poincare": {"--genus": _genus, "--r": _small, "--length": _max_t,
+                 "--n": _small, "--max-t": _max_t, "--format": _format},
+    "parse": {**_common, "--factors": _small,
+              "--text": st.one_of(_twist, st.text(max_size=8))},
+    "verify": {"--rank": _rank, "--format": _format, "--seed": _small},
+}
+# `verify` always gets every size option, so a drawn call stays small;
+# its `pullback` suite, and `all`, run a fixed diagonal-product grid of
+# about a second a call and are left out
+_VERIFY_SIZES = {
+    "--suite": st.sampled_from(["recursion", "localization", "series", "ranks"]),
+    "--n": st.lists(st.integers(0, 3), min_size=1, max_size=2).map(_join),
+    "--genus": st.lists(st.integers(0, 2), min_size=1, max_size=2).map(_join),
+    "--max-co": st.integers(-1, 2).map(str),
+    "--max-degree": _small, "--max-t": _max_t, "--random-cases": _small}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [command]
+    if command == "poincare":
+        argv.append(draw(st.sampled_from(["symprod", "quot", "filt", "limits",
+                                          "bogus"])))
+    if command == "verify":
+        for flag, values in _VERIFY_SIZES.items():
+            argv += [flag, draw(values)]
+    for flag, values in _OPTIONS[command].items():
+        odds = 9 if flag in _REQUIRED.get(command, ()) else 5
+        if draw(st.integers(0, 9)) < odds:
+            argv.append(flag)
+            if values is not None:
+                argv.append(draw(values))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argvs())
+def test_random_argv_keeps_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert code != 3, (argv, err.getvalue())  # no internal error
+    assert "Traceback" not in err.getvalue(), argv

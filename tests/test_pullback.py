@@ -1,17 +1,24 @@
 """Quot-scheme pullbacks: the two evaluation routes, partial flags,
 symmetry and rank certificates."""
 
+import itertools
+from fractions import Fraction
+
 import pytest
 
-from quotcells.cells import cell_class
-from quotcells.pullback import (generating_identity_check,
+from quotcells.cells import cell_class, symmetrized_cell_class
+from quotcells.pullback import (combinatorial_prefactor,
+                                generating_identity_check,
                                 generator_span_check, invariant_dimension,
                                 invariant_letter_classes, is_invariant,
                                 partial_flag_pullback, quot_pullback,
                                 quot_pullback_combinatorial, span_rank)
 from quotcells.ring import (POINT, RingContext, UNIT, alpha, diagonal,
-                            project_invariant)
-from quotcells.weights import decreasing_vectors, permutations, stabilizer
+                            permute_factors, project_invariant)
+from quotcells.weights import (admissible_row_tuples, apply_perm,
+                               compositions, decreasing_vectors, invert,
+                               permutations, stabilizer, stabilizer_order,
+                               young_subgroup)
 
 from conftest import assert_read_only
 
@@ -73,16 +80,16 @@ class TestCombinatorialRoute:
                                 == quot_pullback(ctx, u, a), (g, n, u, d)
 
     def test_alternate_convention_fails_at_three_factors(self):
-        # certifies the default sum convention: the alternate reading
-        # disagrees with the symmetrization oracle
+        # certifies the sum convention: the alternate reading, rows summing
+        # to sigma^{-1}(u), disagrees with the oracle
         ctx = RingContext(genus=1, factors=3)
         mismatch = 0
         for u in decreasing_vectors(3, None, max_co=2):
             st = stabilizer(u)
+            prefactors = unreduced_prefactors(ctx, u, invert)
             for d in (0, 1, 2, 3):
                 for a in invariant_letter_classes(ctx, d, st):
-                    alt = quot_pullback_combinatorial(ctx, u, a,
-                                                      convention="sigma_sum")
+                    alt = unreduced_sum(prefactors, u, a)
                     if alt != quot_pullback(ctx, u, a):
                         mismatch += 1
         assert mismatch > 0
@@ -91,6 +98,81 @@ class TestCombinatorialRoute:
         ctx = RingContext(genus=0, factors=2, rank=2, degrees=(1, 0))
         with pytest.raises(ValueError):
             quot_pullback_combinatorial(ctx, (1, 0))
+
+
+def unreduced_prefactors(ctx, u, reading=lambda sigma: sigma):
+    """sigma -> the prefactor sum over the row tuples of (u, reading(sigma)),
+    for every sigma in S_n."""
+    out = {}
+    for sigma in permutations(ctx.factors):
+        pref = ctx.zero()
+        for rows in admissible_row_tuples(u, reading(sigma)):
+            pref = pref + combinatorial_prefactor(ctx, rows)
+        out[sigma] = pref
+    return out
+
+
+def unreduced_sum(prefactors, u, a):
+    """(1/|St(u)|) sum over all of S_n of prefactors[sigma] sigma(a)."""
+    acc = a.ctx.zero()
+    for sigma, pref in prefactors.items():
+        acc = acc + pref * permute_factors(sigma, a)
+    return acc * Fraction(1, stabilizer_order(u))
+
+
+class TestOrbitReduction:
+    """Each orbit sum against the unreduced group average it replaces,
+    on genus 0-1, n <= 3, co <= 3 and twists of degree <= 2."""
+
+    @staticmethod
+    def grid():
+        for g in (0, 1):
+            for n in (1, 2, 3):
+                yield RingContext(genus=g, factors=n)
+
+    def test_oracle_route(self):
+        for ctx in self.grid():
+            for u in decreasing_vectors(ctx.factors, None, max_co=3):
+                for d in (0, 1, 2):
+                    for a in invariant_letter_classes(ctx, d, stabilizer(u)):
+                        assert quot_pullback(ctx, u, a) * stabilizer_order(u) \
+                            == symmetrized_cell_class(ctx, u, a), (ctx, u, a)
+
+    def test_combinatorial_route(self):
+        for ctx in self.grid():
+            n = ctx.factors
+            for u in decreasing_vectors(n, None, max_co=3):
+                prefactors = unreduced_prefactors(ctx, u)
+                for d in (0, 1, 2):
+                    for a in invariant_letter_classes(ctx, d, stabilizer(u)):
+                        assert quot_pullback_combinatorial(ctx, u, a) \
+                            == unreduced_sum(prefactors, u, a), (ctx, u, a)
+
+    def test_partial_flag(self):
+        for ctx in self.grid():
+            n = ctx.factors
+            positive = [tuple(p + 1 for p in c)
+                        for k in range(1, n + 1) for c in compositions(n - k, k)]
+            for composition in positive:
+                group = young_subgroup(composition)
+                for blocks in itertools.product(*(decreasing_vectors(size, None, 3)
+                                                  for size in composition)):
+                    v = sum(blocks, ())
+                    if sum(v) > 3:
+                        continue
+                    stab = [sigma for sigma in group if apply_perm(sigma, v) == v]
+                    twists = [ctx.letter_at(1, POINT)]
+                    for d in (0, 1, 2):
+                        twists += invariant_letter_classes(ctx, d, stab)
+                    for a in twists:
+                        averaged = project_invariant(stab, a)
+                        unreduced = ctx.zero()
+                        for sigma in group:
+                            unreduced = unreduced + cell_class(ctx, apply_perm(sigma, v)) \
+                                * permute_factors(sigma, averaged)
+                        unreduced = unreduced * Fraction(1, len(stab))
+                        assert partial_flag_pullback(ctx, composition, blocks, a) \
+                            == unreduced, (ctx, composition, blocks, a)
 
 
 class TestPartialFlag:
@@ -190,9 +272,9 @@ def test_memoized_prefactor_cannot_be_poisoned():
     from quotcells.pullback import _prefactor_sum
     ctx = RingContext(genus=1, factors=2)
     u, sigma = (1, 0), (0, 1)
-    prefactor = _prefactor_sum(ctx, u, sigma, "row_sum")
+    prefactor = _prefactor_sum(ctx, u, sigma)
     assert_read_only(prefactor)
-    assert _prefactor_sum(ctx, u, sigma, "row_sum") is prefactor
+    assert _prefactor_sum(ctx, u, sigma) is prefactor
     fresh = RingContext(genus=1, factors=2)
-    assert prefactor == _prefactor_sum(fresh, u, sigma, "row_sum")
+    assert prefactor == _prefactor_sum(fresh, u, sigma)
     assert quot_pullback_combinatorial(ctx, u) == quot_pullback(ctx, u)
