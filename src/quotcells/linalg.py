@@ -1,54 +1,41 @@
-"""Exact rank computation over Q by fraction-free elimination."""
+"""Exact rank computation over Q by sparse fraction-free elimination."""
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm
 
 
 def exact_rank(rows) -> int:
     """Rank of a list of sparse rows (dicts column-key -> int or Fraction).
 
-    Rows are scaled to integers by the lcm of their denominators (rank
-    is invariant under row scaling) and reduced by Bareiss fraction-free
-    elimination, so no rounding ever happens.
+    Column keys only need to be hashable: columns are indexed in order of
+    first appearance.  Each row is scaled to integers by the lcm of its
+    denominators (rank is invariant under row scaling) and reduced over Z
+    against one primitive pivot row per leading column, so no rounding
+    ever happens and the rank is the number of pivot rows.
     """
-    rows = [r for r in rows if r]
-    if not rows:
-        return 0
-    columns = sorted({key for row in rows for key in row})
-    index = {key: i for i, key in enumerate(columns)}
-    matrix = []
+    index = {}
+    pivots = {}     # leading column -> primitive row with that leading column
     for row in rows:
         denom = lcm(*(value.denominator for value in row.values()))
-        dense = [0] * len(columns)
-        for key, value in row.items():
-            dense[index[key]] = value.numerator * (denom // value.denominator)
-        matrix.append(dense)
-    return _bareiss_rank(matrix)
-
-
-def _bareiss_rank(matrix) -> int:
-    m, n = len(matrix), len(matrix[0])
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(n):
-        pivot = None
-        for r in range(row, m):
-            if matrix[r][col]:
-                pivot = r
+        r = {index.setdefault(key, len(index)):
+             value.numerator * (denom // value.denominator)
+             for key, value in row.items() if value}
+        while r:
+            col = min(r)
+            pivot = pivots.get(col)
+            if pivot is None:
+                content = gcd(*r.values())
+                pivots[col] = {c: v // content for c, v in r.items()}
                 break
-        if pivot is None:
-            continue
-        matrix[row], matrix[pivot] = matrix[pivot], matrix[row]
-        for r in range(row + 1, m):
-            for c in range(col + 1, n):
-                matrix[r][c] = (matrix[row][col] * matrix[r][c]
-                                - matrix[r][col] * matrix[row][c]) // prev
-            matrix[r][col] = 0
-        prev = matrix[row][col]
-        row += 1
-        rank += 1
-        if row == m:
-            break
-    return rank
+            g = gcd(pivot[col], r[col])
+            a, b = pivot[col] // g, r[col] // g
+            # a*r - b*pivot cancels the entry in column col
+            r = {c: a * v for c, v in r.items()}
+            for c, v in pivot.items():
+                entry = r.get(c, 0) - b * v
+                if entry:
+                    r[c] = entry
+                else:
+                    del r[c]
+    return len(pivots)

@@ -19,9 +19,9 @@ from .ring import (RingContext, RingElement, graded_piece, is_homogeneous,
                    permute_factors, permute_factors_omega, point_class,
                    project_invariant, small_diagonal)
 from .weights import (admissible_row_tuples, apply_perm, classify,
-                      incidence_tuple, is_decreasing, orbit, permutations,
-                      row_exponent, stabilizer, transposition, tuple_support,
-                      young_subgroup)
+                      cycle_types, incidence_tuple, is_decreasing, orbit,
+                      permutations, row_exponent, stabilizer, transposition,
+                      tuple_support, young_subgroup)
 
 
 def _average_twist(ctx: RingContext, group, a: RingElement, strict: bool) -> RingElement:
@@ -156,15 +156,19 @@ def invariant_dimension(ctx: RingContext, degree: int) -> int:
 def projector_trace(ctx: RingContext, basis) -> int:
     """Trace of the averaging projector of the omega-twisted action on the
     span of `basis`, a list of monomials closed under the action up to
-    sign: the dimension of the invariants in that span."""
+    sign: the dimension of the invariants in that span.
+
+    The action is a representation, so its trace is a class function and
+    Burnside's average over S_n is a sum over cycle types weighted by
+    class size."""
     n = ctx.factors
     total = 0
-    for sigma in permutations(n):
+    for sigma, size in cycle_types(n):
+        trace = 0
         for mono in basis:
             image = permute_factors_omega(sigma, RingElement(ctx, {mono: 1}))
-            c = image.coeffs.get(mono)
-            if c:
-                total += c
+            trace += image.coeffs.get(mono, 0)
+        total += size * trace
     dim = Fraction(total, factorial(n))
     if dim.denominator != 1:
         raise AssertionError("projector trace is not an integer")

@@ -1,8 +1,53 @@
 """Exact rank over Q of sparse rows with int and Fraction values."""
 
 from fractions import Fraction
+from math import lcm
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quotcells.linalg import exact_rank
+
+
+def reference_rank(rows) -> int:
+    """Dense Bareiss elimination (Bareiss 1968) of the rows scaled to
+    integers: every row densified over every column."""
+    rows = [r for r in rows if r]
+    if not rows:
+        return 0
+    columns = list(dict.fromkeys(key for row in rows for key in row))
+    index = {key: i for i, key in enumerate(columns)}
+    matrix = []
+    for row in rows:
+        denom = lcm(*(value.denominator for value in row.values()))
+        dense = [0] * len(columns)
+        for key, value in row.items():
+            dense[index[key]] = value.numerator * (denom // value.denominator)
+        matrix.append(dense)
+    m, n = len(matrix), len(matrix[0])
+    rank = 0
+    prev = 1
+    row = 0
+    for col in range(n):
+        pivot = None
+        for r in range(row, m):
+            if matrix[r][col]:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        matrix[row], matrix[pivot] = matrix[pivot], matrix[row]
+        for r in range(row + 1, m):
+            for c in range(col + 1, n):
+                matrix[r][c] = (matrix[row][col] * matrix[r][c]
+                                - matrix[r][col] * matrix[row][c]) // prev
+            matrix[r][col] = 0
+        prev = matrix[row][col]
+        row += 1
+        rank += 1
+        if row == m:
+            break
+    return rank
 
 
 def test_empty_input_and_zero_rows():
@@ -32,3 +77,41 @@ def test_dependent_matrix_with_large_entries():
     assert exact_rank([r1, r2, r3]) == 2
     r3["z"] += 1
     assert exact_rank([r1, r2, r3]) == 3
+
+
+def test_column_keys_need_only_be_hashable():
+    assert exact_rank([{"x": 1}, {1: 2}]) == 2
+    assert exact_rank([{"x": 1, 1: 2}, {1: 4, "x": 2}, {(0, "y"): 0}]) == 1
+
+
+BIG = 10 ** 40
+SCALARS = st.one_of(st.integers(-BIG, BIG),
+                    st.builds(Fraction, st.integers(-BIG, BIG),
+                              st.integers(1, BIG)))
+VALUES = st.one_of(st.just(0), SCALARS)
+
+
+@st.composite
+def sparse_rows(draw):
+    """Up to 8 rows over columns 0-6 with explicit zeros, some of them
+    rational combinations of earlier rows (cancelled entries stay as
+    explicit zeros)."""
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        if rows and draw(st.booleans()):
+            row = {}
+            for earlier in draw(st.lists(st.sampled_from(rows), min_size=1,
+                                         max_size=3)):
+                scale = draw(SCALARS)
+                for key, value in earlier.items():
+                    row[key] = row.get(key, 0) + scale * value
+        else:
+            row = draw(st.dictionaries(st.integers(0, 6), VALUES, max_size=6))
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_rows())
+def test_rank_matches_dense_reference(rows):
+    assert exact_rank(rows) == reference_rank(rows)

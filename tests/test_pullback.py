@@ -3,6 +3,7 @@ symmetry and rank certificates."""
 
 import itertools
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -11,10 +12,13 @@ from quotcells.pullback import (combinatorial_prefactor,
                                 generating_identity_check,
                                 generator_span_check, invariant_dimension,
                                 invariant_letter_classes, is_invariant,
-                                partial_flag_pullback, quot_pullback,
-                                quot_pullback_combinatorial, span_rank)
-from quotcells.ring import (POINT, RingContext, UNIT, alpha, diagonal,
-                            permute_factors, project_invariant)
+                                partial_flag_pullback, projector_trace,
+                                quot_pullback, quot_pullback_combinatorial,
+                                span_rank)
+from quotcells.ring import (POINT, RingContext, RingElement, UNIT, alpha,
+                            diagonal, letter_monomials, monomials_of_degree,
+                            permute_factors, permute_factors_omega,
+                            project_invariant)
 from quotcells.weights import (admissible_row_tuples, apply_perm,
                                compositions, decreasing_vectors, invert,
                                permutations, stabilizer, stabilizer_order,
@@ -232,6 +236,59 @@ class TestSymmetryCertificates:
         ctx = RingContext(genus=0, factors=2)
         report = decomposition_dimension_check(ctx, 2, 6)
         assert report["pass"], report
+
+
+def trace_bases(ctx, degree):
+    """The omega-twisted basis of invariant_dimension and the letters-only
+    basis of the symmetric-product check, in the given degree."""
+    letters_only = [(letters, (0,) * ctx.factors, ())
+                    for letters in letter_monomials(ctx, degree)]
+    return [list(monomials_of_degree(ctx, degree)), letters_only]
+
+
+def permutation_traces(ctx, basis):
+    """sigma -> trace of the omega-twisted action of sigma on the span of
+    the basis, for every sigma in S_n."""
+    return {sigma: sum(permute_factors_omega(sigma, RingElement(ctx, {mono: 1}))
+                       .coeffs.get(mono, 0) for mono in basis)
+            for sigma in permutations(ctx.factors)}
+
+
+def cycle_lengths(sigma):
+    seen = set()
+    lengths = []
+    for start in range(len(sigma)):
+        length = 0
+        i = start
+        while i not in seen:
+            seen.add(i)
+            i = sigma[i]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
+class TestProjectorTrace:
+    """The cycle-type projector trace against the Burnside sum over all
+    of S_n, on genus 0-2, n <= 4 and degrees <= 6."""
+
+    @pytest.mark.parametrize("g", [0, 1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_sum_over_all_permutations(self, g, n):
+        ctx = RingContext(genus=g, factors=n)
+        for d in range(7):
+            for basis in trace_bases(ctx, d):
+                traces = permutation_traces(ctx, basis)
+                expected = Fraction(sum(traces.values()), factorial(n))
+                assert projector_trace(ctx, basis) == expected
+                if n >= 3:
+                    # the class-function assumption behind the cycle-type sum
+                    by_type = {}
+                    for sigma, trace in traces.items():
+                        by_type.setdefault(cycle_lengths(sigma), set()).add(trace)
+                    assert len(by_type) == {3: 3, 4: 5}[n]
+                    assert all(len(values) == 1 for values in by_type.values())
 
 
 class TestGeneratingIdentity:
