@@ -15,9 +15,8 @@ from .cells import (cell_class, cell_class_equivariant, cell_class_series,
 from .localization import (degree_bound_check, restrict_to_fixed_point,
                            t_degree, top_term, top_term_residual,
                            vanishing_check)
-from .pullback import (generator_span_check, generating_identity_check,
-                       invariant_dimension, is_invariant,
-                       partial_flag_pullback, quot_pullback,
+from .pullback import (generator_span_check, invariant_dimension,
+                       is_invariant, partial_flag_pullback, quot_pullback,
                        quot_pullback_combinatorial, span_rank)
 from .series import (filt_poincare, filt_presentation_check,
                      infinite_limits_check, quot_poincare, quot_series_check,

@@ -27,6 +27,8 @@ from .weights import apply_perm, permutations, transposition
 
 
 def _check_entries(ctx: RingContext, v):
+    if len(v) != ctx.factors:
+        raise ValueError("weight vector must have %d entries" % ctx.factors)
     if any(e < 0 for e in v):
         raise ValueError("weight entries must be non-negative")
     if ctx.rank not in (0, UNBOUNDED):
@@ -38,8 +40,6 @@ def _check_entries(ctx: RingContext, v):
 def cell_class(ctx: RingContext, v) -> RingElement:
     """Non-equivariant cell class of the weight vector v."""
     v = tuple(v)
-    if len(v) != ctx.factors:
-        raise ValueError("weight vector must have %d entries" % ctx.factors)
     _check_entries(ctx, v)
     return _cell(ctx, v, False)
 
@@ -49,8 +49,6 @@ def cell_class_equivariant(ctx: RingContext, v) -> RingElement:
     if ctx.rank == 0:
         raise ValueError("equivariant classes need a context of rank >= 1")
     v = tuple(v)
-    if len(v) != ctx.factors:
-        raise ValueError("weight vector must have %d entries" % ctx.factors)
     _check_entries(ctx, v)
     return _cell(ctx, v, True)
 
@@ -95,17 +93,22 @@ def _cell(ctx: RingContext, v, eq: bool) -> RingElement:
             stack.extend(missing)
             continue
         stack.pop()
-        step = ctx.omega(j)
-        d = ctx.bundle_degree(u[j - 1])
-        if d:
-            step = step - d * ctx.pt(j)
-        if eq:
-            step = step - ctx.t_var(u[j - 1])
-        result = step * cache[u, eq]
+        result = _step_factor(ctx, j, u[j - 1], eq) * cache[u, eq]
         for k, w in swaps:
             result = result + diagonal(ctx, k, j) * cache[w, eq]
         cache[top, eq] = result
     return cache[v, eq]
+
+
+def _step_factor(ctx: RingContext, j: int, entry: int, eq: bool) -> RingElement:
+    """omega_j - d_entry pt_j, less t_entry in the equivariant case."""
+    step = ctx.omega(j)
+    d = ctx.bundle_degree(entry)
+    if d:
+        step = step - d * ctx.pt(j)
+    if eq:
+        step = step - ctx.t_var(entry)
+    return step
 
 
 def symmetrized_cell_class(ctx: RingContext, v, a: RingElement) -> RingElement:
@@ -184,13 +187,7 @@ def lower_index_step_residual(ctx: RingContext, v, m: int,
     if not 1 <= m < n:
         raise ValueError("need 1 <= m < n")
     cell = cell_class_equivariant if equivariant else cell_class
-    step = ctx.omega(m)
-    d = ctx.bundle_degree(v[m - 1])
-    if d:
-        step = step - d * ctx.pt(m)
-    if equivariant:
-        step = step - ctx.t_var(v[m - 1])
-    lhs = step * cell(ctx, v)
+    lhs = _step_factor(ctx, m, v[m - 1], equivariant) * cell(ctx, v)
     bumped = v[:m - 1] + (v[m - 1] + 1,) + v[m:]
     rhs = cell(ctx, bumped)
     for k in range(1, m):

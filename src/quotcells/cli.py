@@ -15,8 +15,8 @@ import sys
 
 from . import cells, localization, pullback, series, suites
 from .grammar import ParseError, format_element, parse
-from .ring import UNBOUNDED, RingContext, project_invariant
-from .weights import is_decreasing, stabilizer
+from .ring import UNBOUNDED, RingContext
+from .weights import is_decreasing
 
 USAGE_ERROR = 2
 IDENTITY_ERROR = 1
@@ -81,9 +81,9 @@ def _cmd_psi(args):
     if not is_decreasing(u):
         raise ValueError("--u must be decreasing")
     ctx = _context(args, len(u))
-    a = parse(ctx, args.a) if args.a else ctx.one()
-    averaged = project_invariant(stabilizer(u), a)
-    flagged = averaged != a
+    given = parse(ctx, args.a) if args.a else ctx.one()
+    a = pullback.average_twist(ctx, u, given)
+    flagged = a != given
     results = {}
     if args.method in ("recursion", "both"):
         results["recursion"] = pullback.quot_pullback(ctx, u, a)

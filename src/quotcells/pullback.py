@@ -12,44 +12,48 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .cells import _require_letters_only, cell_class, complete_homogeneous
+from .cells import _require_letters_only, cell_class
 from .linalg import exact_rank
-from .ring import (RingContext, RingElement, graded_piece, is_homogeneous,
-                   letter_monomials, monomial_degree, monomials_of_degree,
-                   permute_factors, permute_factors_omega, point_class,
-                   project_invariant, small_diagonal)
+from .ring import (RingContext, RingElement, cohomological_degree,
+                   graded_piece, is_homogeneous, letter_monomials,
+                   monomials_of_degree, permute_factors, permute_factors_omega,
+                   point_class, project_invariant, small_diagonal)
 from .weights import (admissible_row_tuples, apply_perm, classify,
                       cycle_types, incidence_tuple, is_decreasing, orbit,
                       permutations, row_exponent, stabilizer, transposition,
                       tuple_support, young_subgroup)
 
 
-def _average_twist(ctx: RingContext, group, a: RingElement, strict: bool) -> RingElement:
-    """The twist class a (default 1) averaged over the stabilizer group;
-    strict mode rejects a class that the average changes."""
+def average_twist(ctx: RingContext, v, a: RingElement = None) -> RingElement:
+    """The twist a (default 1) averaged over St(v), the permutations fixing
+    v, or a itself when it is invariant: St(v) is generated by the
+    transpositions of consecutive positions holding one value of v, so
+    only these are tested and St(v) is listed only for a non-invariant a."""
     if a is None:
         a = ctx.one()
     _require_letters_only(a)
-    averaged = project_invariant(group, a)
-    if strict and averaged != a:
-        raise ValueError("a is not invariant under the stabilizer")
-    return averaged
+    last = {}
+    for i, value in enumerate(v):
+        if value in last:
+            tau = transposition(len(v), last[value] + 1, i + 1)
+            if permute_factors(tau, a) != a:
+                return project_invariant(stabilizer(v), a)
+        last[value] = i
+    return a
 
 
-def quot_pullback(ctx: RingContext, u, a: RingElement = None,
-                  strict: bool = False) -> RingElement:
+def quot_pullback(ctx: RingContext, u, a: RingElement = None) -> RingElement:
     """Pullback of the quot-scheme cell class of the decreasing weight u
     twisted by a: the orbit sum over v in S_n u of cell(v) sigma_v(a),
     sigma_v(u) = v, which is the symmetrization (1/|St(u)|) sum_sigma
     cell(sigma u) sigma(a) since a is St(u)-invariant.
 
-    Non-invariant a is averaged over St(u) first (lenient mode); strict
-    mode raises instead.
+    A twist that is not St(u)-invariant is averaged over St(u) first.
     """
     u = tuple(u)
     if not is_decreasing(u):
         raise ValueError("u must be decreasing")
-    a = _average_twist(ctx, stabilizer(u), a, strict)
+    a = average_twist(ctx, u, a)
     return _orbit_sum(ctx, u, permutations(ctx.factors), a)
 
 
@@ -77,8 +81,8 @@ def combinatorial_prefactor(ctx: RingContext, rows) -> RingElement:
     return acc
 
 
-def quot_pullback_combinatorial(ctx: RingContext, u, a: RingElement = None,
-                                strict: bool = False) -> RingElement:
+def quot_pullback_combinatorial(ctx: RingContext, u,
+                                a: RingElement = None) -> RingElement:
     """The same pullback evaluated by the combinatorial formula:
 
         sum over v in S_n u and admissible row tuples of (u, sigma_v) of
@@ -91,7 +95,7 @@ def quot_pullback_combinatorial(ctx: RingContext, u, a: RingElement = None,
     u = tuple(u)
     if not is_decreasing(u):
         raise ValueError("u must be decreasing")
-    a = _average_twist(ctx, stabilizer(u), a, strict)
+    a = average_twist(ctx, u, a)
     acc = ctx.zero()
     for sigma in orbit(u, permutations(ctx.factors)).values():
         pref = _prefactor_sum(ctx, u, sigma)
@@ -113,7 +117,7 @@ def _prefactor_sum(ctx: RingContext, u, sigma) -> RingElement:
 
 
 def partial_flag_pullback(ctx: RingContext, composition, v_star,
-                          a: RingElement = None, strict: bool = False) -> RingElement:
+                          a: RingElement = None) -> RingElement:
     """Pullback from a partial filt scheme: the orbit sum over w in Y v of
     cell(w) sigma_w(a), sigma_w(v) = w, for the concatenated blocks v and
     the Young subgroup Y of the composition; a is averaged over the
@@ -131,8 +135,8 @@ def partial_flag_pullback(ctx: RingContext, composition, v_star,
     v = tuple(x for b in blocks for x in b)
     # the Young-subgroup stabilizer of v fixes each (block label, entry) pair
     labelled = tuple((k, x) for k, b in enumerate(blocks) for x in b)
-    averaged = _average_twist(ctx, stabilizer(labelled), a, strict)
-    return _orbit_sum(ctx, v, young_subgroup(composition), averaged)
+    return _orbit_sum(ctx, v, young_subgroup(composition),
+                      average_twist(ctx, labelled, a))
 
 
 # -- symmetry and rank certificates -------------------------------------------
@@ -225,38 +229,6 @@ def quot_pullback_spanning_classes(ctx: RingContext, degree: int, max_co=None):
     return out
 
 
-def generating_identity_check(ctx: RingContext, letter_code: int, order: int) -> dict:
-    """Truncated comparison of the two generating series of the classes
-    cell(l e_i) p_i^*(a), summed over factor positions, against the
-    diagonal-weighted product form.  Returns the residual per power and
-    whether the diagonal twist was position-independent.
-    """
-    import itertools as _it
-    n = ctx.factors
-    lhs = [ctx.zero() for _ in range(order + 1)]
-    for pos in range(1, n + 1):
-        pa = ctx.letter_at(pos, letter_code)
-        for l in range(order + 1):
-            v = [0] * n
-            v[pos - 1] = l
-            lhs[l] = lhs[l] + cell_class(ctx, tuple(v)) * pa
-    rhs = [ctx.zero() for _ in range(order + 1)]
-    independent = True
-    for size in range(1, n + 1):
-        for members in _it.combinations(range(1, n + 1), size):
-            diag = small_diagonal(ctx, members)
-            twisted = diag * ctx.letter_at(members[0], letter_code)
-            for i in members[1:]:
-                if diag * ctx.letter_at(i, letter_code) != twisted:
-                    independent = False
-            for l in range(size - 1, order + 1):
-                rhs[l] = rhs[l] + twisted * complete_homogeneous(ctx, members, l - size + 1)
-    return {
-        "residuals": [lhs[l] - rhs[l] for l in range(order + 1)],
-        "twist_independent": independent,
-    }
-
-
 def pullback_generators(ctx: RingContext):
     """The pullbacks of the single-row cell classes twisted by curve
     classes in the first factor, for row lengths 1..n."""
@@ -273,7 +245,7 @@ def generator_span_check(ctx: RingContext, max_degree: int) -> dict:
     """Degree-by-degree certificate that the subalgebra generated by the
     single-row pullbacks over the symmetric omega-free classes spans the
     full invariant subspace."""
-    gens = [(g, _degree_of(g)) for g in pullback_generators(ctx)]
+    gens = [(g, cohomological_degree(g)) for g in pullback_generators(ctx)]
     gens = [(g, d) for g, d in gens if g and d <= max_degree]
     products = [(ctx.one(), 0)]
     frontier = [(ctx.one(), 0, 0)]
@@ -304,6 +276,3 @@ def generator_span_check(ctx: RingContext, max_degree: int) -> dict:
         ok = ok and rank == dim
     return {"max_degree": max_degree, "per_degree": per_degree, "pass": ok}
 
-
-def _degree_of(x: RingElement) -> int:
-    return max(monomial_degree(m) for m in x.coeffs)

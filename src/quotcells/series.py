@@ -224,34 +224,3 @@ def infinite_limits_check(g: int, max_t: int) -> dict:
     return {"stable": stable_ok, "matches_limit": match_ok,
             "pass": stable_ok and match_ok, "failures": failures}
 
-
-def decomposition_dimension_check(ctx, r: int, max_degree: int) -> dict:
-    """Strata Poincare sum over decreasing weights with entries < r against
-    the degreewise rank of the spanning pullback classes."""
-    from .pullback import invariant_letter_classes, quot_pullback, span_rank
-    from .weights import decreasing_vectors, stabilizer, weights_to_decomposition
-    n = ctx.factors
-    g = ctx.genus
-    poly = []
-    for v in decreasing_vectors(n, r, max_co=n * (r - 1)):
-        rows = weights_to_decomposition((v,), r)
-        term = [0] * (2 * sum(v)) + [1]
-        for row in rows:
-            term = poly_mul(term, symmetric_product_poincare(g, row[0]))
-        poly = poly_add(poly, term)
-    classes = []
-    for v in decreasing_vectors(n, r, max_co=n * (r - 1)):
-        if 2 * sum(v) > max_degree:
-            continue
-        for d in range(0, max_degree - 2 * sum(v) + 1):
-            for a in invariant_letter_classes(ctx, d, stabilizer(v)):
-                classes.append(quot_pullback(ctx, v, a))
-    per_degree = []
-    ok = True
-    for d in range(max_degree + 1):
-        expected = poly_coeff(poly, d)
-        rank = span_rank(classes, d)
-        per_degree.append({"degree": d, "strata": expected, "rank": rank,
-                           "pass": expected == rank})
-        ok = ok and expected == rank
-    return {"pass": ok, "per_degree": per_degree}

@@ -63,6 +63,41 @@ def test_psi_json_round_trip(capsys):
     assert parse(ctx, payload["element"]) == quot_pullback(ctx, (1, 0))
 
 
+def count_project_invariant(monkeypatch):
+    """Wrap every quotcells binding of ring.project_invariant in one call
+    counter, returned as a one-element list."""
+    import sys
+    from quotcells import ring
+    original = ring.project_invariant
+    calls = [0]
+
+    def counted(perms, x):
+        calls[0] += 1
+        return original(perms, x)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("quotcells") and \
+                getattr(module, "project_invariant", None) is original:
+            monkeypatch.setattr(module, "project_invariant", counted)
+    return calls
+
+
+def test_psi_averages_the_twist_once(capsys, monkeypatch):
+    calls = count_project_invariant(monkeypatch)
+    code, out, _ = run(capsys, "psi", "--u", "1,1", "--a", "1 * [a1|one]",
+                       "--genus", "1", "--method", "both")
+    assert code == 0
+    assert "equal: True" in out
+    assert "note: twist class averaged over the stabilizer" in out
+    assert calls[0] == 1
+    calls[0] = 0
+    code, out, _ = run(capsys, "psi", "--u", "1,1", "--genus", "1",
+                       "--method", "both")
+    assert code == 0
+    assert "note:" not in out
+    assert calls[0] == 0
+
+
 def test_psi_rejects_non_decreasing(capsys):
     code, _, err = run(capsys, "psi", "--u", "0,1")
     assert code == 2

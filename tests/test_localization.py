@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from quotcells import localization
 from quotcells.cells import cell_class_equivariant
 from quotcells.localization import (degree_bound_check, omega_at_fixed_point,
                                     restrict_to_fixed_point, t_degree,
@@ -97,6 +98,27 @@ class TestLemmaChecks:
     def test_vanishing_example(self):
         ctx = RingContext(genus=0, factors=1, rank=3)
         assert vanishing_check(ctx, (2,), (1,))
+
+    def test_domination_test_matches_permutation_loop(self, monkeypatch):
+        # vanishing_check restricts only when no reordering of v lies
+        # under w; with a nonzero stub restriction it returns exactly that
+        # test, compared here with a loop over every reordering of v
+        monkeypatch.setattr(localization, "cell_class_equivariant",
+                            lambda ctx, v: ctx.one())
+        monkeypatch.setattr(localization, "restrict_to_fixed_point",
+                            lambda x, w: x)
+        pairs = 0
+        for n in range(1, 5):
+            ctx = RingContext(genus=0, factors=n, rank=4)
+            vectors = list(itertools.product(range(4), repeat=n))
+            for v in vectors:
+                reorderings = set(itertools.permutations(v))
+                for w in vectors:
+                    expected = any(all(a <= b for a, b in zip(p, w))
+                                   for p in reorderings)
+                    assert vanishing_check(ctx, v, w) == expected, (v, w)
+                    pairs += 1
+        assert pairs == 69904
 
     def test_degree_bound_identity_permutation(self):
         ctx = RingContext(genus=1, factors=2, rank=3)

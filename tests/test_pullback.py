@@ -7,9 +7,9 @@ from math import factorial
 
 import pytest
 
-from quotcells.cells import cell_class, symmetrized_cell_class
-from quotcells.pullback import (combinatorial_prefactor,
-                                generating_identity_check,
+from quotcells.cells import (cell_class, complete_homogeneous,
+                             symmetrized_cell_class)
+from quotcells.pullback import (average_twist, combinatorial_prefactor,
                                 generator_span_check, invariant_dimension,
                                 invariant_letter_classes, is_invariant,
                                 partial_flag_pullback, projector_trace,
@@ -18,13 +18,14 @@ from quotcells.pullback import (combinatorial_prefactor,
 from quotcells.ring import (POINT, RingContext, RingElement, UNIT, alpha,
                             diagonal, letter_monomials, monomials_of_degree,
                             permute_factors, permute_factors_omega,
-                            project_invariant)
+                            project_invariant, small_diagonal)
 from quotcells.weights import (admissible_row_tuples, apply_perm,
                                compositions, decreasing_vectors, invert,
                                permutations, stabilizer, stabilizer_order,
                                young_subgroup)
 
 from conftest import assert_read_only
+from test_series import decomposition_dimension_check
 
 
 class TestOracle:
@@ -41,12 +42,6 @@ class TestOracle:
         ctx = RingContext(genus=2, factors=3)
         assert quot_pullback(ctx, (0, 0, 0)) == ctx.one()
 
-    def test_strict_rejects_noninvariant(self):
-        ctx = RingContext(genus=1, factors=2)
-        a = ctx.letter_at(1, alpha(1))
-        with pytest.raises(ValueError):
-            quot_pullback(ctx, (1, 1), a, strict=True)
-
     def test_lenient_averages(self):
         ctx = RingContext(genus=1, factors=2)
         a = ctx.letter_at(1, alpha(1))
@@ -57,6 +52,47 @@ class TestOracle:
         ctx = RingContext(genus=0, factors=2)
         with pytest.raises(ValueError):
             quot_pullback(ctx, (0, 1))
+
+
+class TestAverageTwist:
+    @staticmethod
+    def vectors(n):
+        """Every vector with a repeated entry in {0, 1, 2}^n, decreasing or
+        not, and a labelled (block, entry) vector of a partial flag."""
+        out = [v for v in itertools.product(range(3), repeat=n)
+               if len(set(v)) < n]
+        if n >= 2:
+            blocks = ((1,) * (n - 1), (0,))
+            out.append(tuple((k, x) for k, b in enumerate(blocks) for x in b))
+        return out
+
+    def test_invariant_twist_is_returned_itself(self):
+        ctx = RingContext(genus=1, factors=3)
+        for u in decreasing_vectors(3, None, max_co=3):
+            for d in (0, 1, 2, 3):
+                for a in invariant_letter_classes(ctx, d, stabilizer(u)):
+                    assert average_twist(ctx, u, a) is a, (u, a)
+
+    def test_default_twist_is_one(self):
+        ctx = RingContext(genus=1, factors=2)
+        assert average_twist(ctx, (1, 1)) == ctx.one()
+
+    @pytest.mark.parametrize("g", [0, 1])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_stabilizer_average(self, g, n):
+        ctx = RingContext(genus=g, factors=n)
+        twists = [RingElement(ctx, {(letters, (0,) * n, ()): 1})
+                  for d in range(2 * n + 1)
+                  for letters in letter_monomials(ctx, d)]
+        for v in self.vectors(n):
+            for a in twists:
+                assert average_twist(ctx, v, a) \
+                    == project_invariant(stabilizer(v), a), (v, a)
+
+    def test_rejects_omega_twist(self):
+        ctx = RingContext(genus=0, factors=2)
+        with pytest.raises(ValueError):
+            average_twist(ctx, (1, 1), ctx.omega(1))
 
 
 class TestCombinatorialRoute:
@@ -232,7 +268,6 @@ class TestSymmetryCertificates:
 
     def test_spanning_classes_linear_independence(self):
         # strata dimensions sum to the span rank degree by degree
-        from quotcells.series import decomposition_dimension_check
         ctx = RingContext(genus=0, factors=2)
         report = decomposition_dimension_check(ctx, 2, 6)
         assert report["pass"], report
@@ -289,6 +324,37 @@ class TestProjectorTrace:
                         by_type.setdefault(cycle_lengths(sigma), set()).add(trace)
                     assert len(by_type) == {3: 3, 4: 5}[n]
                     assert all(len(values) == 1 for values in by_type.values())
+
+
+def generating_identity_check(ctx, letter_code, order):
+    """Truncated comparison of the two generating series of the classes
+    cell(l e_i) p_i^*(a), summed over factor positions, against the
+    diagonal-weighted product form.  Returns the residual per power and
+    whether the diagonal twist was position-independent.
+    """
+    n = ctx.factors
+    lhs = [ctx.zero() for _ in range(order + 1)]
+    for pos in range(1, n + 1):
+        pa = ctx.letter_at(pos, letter_code)
+        for l in range(order + 1):
+            v = [0] * n
+            v[pos - 1] = l
+            lhs[l] = lhs[l] + cell_class(ctx, tuple(v)) * pa
+    rhs = [ctx.zero() for _ in range(order + 1)]
+    independent = True
+    for size in range(1, n + 1):
+        for members in itertools.combinations(range(1, n + 1), size):
+            diag = small_diagonal(ctx, members)
+            twisted = diag * ctx.letter_at(members[0], letter_code)
+            for i in members[1:]:
+                if diag * ctx.letter_at(i, letter_code) != twisted:
+                    independent = False
+            for l in range(size - 1, order + 1):
+                rhs[l] = rhs[l] + twisted * complete_homogeneous(ctx, members, l - size + 1)
+    return {
+        "residuals": [lhs[l] - rhs[l] for l in range(order + 1)],
+        "twist_independent": independent,
+    }
 
 
 class TestGeneratingIdentity:

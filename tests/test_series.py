@@ -2,11 +2,46 @@
 
 import pytest
 
+from quotcells.pullback import (invariant_letter_classes, quot_pullback,
+                                span_rank)
+from quotcells.ring import RingContext
 from quotcells.series import (filt_poincare, filt_presentation_check,
                               infinite_limits_check, infinite_quot_series,
-                              poly_coeff, poly_trim, quot_poincare,
-                              quot_series_check, symmetric_product_poincare,
-                              tensor_model_series)
+                              poly_add, poly_coeff, poly_mul, poly_trim,
+                              quot_poincare, quot_series_check,
+                              symmetric_product_poincare, tensor_model_series)
+from quotcells.weights import (decreasing_vectors, stabilizer,
+                               weights_to_decomposition)
+
+
+def decomposition_dimension_check(ctx, r, max_degree):
+    """Strata Poincare sum over decreasing weights with entries < r against
+    the degreewise rank of the spanning pullback classes."""
+    n = ctx.factors
+    g = ctx.genus
+    poly = []
+    for v in decreasing_vectors(n, r, max_co=n * (r - 1)):
+        rows = weights_to_decomposition((v,), r)
+        term = [0] * (2 * sum(v)) + [1]
+        for row in rows:
+            term = poly_mul(term, symmetric_product_poincare(g, row[0]))
+        poly = poly_add(poly, term)
+    classes = []
+    for v in decreasing_vectors(n, r, max_co=n * (r - 1)):
+        if 2 * sum(v) > max_degree:
+            continue
+        for d in range(0, max_degree - 2 * sum(v) + 1):
+            for a in invariant_letter_classes(ctx, d, stabilizer(v)):
+                classes.append(quot_pullback(ctx, v, a))
+    per_degree = []
+    ok = True
+    for d in range(max_degree + 1):
+        expected = poly_coeff(poly, d)
+        rank = span_rank(classes, d)
+        per_degree.append({"degree": d, "strata": expected, "rank": rank,
+                           "pass": expected == rank})
+        ok = ok and expected == rank
+    return {"pass": ok, "per_degree": per_degree}
 
 
 class TestSymmetricProduct:
@@ -84,15 +119,11 @@ class TestFilt:
 class TestStrataDimensions:
     def test_single_factor(self):
         # strata polynomial vs ranks of the classes w^l * a
-        from quotcells.ring import RingContext
-        from quotcells.series import decomposition_dimension_check
         ctx = RingContext(genus=1, factors=1)
         report = decomposition_dimension_check(ctx, 3, 6)
         assert report["pass"], report
 
     def test_degree_zero(self):
-        from quotcells.ring import RingContext
-        from quotcells.series import decomposition_dimension_check
         ctx = RingContext(genus=0, factors=2)
         report = decomposition_dimension_check(ctx, 2, 0)
         assert report["per_degree"][0]["strata"] == 1
