@@ -11,20 +11,9 @@ formula, the vanishing criterion and the t-degree bound.
 
 from __future__ import annotations
 
-from .ring import RingContext, RingElement, UNBOUNDED, diagonal
-from .cells import cell_class_equivariant
+from .ring import RingContext, RingElement, diagonal
+from .cells import _check_entries, cell_class_equivariant
 from .weights import componentwise_leq, normalize
-
-
-def _check_fixed_point(ctx: RingContext, w):
-    if ctx.rank == 0:
-        raise ValueError("restriction needs an equivariant context")
-    if len(w) != ctx.factors:
-        raise ValueError("fixed point must have %d entries" % ctx.factors)
-    if any(e < 0 for e in w):
-        raise ValueError("entries must be non-negative")
-    if ctx.rank is not UNBOUNDED and any(e >= ctx.rank for e in w):
-        raise ValueError("entry out of range for rank %d" % ctx.rank)
 
 
 def omega_at_fixed_point(ctx: RingContext, i: int, w) -> RingElement:
@@ -43,28 +32,25 @@ def omega_at_fixed_point(ctx: RingContext, i: int, w) -> RingElement:
 def restrict_to_fixed_point(x: RingElement, w) -> RingElement:
     ctx = x.ctx
     w = tuple(w)
-    _check_fixed_point(ctx, w)
-    images = {}
-    powers = {}
-
-    def power(i, e):
-        if e == 0:
-            return ctx.one()
-        got = powers.get((i, e))
-        if got is None:
-            if i not in images:
-                images[i] = omega_at_fixed_point(ctx, i, w)
-            got = images[i] ** e
-            powers[(i, e)] = got
-        return got
-
-    acc = ctx.zero()
+    if ctx.rank == 0:
+        raise ValueError("restriction needs an equivariant context")
+    _check_entries(ctx, w)
+    # One product per omega vector: the terms sharing it are restricted
+    # together, as one letters-and-t element.
+    zero = (0,) * ctx.factors
+    groups = {}
     for (letters, omega, t), c in x.coeffs.items():
-        term = RingElement(ctx, {(letters, (0,) * ctx.factors, t): c})
+        groups.setdefault(omega, {})[(letters, zero, t)] = c
+    powers = {}
+    acc = ctx.zero()
+    for omega, terms in groups.items():
+        part = RingElement(ctx, terms)
         for i, e in enumerate(omega, start=1):
             if e:
-                term = term * power(i, e)
-        acc = acc + term
+                if (i, e) not in powers:
+                    powers[i, e] = omega_at_fixed_point(ctx, i, w) ** e
+                part = part * powers[i, e]
+        acc = acc + part
     return acc
 
 

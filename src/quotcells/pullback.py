@@ -16,8 +16,9 @@ from .cells import _require_letters_only, cell_class
 from .linalg import exact_rank
 from .ring import (RingContext, RingElement, cohomological_degree,
                    graded_piece, is_homogeneous, letter_monomials,
-                   monomials_of_degree, permute_factors, permute_factors_omega,
-                   point_class, project_invariant, small_diagonal)
+                   permute_factors, permute_factors_omega, point_class,
+                   project_invariant, small_diagonal)
+from .series import poly_coeff, quot_series_product
 from .weights import (admissible_row_tuples, apply_perm, classify,
                       cycle_types, incidence_tuple, is_decreasing, orbit,
                       permutations, row_exponent, stabilizer, transposition,
@@ -153,8 +154,17 @@ def is_invariant(x: RingElement) -> bool:
 
 def invariant_dimension(ctx: RingContext, degree: int) -> int:
     """Dimension of the invariant subspace of the omega-twisted action in
-    the given cohomological degree."""
-    return projector_trace(ctx, list(monomials_of_degree(ctx, degree)))
+    the given cohomological degree.
+
+    The omega-twisted action on t-free monomials is the super-symmetric
+    S_n action on V^{(x)n} with V = H*(C)[w], so the invariants are the
+    degree-d part of Sym^n V.  By Macdonald (The Poincare polynomial of a
+    symmetric product, 1962) their generating series is
+    prod_{h>=0} (1+s t^{2h+1})^{2g} / ((1-s t^{2h})(1-s t^{2h+2})), read at
+    s^n t^d; row h starts at t^{2h}, so rows h <= d // 2 suffice."""
+    n = ctx.factors
+    rows = quot_series_product(ctx.genus, degree // 2 + 1, n, degree)
+    return poly_coeff(rows[n], degree)
 
 
 def projector_trace(ctx: RingContext, basis) -> int:

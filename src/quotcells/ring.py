@@ -27,8 +27,6 @@ from fractions import Fraction
 from operator import add
 from types import MappingProxyType
 
-from .weights import compositions
-
 # Letter codes for the H*(C) basis: UNIT, POINT, alpha_k = 2k, beta_k = 2k+1.
 UNIT = 0
 POINT = 1
@@ -280,13 +278,14 @@ class RingElement:
             other = self.ctx.scalar(other)
         if not isinstance(other, RingElement):
             return NotImplemented
-        return self.ctx == other.ctx and self._coeffs == other._coeffs
+        return ((self.ctx is other.ctx or self.ctx == other.ctx)
+                and self._coeffs == other._coeffs)
 
     def __hash__(self):
         return hash((self.ctx, frozenset(self._coeffs.items())))
 
     def _require_same_ctx(self, other):
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ValueError("elements built against different contexts")
 
     def __add__(self, other):
@@ -570,15 +569,3 @@ def letter_monomials(ctx: RingContext, degree: int):
     for letters in itertools.product(basis, repeat=ctx.factors):
         if sum(letter_degree(c) for c in letters) == degree:
             yield letters
-
-
-def monomials_of_degree(ctx: RingContext, degree: int):
-    """All t-free monomials (letters, omega) of the given total degree."""
-    n = ctx.factors
-    basis = ctx.curve_basis()
-    for letters in itertools.product(basis, repeat=n):
-        rest = degree - sum(letter_degree(c) for c in letters)
-        if rest < 0 or rest % 2:
-            continue
-        for omega in compositions(rest // 2, n):
-            yield (letters, omega, ())

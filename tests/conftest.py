@@ -1,6 +1,10 @@
+import itertools
+from fractions import Fraction
+
 import pytest
 
-from quotcells.ring import RingContext
+from quotcells.ring import RingContext, RingElement, letter_degree
+from quotcells.weights import compositions
 
 
 @pytest.fixture
@@ -13,10 +17,20 @@ def ctx_g0_n2():
     return RingContext(genus=0, factors=2)
 
 
+def monomials_of_degree(ctx: RingContext, degree: int):
+    """All t-free monomials (letters, omega) of the given total degree."""
+    n = ctx.factors
+    basis = ctx.curve_basis()
+    for letters in itertools.product(basis, repeat=n):
+        rest = degree - sum(letter_degree(c) for c in letters)
+        if rest < 0 or rest % 2:
+            continue
+        for omega in compositions(rest // 2, n):
+            yield (letters, omega, ())
+
+
 def random_homogeneous(ctx, degree, rng, terms=3):
     """Random homogeneous element built from the monomial basis."""
-    from quotcells.ring import RingElement, monomials_of_degree
-    from fractions import Fraction
     basis = list(monomials_of_degree(ctx, degree))
     if not basis:
         return ctx.zero()

@@ -11,7 +11,7 @@ from quotcells.localization import (degree_bound_check, omega_at_fixed_point,
                                     restrict_to_fixed_point, t_degree,
                                     top_term, top_term_product,
                                     top_term_residual, vanishing_check)
-from quotcells.ring import RingContext, diagonal
+from quotcells.ring import RingContext, RingElement, diagonal
 
 from conftest import random_homogeneous
 
@@ -58,6 +58,44 @@ class TestRestriction:
         ctx = RingContext(genus=0, factors=1, rank=2, degrees=(0, 3))
         image = omega_at_fixed_point(ctx, 1, (1,))
         assert image == ctx.t_var(1) + 3 * ctx.pt(1)
+
+    @pytest.mark.parametrize("w", [(0,), (1, 0, 0), (-1, 0), (0, 2)])
+    def test_bad_fixed_point_rejected(self, w):
+        ctx = RingContext(genus=0, factors=2, rank=2)
+        with pytest.raises(ValueError):
+            restrict_to_fixed_point(ctx.one(), w)
+
+
+def restrict_term_by_term(x, w):
+    """Reference restriction: one product per input term and per nonzero
+    omega exponent."""
+    ctx = x.ctx
+    acc = ctx.zero()
+    for (letters, omega, t), c in x.coeffs.items():
+        term = RingElement(ctx, {(letters, (0,) * ctx.factors, t): c})
+        for i, e in enumerate(omega, start=1):
+            if e:
+                term = term * omega_at_fixed_point(ctx, i, w) ** e
+        acc = acc + term
+    return acc
+
+
+class TestGroupedRestriction:
+    """Restriction with the terms grouped by omega vector against the
+    term-by-term reference, on every cell class and fixed point of small
+    grids, with trivial and nonzero line-bundle degrees."""
+
+    @pytest.mark.parametrize("g,n,rank,degrees", [
+        (0, 2, 2, ()), (1, 2, 2, (0, 2)), (0, 2, 3, (1, -1, 2)),
+        (1, 2, 3, (1, -1, 2)), (0, 3, 2, ()), (1, 3, 2, (0, 2)),
+    ])
+    def test_matches_term_by_term(self, g, n, rank, degrees):
+        ctx = RingContext(genus=g, factors=n, rank=rank, degrees=degrees)
+        points = list(itertools.product(range(rank), repeat=n))
+        for v in points:
+            x = cell_class_equivariant(ctx, v)
+            for w in points:
+                assert restrict_to_fixed_point(x, w) == restrict_term_by_term(x, w)
 
 
 class TestTopTerm:

@@ -16,15 +16,15 @@ from quotcells.pullback import (average_twist, combinatorial_prefactor,
                                 quot_pullback, quot_pullback_combinatorial,
                                 span_rank)
 from quotcells.ring import (POINT, RingContext, RingElement, UNIT, alpha,
-                            diagonal, letter_monomials, monomials_of_degree,
-                            permute_factors, permute_factors_omega,
-                            project_invariant, small_diagonal)
+                            diagonal, letter_monomials, permute_factors,
+                            permute_factors_omega, project_invariant,
+                            small_diagonal)
 from quotcells.weights import (admissible_row_tuples, apply_perm,
                                compositions, decreasing_vectors, invert,
                                permutations, stabilizer, stabilizer_order,
                                young_subgroup)
 
-from conftest import assert_read_only
+from conftest import assert_read_only, monomials_of_degree
 from test_series import decomposition_dimension_check
 
 
@@ -324,6 +324,29 @@ class TestProjectorTrace:
                         by_type.setdefault(cycle_lengths(sigma), set()).add(trace)
                     assert len(by_type) == {3: 3, 4: 5}[n]
                     assert all(len(values) == 1 for values in by_type.values())
+
+
+# Highest degree compared per number of factors; the projector traces of
+# all twenty contexts take about a second.
+MAX_TRACE_DEGREE = {1: 10, 2: 10, 3: 8, 4: 5, 5: 3}
+
+
+class TestInvariantDimension:
+    """invariant_dimension reads the quot product formula; the projector
+    trace on the omega-twisted monomial basis is the independent route."""
+
+    @pytest.mark.parametrize("g", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_projector_trace(self, g, n):
+        ctx = RingContext(genus=g, factors=n)
+        for d in range(-2, MAX_TRACE_DEGREE[n] + 1):
+            basis = list(monomials_of_degree(ctx, d))
+            assert invariant_dimension(ctx, d) == projector_trace(ctx, basis)
+
+    @pytest.mark.parametrize("g", [0, 1, 2])
+    def test_no_factors(self, g):
+        ctx = RingContext(genus=g, factors=0)
+        assert [invariant_dimension(ctx, d) for d in (-1, 0, 1, 2)] == [0, 1, 0, 0]
 
 
 def generating_identity_check(ctx, letter_code, order):
