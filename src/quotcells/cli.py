@@ -193,6 +193,9 @@ def _cmd_parse(args):
 def _cmd_verify(args):
     if args.rank is UNBOUNDED:
         raise ValueError("verify needs a finite --rank")
+    for flag in ("max_co", "max_degree", "max_t", "random_cases"):
+        if (getattr(args, flag) or 0) < 0:
+            raise ValueError("--%s must be >= 0" % flag.replace("_", "-"))
     names = suites.SUITE_NAMES if args.suite == "all" else (args.suite,)
     overrides = {
         "n_values": tuple(args.n) if args.n else None,

@@ -19,10 +19,10 @@ from .ring import (RingContext, RingElement, cohomological_degree,
                    permute_factors, permute_factors_omega, point_class,
                    project_invariant, small_diagonal)
 from .series import poly_coeff, quot_series_product
-from .weights import (admissible_row_tuples, apply_perm, classify,
-                      cycle_types, incidence_tuple, is_decreasing, orbit,
-                      permutations, row_exponent, stabilizer, transposition,
-                      tuple_support, young_subgroup)
+from .weights import (admissible_row_tuples, betti_b1, connected_components,
+                      cycle_types, decreasing_vectors, incidence_tuple,
+                      is_decreasing, orbit, permutations, row_exponent,
+                      stabilizer, transposition, tuple_support, young_subgroup)
 
 
 def average_twist(ctx: RingContext, v, a: RingElement = None) -> RingElement:
@@ -55,30 +55,38 @@ def quot_pullback(ctx: RingContext, u, a: RingElement = None) -> RingElement:
     if not is_decreasing(u):
         raise ValueError("u must be decreasing")
     a = average_twist(ctx, u, a)
-    return _orbit_sum(ctx, u, permutations(ctx.factors), a)
+    return _orbit_sum(ctx, cell_class, u, permutations(ctx.factors), a)
 
 
-def _orbit_sum(ctx: RingContext, v, group, a: RingElement) -> RingElement:
-    """sum over w in the orbit of v of cell(w) sigma_w(a), sigma_w(v) = w."""
+def _orbit_sum(ctx: RingContext, member, v, group,
+               a: RingElement) -> RingElement:
+    """sum over w in the orbit of v of member(ctx, w) sigma_w(a),
+    sigma_w(v) = w; the two pullback routes differ only in `member`."""
     acc = ctx.zero()
     for w, sigma in orbit(v, group).items():
-        acc = acc + cell_class(ctx, w) * permute_factors(sigma, a)
+        acc = acc + member(ctx, w) * permute_factors(sigma, a)
     return acc
+
+
+def diagonal_class(ctx: RingContext, sets) -> RingElement:
+    """The product of the small diagonals of a connected subset tuple: the
+    small diagonal of its support when b1 = 0, (2-2g) times the point
+    class of its support when b1 = 1, and zero otherwise."""
+    b1 = betti_b1(sets)
+    members = tuple_support(sets)
+    if b1 == 0:
+        return small_diagonal(ctx, members)
+    if b1 == 1:
+        return (2 - 2 * ctx.genus) * point_class(ctx, members)
+    return ctx.zero()
 
 
 def combinatorial_prefactor(ctx: RingContext, rows) -> RingElement:
     """omega / diagonal / point part attached to one admissible row tuple."""
     exps = [row_exponent(row, j + 1) for j, row in enumerate(rows)]
     acc = ctx.monomial(omega=exps)
-    for b1, components in classify(incidence_tuple(rows)).items():
-        for comp in components:
-            members = tuple_support(comp)
-            if b1 == 0:
-                acc = acc * small_diagonal(ctx, members)
-            elif b1 == 1:
-                acc = acc * ((2 - 2 * ctx.genus) * point_class(ctx, members))
-            else:  # pruned by the enumeration; kept for safety
-                return ctx.zero()
+    for comp in connected_components(incidence_tuple(rows)):
+        acc = acc * diagonal_class(ctx, comp)
     return acc
 
 
@@ -86,8 +94,8 @@ def quot_pullback_combinatorial(ctx: RingContext, u,
                                 a: RingElement = None) -> RingElement:
     """The same pullback evaluated by the combinatorial formula:
 
-        sum over v in S_n u and admissible row tuples of (u, sigma_v) of
-        prefactor(rows) * sigma_v(a),  sigma_v(u) = v.
+        sum over v in S_n u of sigma_v(a) times the prefactors of the
+        admissible row tuples of v,  sigma_v(u) = v.
 
     Only derived for trivial line-bundle degrees; refuses anything else.
     """
@@ -97,21 +105,16 @@ def quot_pullback_combinatorial(ctx: RingContext, u,
     if not is_decreasing(u):
         raise ValueError("u must be decreasing")
     a = average_twist(ctx, u, a)
-    acc = ctx.zero()
-    for sigma in orbit(u, permutations(ctx.factors)).values():
-        pref = _prefactor_sum(ctx, u, sigma)
-        if pref:
-            acc = acc + pref * permute_factors(sigma, a)
-    return acc
+    return _orbit_sum(ctx, _prefactor_sum, u, permutations(ctx.factors), a)
 
 
-def _prefactor_sum(ctx: RingContext, u, sigma) -> RingElement:
-    # memoized on sigma(u): the row tuples depend on nothing else
-    key = ("prefactor", apply_perm(sigma, u))
+def _prefactor_sum(ctx: RingContext, v) -> RingElement:
+    """Sum of the prefactors of the admissible row tuples of v, memoized."""
+    key = ("prefactor", tuple(v))
     got = ctx._memo.get(key)
     if got is None:
         got = ctx.zero()
-        for rows in admissible_row_tuples(u, sigma):
+        for rows in admissible_row_tuples(v):
             got = got + combinatorial_prefactor(ctx, rows)
         ctx._memo[key] = got
     return got
@@ -136,7 +139,7 @@ def partial_flag_pullback(ctx: RingContext, composition, v_star,
     v = tuple(x for b in blocks for x in b)
     # the Young-subgroup stabilizer of v fixes each (block label, entry) pair
     labelled = tuple((k, x) for k, b in enumerate(blocks) for x in b)
-    return _orbit_sum(ctx, v, young_subgroup(composition),
+    return _orbit_sum(ctx, cell_class, v, young_subgroup(composition),
                       average_twist(ctx, labelled, a))
 
 
@@ -223,14 +226,12 @@ def invariant_letter_classes(ctx: RingContext, degree: int, group=None):
     return out
 
 
-def quot_pullback_spanning_classes(ctx: RingContext, degree: int, max_co=None):
+def quot_pullback_spanning_classes(ctx: RingContext, degree: int):
     """The pullback classes of degree `degree` built from all decreasing
     weights and a spanning set of stabilizer-invariant twists."""
-    from .weights import decreasing_vectors
     n = ctx.factors
-    cap = degree // 2 if max_co is None else min(max_co, degree // 2)
     out = []
-    for u in decreasing_vectors(n, None, cap):
+    for u in decreasing_vectors(n, None, degree // 2):
         rest = degree - 2 * sum(u)
         if rest < 0 or rest > 2 * n:
             continue

@@ -20,9 +20,9 @@ import random
 from . import cells, localization, pullback, series
 from .grammar import format_element
 from .ring import (RingContext, cohomological_degree, letter_monomials,
-                   omega_top_part, point_class, small_diagonal)
-from .weights import (betti_b1, connected_components,
-                      decreasing_vectors, stabilizer, tuple_support)
+                   omega_top_part, small_diagonal)
+from .weights import (betti_b1, connected_components, decreasing_vectors,
+                      stabilizer)
 
 DEFAULTS = {
     "n_values": (2, 3),
@@ -116,21 +116,15 @@ def check_incidence_betti(figures):
 
 
 def check_diagonal_products(label, ctx, tuples):
-    """Diagonal products over connected subset tuples: the small diagonal
-    (b1 = 0), (2-2g) times the point class (b1 = 1), or zero."""
+    """Diagonal products over connected subset tuples against
+    pullback.diagonal_class, the classification by b1 that the
+    combinatorial pullback route applies to each incidence component."""
     bad = None
     for sets in tuples:
         product = ctx.one()
         for s in sets:
             product = product * small_diagonal(ctx, s)
-        b1 = betti_b1(sets)
-        members = tuple_support(sets)
-        if b1 == 0:
-            expected = small_diagonal(ctx, members)
-        elif b1 == 1:
-            expected = (2 - 2 * ctx.genus) * point_class(ctx, members)
-        else:
-            expected = ctx.zero()
+        expected = pullback.diagonal_class(ctx, sets)
         if product != expected and bad is None:
             bad = "sets=%s residual=%s" % (
                 [sorted(s) for s in sets], format_element(product - expected))

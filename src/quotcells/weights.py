@@ -1,4 +1,4 @@
-"""Weight vectors, decompositions, subset tuples and the admissible row
+"""Weight vectors, permutations, subset tuples and the admissible row
 tuples that drive the combinatorial pullback formula.
 
 Weight vectors are plain tuples of non-negative integers.  Permutations
@@ -37,27 +37,11 @@ def cycle_types(n: int):
         yield tuple(sigma), factorial(n) // z
 
 
-def identity(n: int):
-    return tuple(range(n))
-
-
 def transposition(n: int, i: int, j: int):
     """Transposition of 1-based positions i and j inside S_n."""
     sigma = list(range(n))
     sigma[i - 1], sigma[j - 1] = sigma[j - 1], sigma[i - 1]
     return tuple(sigma)
-
-
-def compose(sigma, tau):
-    """(sigma tau)(i) = sigma(tau(i))."""
-    return tuple(sigma[t] for t in tau)
-
-
-def invert(sigma):
-    inv = [0] * len(sigma)
-    for i, s in enumerate(sigma):
-        inv[s] = i
-    return tuple(inv)
 
 
 def apply_perm(sigma, v):
@@ -94,19 +78,8 @@ def normalize(v):
     return tuple(sorted(v, reverse=True))
 
 
-def support(v):
-    return frozenset(i + 1 for i, value in enumerate(v) if value)
-
-
 def componentwise_leq(v, w) -> bool:
     return all(a <= b for a, b in zip(v, w))
-
-
-def stabilizer_order(v) -> int:
-    order = 1
-    for value in set(v):
-        order *= factorial(list(v).count(value))
-    return order
 
 
 def stabilizer(v):
@@ -149,50 +122,6 @@ def decreasing_vectors(n: int, r=None, max_co: int | None = None):
     cap0 = max_co if r is None else min(r - 1, max_co)
     rec([], cap0, max_co)
     return sorted(out, key=lambda v: (co(v), v))
-
-
-# -- decompositions ----------------------------------------------------------
-
-def weights_to_decomposition(v_star, r: int):
-    """Bijection from tuples of decreasing blocks with entries < r to the
-    r rows of per-value multiplicities."""
-    blocks = [tuple(b) for b in v_star]
-    for b in blocks:
-        if not is_decreasing(b):
-            raise ValueError("blocks must be decreasing")
-        if any(x >= r for x in b):
-            raise ValueError("entry >= r")
-    return tuple(tuple(sum(1 for x in b if x == a) for b in blocks)
-                 for a in range(r))
-
-
-def decomposition_to_weights(rows):
-    """Inverse of weights_to_decomposition."""
-    if not rows:
-        return ()
-    h = len(rows[0])
-    blocks = []
-    for j in range(h):
-        block = []
-        for a in range(len(rows) - 1, -1, -1):
-            block.extend([a] * rows[a][j])
-        blocks.append(tuple(block))
-    return tuple(blocks)
-
-
-def decomposition_co(rows) -> int:
-    return sum(a * sum(row) for a, row in enumerate(rows))
-
-
-def compositions(total: int, parts: int):
-    """All tuples of non-negative integers of the given length and sum."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 # -- subset tuples and their incidence combinatorics -------------------------
@@ -246,14 +175,6 @@ def betti_b1(sets) -> int:
     return edges - vertices + 1
 
 
-def classify(sets):
-    """Group the connected components by their first Betti number."""
-    out = {}
-    for comp in connected_components(sets):
-        out.setdefault(betti_b1(comp), []).append(comp)
-    return out
-
-
 # -- admissible row tuples ---------------------------------------------------
 
 def row_support_hat(row, j: int):
@@ -270,26 +191,22 @@ def row_exponent(row, j: int) -> int:
     return sum(row) - len(row_support_hat(row, j)) + 1
 
 
-def admissible_row_tuples(u, sigma):
+def admissible_row_tuples(v):
     """Row tuples L = (l_1, ..., l_n), l_j of length j, entering the
-    combinatorial pullback formula for the decreasing weight u and the
-    permutation sigma.
+    combinatorial pullback formula at the orbit member v = sigma_v(u).
 
-    Conditions: (i) the padded rows sum to sigma(u), so the tuples depend
-    on sigma only through sigma(u); (ii) every connected component of
-    the incidence tuple has first Betti number <= 1; (iii) at each row j
-    the partial sums l(j) = sum_{h<=j} l_h have pairwise distinct
-    entries on the extended support of l_j, and the smaller entry of any
-    pair is bounded by the previous partial sum at the larger position.
+    Conditions: (i) the padded rows sum to v; (ii) every connected
+    component of the incidence tuple has first Betti number <= 1; (iii) at
+    each row j the partial sums l(j) = sum_{h<=j} l_h have pairwise
+    distinct entries on the extended support of l_j, and the smaller entry
+    of any pair is bounded by the previous partial sum at the larger
+    position.
 
     Deterministic: rows are filled from index n downwards, candidate
     entries in lexicographic order.
     """
-    u = tuple(u)
-    if not is_decreasing(u):
-        raise ValueError("u must be decreasing")
-    n = len(u)
-    target = apply_perm(sigma, u)
+    target = tuple(v)
+    n = len(target)
 
     rows = [None] * n
 

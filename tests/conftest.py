@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from quotcells.ring import RingContext, RingElement, letter_degree
-from quotcells.weights import compositions
+from quotcells.weights import is_decreasing
 
 
 @pytest.fixture
@@ -15,6 +15,42 @@ def ctx_g1_n2():
 @pytest.fixture
 def ctx_g0_n2():
     return RingContext(genus=0, factors=2)
+
+
+def compositions(total: int, parts: int):
+    """All tuples of non-negative integers of the given length and sum."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def compose(sigma, tau):
+    """(sigma tau)(i) = sigma(tau(i))."""
+    return tuple(sigma[t] for t in tau)
+
+
+def invert(sigma):
+    inv = [0] * len(sigma)
+    for i, s in enumerate(sigma):
+        inv[s] = i
+    return tuple(inv)
+
+
+def weights_to_decomposition(v_star, r: int):
+    """Bijection from tuples of decreasing blocks with entries < r to the
+    r rows of per-value multiplicities."""
+    blocks = [tuple(b) for b in v_star]
+    for b in blocks:
+        if not is_decreasing(b):
+            raise ValueError("blocks must be decreasing")
+        if any(x >= r for x in b):
+            raise ValueError("entry >= r")
+    return tuple(tuple(sum(1 for x in b if x == a) for b in blocks)
+                 for a in range(r))
 
 
 def monomials_of_degree(ctx: RingContext, degree: int):

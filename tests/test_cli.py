@@ -185,6 +185,10 @@ def test_verify_zero_coverage_fails(capsys, argv):
     ("poincare", "filt", "--genus", "-1", "--n", "2"),
     ("poincare", "limits", "--genus", "-1", "--max-t", "4"),
     ("verify", "--suite", "localization", "--rank", "inf"),
+    ("verify", "--suite", "pullback", "--max-co", "-1"),
+    ("verify", "--suite", "ranks", "--max-degree", "-1"),
+    ("verify", "--suite", "series", "--max-t", "-1"),
+    ("verify", "--suite", "recursion", "--random-cases", "-1"),
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)

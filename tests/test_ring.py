@@ -130,7 +130,7 @@ class TestActions:
         ctx = RingContext(genus=1, factors=3)
         rng = random.Random(11)
         x = random_homogeneous(ctx, 3, rng, terms=4)
-        from quotcells.weights import compose
+        from conftest import compose
         for sigma in permutations(3):
             for tau in permutations(3):
                 lhs = permute_factors(compose(sigma, tau), x)

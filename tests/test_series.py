@@ -10,8 +10,9 @@ from quotcells.series import (filt_poincare, filt_presentation_check,
                               poly_add, poly_coeff, poly_mul, poly_trim,
                               quot_poincare, quot_series_check,
                               symmetric_product_poincare, tensor_model_series)
-from quotcells.weights import (decreasing_vectors, stabilizer,
-                               weights_to_decomposition)
+from quotcells.weights import decreasing_vectors, stabilizer
+
+from conftest import weights_to_decomposition
 
 
 def decomposition_dimension_check(ctx, r, max_degree):

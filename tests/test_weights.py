@@ -6,14 +6,31 @@ import itertools
 import pytest
 
 from quotcells.weights import (admissible_row_tuples, apply_perm, betti_b1,
-                               classify, co, componentwise_leq, compose,
-                               connected_components, decreasing_vectors,
-                               decomposition_co, decomposition_to_weights,
-                               incidence_tuple, invert, normalize,
-                               permutations, row_exponent, row_support_hat,
-                               stabilizer, stabilizer_order, transposition,
-                               tuple_support, weights_to_decomposition,
+                               co, componentwise_leq, connected_components,
+                               decreasing_vectors, incidence_tuple,
+                               normalize, permutations, row_exponent,
+                               row_support_hat, stabilizer, tuple_support,
                                young_subgroup)
+
+from conftest import compose, compositions, invert, weights_to_decomposition
+
+
+def decomposition_to_weights(rows):
+    """Inverse of weights_to_decomposition."""
+    if not rows:
+        return ()
+    h = len(rows[0])
+    blocks = []
+    for j in range(h):
+        block = []
+        for a in range(len(rows) - 1, -1, -1):
+            block.extend([a] * rows[a][j])
+        blocks.append(tuple(block))
+    return tuple(blocks)
+
+
+def decomposition_co(rows) -> int:
+    return sum(a * sum(row) for a, row in enumerate(rows))
 
 
 class TestVectors:
@@ -24,9 +41,9 @@ class TestVectors:
         assert co((1, 2, 0)) == 3
 
     def test_stabilizer_order(self):
-        assert stabilizer_order((1, 1, 0)) == 2
-        assert stabilizer_order((2, 2, 2)) == 6
-        assert stabilizer_order((3, 1, 0)) == 1
+        assert len(stabilizer((1, 1, 0))) == 2
+        assert len(stabilizer((2, 2, 2))) == 6
+        assert len(stabilizer((3, 1, 0))) == 1
 
     def test_stabilizer_members(self):
         members = stabilizer((1, 1, 0))
@@ -71,7 +88,6 @@ class TestDecompositions:
 
     def test_counting_matches_multisets(self):
         # |B(n,r)| equals the number of r-part compositions of n
-        from quotcells.weights import compositions
         for n, r in ((2, 2), (3, 2), (3, 3), (4, 3)):
             vectors = decreasing_vectors(n, r, max_co=n * (r - 1))
             assert len(vectors) == sum(1 for _ in compositions(n, r))
@@ -103,11 +119,6 @@ class TestSubsetTuples:
     def test_empty_sets_rejected(self):
         with pytest.raises(ValueError):
             connected_components(({1}, set()))
-
-    def test_classify(self):
-        grouping = classify(({1, 2}, {2, 3}, {4}))
-        assert set(grouping) == {0}
-        assert len(grouping[0]) == 2
 
     def test_betti_against_graph_oracle(self):
         # independent route: build the bipartite incidence graph and use
@@ -151,27 +162,23 @@ class TestSubsetTuples:
 
 class TestRowTuples:
     def test_identity_example(self):
-        got = list(admissible_row_tuples((1, 0), (0, 1)))
+        got = list(admissible_row_tuples(apply_perm((0, 1), (1, 0))))
         assert got == [((1,), (0, 0)), ((0,), (1, 0))]
 
     def test_swap_example(self):
-        got = list(admissible_row_tuples((1, 0), (1, 0)))
+        got = list(admissible_row_tuples(apply_perm((1, 0), (1, 0))))
         assert got == [((0,), (0, 1))]
 
     def test_zero_weight(self):
         for sigma in permutations(3):
-            got = list(admissible_row_tuples((0, 0, 0), sigma))
+            got = list(admissible_row_tuples(apply_perm(sigma, (0, 0, 0))))
             assert got == [((0,), (0, 0), (0, 0, 0))]
-
-    def test_requires_decreasing(self):
-        with pytest.raises(ValueError):
-            list(admissible_row_tuples((0, 1), (0, 1)))
 
     def test_determinism_and_conditions(self):
         for u in decreasing_vectors(3, None, max_co=3):
             for sigma in permutations(3):
-                first = list(admissible_row_tuples(u, sigma))
-                second = list(admissible_row_tuples(u, sigma))
+                first = list(admissible_row_tuples(apply_perm(sigma, u)))
+                second = list(admissible_row_tuples(apply_perm(sigma, u)))
                 assert first == second
                 for rows in first:
                     # re-check the three defining conditions independently
