@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 
 from .ring import (RingContext, RingElement, UNBOUNDED, diagonal,
-                   omega_degree, permute_factors)
+                   omega_degree, permute_factors, small_diagonal)
 from .weights import apply_perm, permutations, transposition
 
 
@@ -240,7 +240,6 @@ def cell_class_series_closed_form(ctx: RingContext, index: int, order: int):
     """Same truncation via the closed product formula: the coefficient of
     t^l is the sum over subsets J of the factors below `index` of
     diag_{J + index} h_{l - |J|}(w over J + index)."""
-    from .ring import small_diagonal
     ctx._check_factor(index)
     out = [ctx.zero() for _ in range(order + 1)]
     below = range(1, index)

@@ -93,7 +93,12 @@ def _parse_term(sc: _Scanner, ctx: RingContext):
     sc.skip_ws()
     coeff = Fraction(1)
     if sc.pos < len(sc.text) and sc.text[sc.pos] != "[":
-        coeff = Fraction(sc.regex(_RATIONAL, "rational coefficient").group())
+        pos = sc.pos
+        token = sc.regex(_RATIONAL, "rational coefficient").group()
+        try:
+            coeff = Fraction(token)
+        except ZeroDivisionError:
+            raise ParseError("zero denominator in %s" % token, pos) from None
         sc.expect("*")
     pos = sc.pos
     sc.expect("[")

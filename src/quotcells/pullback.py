@@ -9,9 +9,6 @@ subring of the omega-twisted permutation action.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import factorial
-
 from .cells import _require_letters_only, cell_class
 from .linalg import exact_rank
 from .ring import (RingContext, RingElement, cohomological_degree,
@@ -20,9 +17,9 @@ from .ring import (RingContext, RingElement, cohomological_degree,
                    project_invariant, small_diagonal)
 from .series import poly_coeff, quot_series_product
 from .weights import (admissible_row_tuples, betti_b1, connected_components,
-                      cycle_types, decreasing_vectors, incidence_tuple,
-                      is_decreasing, orbit, permutations, row_exponent,
-                      stabilizer, transposition, tuple_support, young_subgroup)
+                      decreasing_vectors, incidence_tuple, is_decreasing,
+                      orbit, permutations, row_exponent, stabilizer,
+                      transposition, tuple_support, young_subgroup)
 
 
 def average_twist(ctx: RingContext, v, a: RingElement = None) -> RingElement:
@@ -168,28 +165,6 @@ def invariant_dimension(ctx: RingContext, degree: int) -> int:
     n = ctx.factors
     rows = quot_series_product(ctx.genus, degree // 2 + 1, n, degree)
     return poly_coeff(rows[n], degree)
-
-
-def projector_trace(ctx: RingContext, basis) -> int:
-    """Trace of the averaging projector of the omega-twisted action on the
-    span of `basis`, a list of monomials closed under the action up to
-    sign: the dimension of the invariants in that span.
-
-    The action is a representation, so its trace is a class function and
-    Burnside's average over S_n is a sum over cycle types weighted by
-    class size."""
-    n = ctx.factors
-    total = 0
-    for sigma, size in cycle_types(n):
-        trace = 0
-        for mono in basis:
-            image = permute_factors_omega(sigma, RingElement(ctx, {mono: 1}))
-            trace += image.coeffs.get(mono, 0)
-        total += size * trace
-    dim = Fraction(total, factorial(n))
-    if dim.denominator != 1:
-        raise AssertionError("projector trace is not an integer")
-    return int(dim)
 
 
 def span_rank(elements, degree: int) -> int:

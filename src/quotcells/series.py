@@ -166,19 +166,12 @@ def filt_presentation_check(g: int, r: int, n: int):
 
 def infinite_quot_series(g: int, max_t: int):
     """Truncation of the limit series
-    (1+t)^{2g}/(1-t^2) prod_{h>=1} (1+t^{2h+1})^{2g}/((1-t^{2h})(1-t^{2h+2}))."""
-    if g < 0:
-        raise ValueError("g must be non-negative")
-    acc = poly_mul(poly_pow([1, 1], 2 * g, max_t), poly_geometric(2, max_t), max_t)
-    h = 1
-    while 2 * h <= max_t:
-        if g and 2 * h + 1 <= max_t:
-            one_plus_odd = [1] + [0] * (2 * h) + [1]
-            acc = poly_mul(acc, poly_pow(one_plus_odd, 2 * g, max_t), max_t)
-        acc = poly_mul(acc, poly_geometric(2 * h, max_t), max_t)
-        acc = poly_mul(acc, poly_geometric(2 * h + 2, max_t), max_t)
-        h += 1
-    return [poly_coeff(acc, i) for i in range(max_t + 1)]
+    (1+t)^{2g}/(1-t^2) prod_{h>=1} (1+t^{2h+1})^{2g}/((1-t^{2h})(1-t^{2h+2})),
+    the s^max_t coefficient of the quot product formula: every power of s
+    but those of 1/(1-s) carries a positive power of t, and row h starts
+    at t^{2h}, so rows h <= max_t // 2 suffice."""
+    rows = quot_series_product(g, max_t // 2 + 1, max_t, max_t)
+    return [poly_coeff(rows[max_t], i) for i in range(max_t + 1)]
 
 
 def tensor_model_series(g: int, max_t: int):

@@ -19,8 +19,8 @@ import random
 
 from . import cells, localization, pullback, series
 from .grammar import format_element
-from .ring import (RingContext, cohomological_degree, letter_monomials,
-                   omega_top_part, small_diagonal)
+from .ring import (RingContext, cohomological_degree, omega_top_part,
+                   small_diagonal)
 from .weights import (betti_b1, connected_components, decreasing_vectors,
                       stabilizer)
 
@@ -113,6 +113,16 @@ def check_incidence_betti(figures):
     return [_case({"check": "incidence-betti", "sets": [sorted(s) for s in sets]},
                   expected, betti_b1(sets), betti_b1(sets) == expected, 1)
             for sets, expected in figures]
+
+
+def connected_subset_tuples(ground, max_sets):
+    """The connected tuples of 1 to max_sets non-empty subsets of
+    {1, ..., ground}: the grid of the diagonal-product check."""
+    subsets = [frozenset(s) for size in range(1, ground + 1)
+               for s in itertools.combinations(range(1, ground + 1), size)]
+    return [sets for count in range(1, max_sets + 1)
+            for sets in itertools.product(subsets, repeat=count)
+            if len(connected_components(sets)) == 1]
 
 
 def check_diagonal_products(label, ctx, tuples):
@@ -265,13 +275,14 @@ def check_infinite_limits(g, max_t):
 
 
 def check_symmetric_dimensions(g, lengths):
-    """Betti numbers of Sym^m C == projector dimensions of the symmetric
-    invariants of m curve factors (an independent route), degreewise."""
+    """Betti numbers of Sym^m C == the number of nonzero S_m orbit sums of
+    letter monomials, degreewise: their supports are disjoint, so they
+    are a basis of the symmetric invariants and the twists of the
+    pullback grids."""
     bad = None
     for m in lengths:
         ctx = RingContext(genus=g, factors=m)
-        dims = [pullback.projector_trace(
-                    ctx, [(letters, (0,) * m, ()) for letters in letter_monomials(ctx, d)])
+        dims = [len(pullback.invariant_letter_classes(ctx, d))
                 for d in range(2 * m + 1)]
         poly = series.symmetric_product_poincare(g, m)
         if series.poly_trim(dims) != poly and bad is None:
@@ -287,7 +298,7 @@ def _vectors(n, max_co):
             if sum(v) <= max_co]
 
 
-def suite_pullback(params, rng=None):
+def suite_pullback(params, rng):
     cases = []
     for g in params["genus_values"]:
         for n in params["n_values"]:
@@ -301,19 +312,14 @@ def suite_pullback(params, rng=None):
                                     (({1, 2}, {2, 3}, {1, 3}), 1),
                                     (({1, 2}, {2, 3}, {1, 2, 3}), 2)])
     ground = 4
-    subsets = [frozenset(s) for size in range(1, ground + 1)
-               for s in itertools.combinations(range(1, ground + 1), size)]
-    tuples = [sets for count in (1, 2, 3)
-              for sets in itertools.product(subsets, repeat=count)
-              if len(connected_components(sets)) == 1]
+    tuples = connected_subset_tuples(ground, 3)
     for g in params["genus_values"]:
         cases += check_diagonal_products({"genus": g, "ground": ground},
                                          RingContext(genus=g, factors=ground), tuples)
     return cases
 
 
-def suite_recursion(params, rng=None):
-    rng = rng or random.Random(params.get("seed", 0))
+def suite_recursion(params, rng):
     max_co = params["max_co"]
     order = min(params["series_max_t"], 6)
     grid = [(g, n, RingContext(genus=g, factors=n))
@@ -351,7 +357,7 @@ def suite_recursion(params, rng=None):
     return cases
 
 
-def suite_localization(params, rng=None):
+def suite_localization(params, rng):
     cases = []
     r = params["rank"]
     for g in [g for g in params["genus_values"] if g <= 1] or [0]:
@@ -365,7 +371,7 @@ def suite_localization(params, rng=None):
     return cases
 
 
-def suite_series(params, rng=None):
+def suite_series(params, rng):
     cases = []
     max_t = params["series_max_t"]
     for g in params["genus_values"]:
@@ -381,7 +387,7 @@ def suite_series(params, rng=None):
     return cases
 
 
-def suite_ranks(params, rng=None):
+def suite_ranks(params, rng):
     cases = []
     max_degree = params["max_degree"]
     genera = [g for g in params["genus_values"] if g <= 1] or [0]

@@ -9,7 +9,6 @@ on vectors is sigma(v)[sigma[i]] = v[i].
 from __future__ import annotations
 
 import itertools
-from math import factorial, prod
 
 
 # -- permutations ------------------------------------------------------------
@@ -17,24 +16,6 @@ from math import factorial, prod
 def permutations(n: int):
     """All of S_n in lexicographic order, as image tuples."""
     return itertools.permutations(range(n))
-
-
-def cycle_types(n: int):
-    """One permutation of each cycle type of S_n with the size n!/z of
-    its conjugacy class, z = prod_k k^m_k m_k! for m_k cycles of length k;
-    each cycle moves consecutive positions up by one."""
-    for v in decreasing_vectors(n, max_co=n):
-        if sum(v) != n:
-            continue
-        parts = [k for k in v if k]
-        sigma = []
-        for k in parts:
-            start = len(sigma)
-            sigma.extend(range(start + 1, start + k))
-            sigma.append(start)
-        z = prod(k ** parts.count(k) * factorial(parts.count(k))
-                 for k in set(parts))
-        yield tuple(sigma), factorial(n) // z
 
 
 def transposition(n: int, i: int, j: int):

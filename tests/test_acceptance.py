@@ -12,7 +12,7 @@ import time
 
 from quotcells import suites
 from quotcells.ring import RingContext
-from quotcells.weights import connected_components, decreasing_vectors
+from quotcells.weights import decreasing_vectors
 
 @functools.lru_cache(maxsize=None)
 def _ctx(genus, factors, rank=0):
@@ -92,11 +92,7 @@ def test_a4_diagonal_calculus():
          (({1, 2}, {2, 3}, {1, 3}), 1),
          (({1, 2}, {2, 3}, {1, 2, 3}), 2)])
     ground = 4
-    subsets = [frozenset(s) for size in range(1, ground + 1)
-               for s in itertools.combinations(range(1, ground + 1), size)]
-    tuples = [sets for count in (1, 2, 3)
-              for sets in itertools.product(subsets, repeat=count)
-              if len(connected_components(sets)) == 1]
+    tuples = suites.connected_subset_tuples(ground, 3)
     for g in (0, 1, 2):
         cases += suites.check_diagonal_products(
             {"genus": g, "ground": ground}, _ctx(g, ground), tuples)

@@ -189,6 +189,8 @@ def test_verify_zero_coverage_fails(capsys, argv):
     ("verify", "--suite", "ranks", "--max-degree", "-1"),
     ("verify", "--suite", "series", "--max-t", "-1"),
     ("verify", "--suite", "recursion", "--random-cases", "-1"),
+    ("parse", "--text", "1/0 * [one]", "--factors", "1"),
+    ("psi", "--u", "1", "--a", "1/0 * [one]"),
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -266,7 +268,7 @@ _rank = st.sampled_from(["0", "1", "2", "3", "inf", "x"])
 _common = {"--genus": _genus, "--format": _format, "--degrees": _vector,
            "--rank": _rank}
 _twist = st.sampled_from(["[pt|one]", "[a1|one]", "1/2 * [one|one]",
-                          "[one|one|pt]", "[a1", ""])
+                          "1/0 * [one|one]", "[one|one|pt]", "[a1", ""])
 
 # flag -> values, or None for a switch; each flag is drawn in or out, the
 # ones a command requires in 9 draws of 10

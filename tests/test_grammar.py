@@ -57,6 +57,10 @@ def test_syntax_error_reports_position():
         parse(ctx, "1 * [one]")
     with pytest.raises(ParseError):
         parse(ctx, "1 * [one|one] +")
+    for text in ("1/0 * [one]", "2/0 * [one]"):
+        with pytest.raises(ParseError) as err:
+            parse(RingContext(genus=0, factors=1), text)
+        assert err.value.pos == 0
 
 
 def test_t_rejected_in_rank_zero():

@@ -3,7 +3,7 @@ symmetry and rank certificates."""
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -12,9 +12,8 @@ from quotcells.cells import (cell_class, complete_homogeneous,
 from quotcells.pullback import (average_twist, combinatorial_prefactor,
                                 generator_span_check, invariant_dimension,
                                 invariant_letter_classes, is_invariant,
-                                partial_flag_pullback, projector_trace,
-                                quot_pullback, quot_pullback_combinatorial,
-                                span_rank)
+                                partial_flag_pullback, quot_pullback,
+                                quot_pullback_combinatorial, span_rank)
 from quotcells.ring import (POINT, RingContext, RingElement, UNIT, alpha,
                             diagonal, letter_monomials, permute_factors,
                             permute_factors_omega, project_invariant,
@@ -278,9 +277,49 @@ class TestSymmetryCertificates:
         assert report["pass"], report
 
 
+def projector_trace(ctx: RingContext, basis) -> int:
+    """Trace of the averaging projector of the omega-twisted action on the
+    span of `basis`, a list of monomials closed under the action up to
+    sign: the dimension of the invariants in that span.
+
+    The action is a representation, so its trace is a class function and
+    Burnside's average over S_n is a sum over cycle types weighted by
+    class size."""
+    n = ctx.factors
+    total = 0
+    for sigma, size in cycle_types(n):
+        trace = 0
+        for mono in basis:
+            image = permute_factors_omega(sigma, RingElement(ctx, {mono: 1}))
+            trace += image.coeffs.get(mono, 0)
+        total += size * trace
+    dim = Fraction(total, factorial(n))
+    if dim.denominator != 1:
+        raise AssertionError("projector trace is not an integer")
+    return int(dim)
+
+
+def cycle_types(n: int):
+    """One permutation of each cycle type of S_n with the size n!/z of
+    its conjugacy class, z = prod_k k^m_k m_k! for m_k cycles of length k;
+    each cycle moves consecutive positions up by one."""
+    for v in decreasing_vectors(n, max_co=n):
+        if sum(v) != n:
+            continue
+        parts = [k for k in v if k]
+        sigma = []
+        for k in parts:
+            start = len(sigma)
+            sigma.extend(range(start + 1, start + k))
+            sigma.append(start)
+        z = prod(k ** parts.count(k) * factorial(parts.count(k))
+                 for k in set(parts))
+        yield tuple(sigma), factorial(n) // z
+
+
 def trace_bases(ctx, degree):
     """The omega-twisted basis of invariant_dimension and the letters-only
-    basis of the symmetric-product check, in the given degree."""
+    basis of the symmetric curve classes, in the given degree."""
     letters_only = [(letters, (0,) * ctx.factors, ())
                     for letters in letter_monomials(ctx, degree)]
     return [list(monomials_of_degree(ctx, degree)), letters_only]
@@ -318,10 +357,14 @@ class TestProjectorTrace:
     def test_matches_sum_over_all_permutations(self, g, n):
         ctx = RingContext(genus=g, factors=n)
         for d in range(7):
-            for basis in trace_bases(ctx, d):
+            omega_twisted, letters_only = trace_bases(ctx, d)
+            for basis in (omega_twisted, letters_only):
                 traces = permutation_traces(ctx, basis)
                 expected = Fraction(sum(traces.values()), factorial(n))
                 assert projector_trace(ctx, basis) == expected
+                if basis is letters_only:
+                    # the orbit sums counted by the symmetric-product check
+                    assert expected == len(invariant_letter_classes(ctx, d))
                 if n >= 3:
                     # the class-function assumption behind the cycle-type sum
                     by_type = {}

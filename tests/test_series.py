@@ -146,8 +146,10 @@ class TestInfiniteLimits:
         assert series[0] == 1 and series[2] == 2
 
     def test_tensor_model_agrees(self):
-        for g in (0, 1):
-            assert tensor_model_series(g, 10) == infinite_quot_series(g, 10)
+        for g in (0, 1, 2, 3):
+            for max_t in range(21):
+                assert tensor_model_series(g, max_t) \
+                    == infinite_quot_series(g, max_t), (g, max_t)
 
     @pytest.mark.parametrize("g", [0, 1])
     def test_stabilization(self, g):
