@@ -10,6 +10,7 @@ output round-trips through `parse`.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -190,6 +191,22 @@ def _cmd_parse(args):
     return 0
 
 
+def _inputs_text(inputs):
+    return " ".join("%s=%s" % (k, inputs[k]) for k in sorted(inputs))
+
+
+def _write_stats(block):
+    """One suite's `verify --stats` block, on stderr."""
+    cases = block["cases"]
+    print("stats: suite %s, %d cases, %d inputs checked, %.3f s" % (
+        block["suite"], len(cases), sum(c["checked"] for c in cases),
+        block["seconds"]), file=sys.stderr)
+    for case in cases:
+        print("  %.3f s, %d checked: %s" % (
+            case["seconds"], case["checked"], _inputs_text(case["inputs"])),
+            file=sys.stderr)
+
+
 def _cmd_verify(args):
     if args.rank is UNBOUNDED:
         raise ValueError("verify needs a finite --rank")
@@ -206,7 +223,10 @@ def _cmd_verify(args):
         "series_max_t": args.max_t,
         "random_cases": args.random_cases,
     }
-    result = suites.run_suites(names, overrides, seed=args.seed)
+    stats = [] if args.stats else None
+    result = suites.run_suites(names, overrides, seed=args.seed, stats=stats)
+    for block in stats or ():
+        _write_stats(block)
     if args.format == "json":
         if len(result["reports"]) == 1:
             print(json.dumps(result["reports"][0], sort_keys=True, indent=2))
@@ -216,9 +236,8 @@ def _cmd_verify(args):
         for report in result["reports"]:
             for case in report["cases"]:
                 status = "PASS" if case["pass"] else "FAIL"
-                inputs = " ".join("%s=%s" % (k, case["inputs"][k])
-                                  for k in sorted(case["inputs"]))
-                print("[%s] %s: %s" % (status, report["suite"], inputs))
+                print("[%s] %s: %s" % (status, report["suite"],
+                                       _inputs_text(case["inputs"])))
                 if not case["pass"]:
                     print("  expected: %s" % case["expected"])
                     print("  got:      %s" % case["got"])
@@ -240,7 +259,6 @@ def build_parser():
     _add_common(p)
     p.add_argument("--v", required=True, help="comma-separated weight entries")
     p.add_argument("--equivariant", action="store_true")
-    p.set_defaults(func=_cmd_xi)
 
     p = sub.add_parser("psi", help="pullback of a quot-scheme cell class")
     _add_common(p)
@@ -248,14 +266,12 @@ def build_parser():
     p.add_argument("--a", default=None, help="twist class in the element grammar")
     p.add_argument("--method", choices=("recursion", "combinatorial", "both"),
                    default="recursion")
-    p.set_defaults(func=_cmd_psi)
 
     p = sub.add_parser("restrict", help="restrict an equivariant cell class "
                                         "to a fixed point")
     _add_common(p)
     p.add_argument("--v", required=True)
     p.add_argument("--w", required=True)
-    p.set_defaults(func=_cmd_restrict)
 
     p = sub.add_parser("poincare", help="Poincare polynomials and series")
     p.add_argument("target", choices=("symprod", "quot", "filt", "limits"))
@@ -265,13 +281,11 @@ def build_parser():
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--max-t", dest="max_t", type=int, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_poincare)
 
     p = sub.add_parser("parse", help="canonicalize an element")
     _add_common(p)
     p.add_argument("--text", required=True)
     p.add_argument("--factors", type=int, required=True)
-    p.set_defaults(func=_cmd_parse)
 
     p = sub.add_parser("verify", help="run named verification suites")
     p.add_argument("--suite", default="all",
@@ -287,15 +301,25 @@ def build_parser():
     p.add_argument("--random-cases", dest="random_cases", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_verify)
+    p.add_argument("--stats", action="store_true",
+                   help="write wall time and inputs checked per case and "
+                        "per suite to stderr")
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of every `main` call in this process, built on the first
+    call: parse_args makes a fresh Namespace and keeps nothing."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up at call time, so a rebound `_cmd_*` is the one that runs
+    handler = globals()["_cmd_" + args.command]
     try:
-        return args.func(args)
+        return handler(args)
     except (ParseError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return USAGE_ERROR

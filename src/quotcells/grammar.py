@@ -151,15 +151,17 @@ def parse(ctx: RingContext, text: str) -> RingElement:
 
 
 def format_element(x: RingElement) -> str:
-    if not x.coeffs:
+    coeffs = x.coeffs
+    if not coeffs:
         return "0"
     parts = []
-    for mono in sorted(x.coeffs, key=monomial_sort_key):
+    for mono in sorted(coeffs, key=monomial_sort_key):
         letters, omega, t = mono
-        piece = "%s * [%s]" % (x.coeffs[mono], "|".join(letter_name(c) for c in letters))
+        names = [letter_name(c) for c in letters]
+        piece = "%s * [%s]" % (coeffs[mono], "|".join(names))
         if any(omega):
-            piece += " w^(%s)" % ",".join(str(e) for e in omega)
+            piece += " w^(%s)" % ",".join([str(e) for e in omega])
         if t:
-            piece += " t^(%s)" % ",".join(str(e) for e in t)
+            piece += " t^(%s)" % ",".join([str(e) for e in t])
         parts.append(piece)
     return " + ".join(parts)

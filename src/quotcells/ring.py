@@ -194,19 +194,16 @@ def monomial_degree(mono) -> int:
     return sum(letter_degree(c) for c in letters) + 2 * sum(omega) + 2 * sum(t)
 
 
-def _letter_key(code):
-    return (-letter_degree(code), code)
-
-
 def monomial_sort_key(mono):
     """Canonical total order: degree, then t, omega (graded lex, high first),
     then letters factor-by-factor (high degree first)."""
     letters, omega, t = mono
+    degrees = [letter_degree(c) for c in letters]
     return (
-        monomial_degree(mono),
-        (-sum(t), tuple(-e for e in t)),
-        (-sum(omega), tuple(-e for e in omega)),
-        tuple(_letter_key(c) for c in letters),
+        sum(degrees) + 2 * sum(omega) + 2 * sum(t),
+        (-sum(t), tuple([-e for e in t])),
+        (-sum(omega), tuple([-e for e in omega])),
+        tuple([(-d, c) for d, c in zip(degrees, letters)]),
     )
 
 
@@ -508,17 +505,20 @@ def small_diagonal(ctx: RingContext, subset) -> RingElement:
     """Class of the small diagonal over a subset of factors.
 
     Computed as the product of pairwise diagonals along the sorted chain;
-    any spanning tree of pairwise diagonals gives the same class.
+    any spanning tree of pairwise diagonals gives the same class.  Memoized
+    per context; the factors are checked on every call.
     """
-    members = sorted(set(subset))
+    members = tuple(sorted(set(subset)))
     for i in members:
         ctx._check_factor(i)
-    if len(members) <= 1:
-        return ctx.one()
-    acc = ctx.one()
-    for a, b in zip(members, members[1:]):
-        acc = acc * diagonal(ctx, a, b)
-    return acc
+    key = ("small_diagonal", members)
+    got = ctx._memo.get(key)
+    if got is None:
+        got = ctx.one()
+        for a, b in zip(members, members[1:]):
+            got = got * diagonal(ctx, a, b)
+        ctx._memo[key] = got
+    return got
 
 
 def point_class(ctx: RingContext, subset) -> RingElement:

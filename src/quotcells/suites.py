@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 from . import cells, localization, pullback, series
 from .grammar import format_element
@@ -36,16 +37,19 @@ DEFAULTS = {
     "seed": 0,
 }
 
-# The keys `verify` reports; "checked" stays internal, so reports keep their form.
+# The keys `verify` reports; "checked" and "finished" stay internal, so
+# reports keep their form.
 REPORTED = ("inputs", "expected", "got", "pass")
 
 
 def _case(inputs, expected, got, ok, checked):
-    """Every case is built here: a case that checked nothing fails."""
+    """Every case is built here: a case that checked nothing fails.  The
+    `finished` clock reading times the case for `verify --stats`."""
     if not checked:
         got, ok = "no cases checked", False
     return {"inputs": inputs, "expected": expected, "got": got,
-            "pass": bool(ok), "checked": checked}
+            "pass": bool(ok), "checked": checked,
+            "finished": time.perf_counter()}
 
 
 # -- pullbacks ------------------------------------------------------------------
@@ -418,7 +422,14 @@ SUITES = {
 SUITE_NAMES = tuple(SUITES)
 
 
-def run_suites(names, overrides=None, seed=None) -> dict:
+def run_suites(names, overrides=None, seed=None, stats=None) -> dict:
+    """Run the named suites with the DEFAULTS grids, as overridden.
+
+    When `stats` is a list, one entry per suite is appended to it: the
+    suite's wall time and, per case, its inputs, its checked count and its
+    wall time, counted from the end of the suite's previous case (so work
+    that one check shares between its cases falls on the first of them).
+    """
     params = dict(DEFAULTS)
     if overrides:
         params.update({k: v for k, v in overrides.items() if v is not None})
@@ -429,7 +440,17 @@ def run_suites(names, overrides=None, seed=None) -> dict:
     for name in names:
         if name not in SUITES:
             raise ValueError("unknown suite %r" % name)
+        started = time.perf_counter()
         cases = SUITES[name](params, rng)
+        if stats is not None:
+            ends = [c["finished"] for c in cases]
+            stats.append({
+                "suite": name,
+                "seconds": time.perf_counter() - started,
+                "cases": [{"inputs": c["inputs"], "checked": c["checked"],
+                           "seconds": end - begin}
+                          for c, begin, end in zip(cases, [started] + ends, ends)],
+            })
         passed = sum(1 for c in cases if c["pass"])
         reports.append({
             "suite": name,

@@ -5,11 +5,13 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quotcells import cli
 from quotcells.cli import main
 from quotcells.grammar import parse
 from quotcells.ring import RingContext
@@ -283,7 +285,8 @@ _OPTIONS = {
                  "--n": _small, "--max-t": _max_t, "--format": _format},
     "parse": {**_common, "--factors": _small,
               "--text": st.one_of(_twist, st.text(max_size=8))},
-    "verify": {"--rank": _rank, "--format": _format, "--seed": _small},
+    "verify": {"--rank": _rank, "--format": _format, "--seed": _small,
+               "--stats": None},
 }
 # `verify` always gets every size option, so a drawn call stays small;
 # its `pullback` suite, and `all`, run a fixed diagonal-product grid of
@@ -327,3 +330,86 @@ def test_random_argv_keeps_the_exit_code_contract(argv):
     assert code in (0, 1, 2, 3), (argv, code)
     assert code != 3, (argv, err.getvalue())  # no internal error
     assert "Traceback" not in err.getvalue(), argv
+
+
+# -- the parser is built once per process ---------------------------------------
+
+def call(argv, fresh=False):
+    """(exit code, stdout, stderr) of one in-process call; with `fresh`,
+    on a parser built for this call alone."""
+    if fresh:
+        cli._parser.cache_clear()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # usage errors and --help
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _untimed(result):
+    """A call's result with the wall times of `verify --stats` masked."""
+    code, out, err = result
+    return code, out, re.sub(r"\d+\.\d+ s\b", "- s", err)
+
+
+def assert_stateless(argv_list):
+    reused = [_untimed(call(list(argv))) for argv in argv_list]
+    for argv, got in zip(argv_list, reused):
+        assert got == _untimed(call(list(argv), fresh=True)), argv
+
+
+def test_parser_is_built_once():
+    cli._parser.cache_clear()
+    call(["poincare", "quot"])
+    parser = cli._parser()
+    call(["xi", "--v", "1"])
+    assert cli._parser() is parser
+    assert cli.build_parser() is not parser
+
+
+@pytest.mark.parametrize("argv_list", [
+    # a usage error, then --help, then valid calls
+    [["xi"], ["psi", "--help"], ["xi", "--v", "0,2"], ["bogus"],
+     ["parse", "--text", "[pt]", "--factors", "1"]],
+    # --degrees, --rank and --a given, then omitted
+    [["xi", "--v", "1,0", "--rank", "2", "--degrees", "1,0", "--equivariant"],
+     ["xi", "--v", "1,0", "--equivariant"],
+     ["psi", "--u", "1,1", "--genus", "1", "--a", "[a1|one]", "--rank", "inf"],
+     ["psi", "--u", "1,1", "--genus", "1"]],
+    # --format json, then the default text
+    [["restrict", "--v", "0,1", "--w", "1,2", "--rank", "3", "--format", "json"],
+     ["restrict", "--v", "0,1", "--w", "1,2", "--rank", "3"],
+     ["verify", "--suite", "series", "--genus", "0", "--max-t", "2",
+      "--format", "json"],
+     ["verify", "--suite", "series", "--genus", "0", "--max-t", "2"]],
+])
+def test_reused_parser_keeps_no_state(argv_list):
+    assert_stateless(argv_list)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(argvs(), min_size=2, max_size=6))
+def test_random_argv_sequences_keep_no_state(argv_list):
+    assert_stateless(argv_list)
+
+
+def test_verify_stats_go_to_stderr_only():
+    argv = ["verify", "--suite", "all", "--n", "2", "--genus", "0",
+            "--max-co", "1", "--max-degree", "2", "--max-t", "2",
+            "--random-cases", "1"]
+    for fmt in ("text", "json"):
+        plain = call(argv + ["--format", fmt])
+        with_stats = call(argv + ["--format", fmt, "--stats"])
+        assert plain[0] == 0 and plain[2] == ""
+        assert with_stats[:2] == plain[:2]
+    reports = json.loads(plain[1])["reports"]
+    blocks = with_stats[2].split("stats: suite ")[1:]
+    assert [b.split(",")[0] for b in blocks] == [r["suite"] for r in reports]
+    for block, report in zip(blocks, reports):
+        lines = block.rstrip("\n").split("\n")
+        assert len(lines) == 1 + len(report["cases"])
+        checked = [int(line.split(", ")[1].split()[0]) for line in lines[1:]]
+        assert all(checked)  # every case passed, so each checked something
+        assert "%d inputs checked" % sum(checked) in lines[0]

@@ -91,6 +91,15 @@ class TestDiagonal:
         assert small_diagonal(ctx, ()) == ctx.one()
         assert small_diagonal(ctx, (1, 2)) == diagonal(ctx, 1, 2)
 
+    def test_small_diagonal_memo(self):
+        ctx = RingContext(genus=1, factors=3)
+        first = small_diagonal(ctx, (3, 1, 2))
+        assert small_diagonal(ctx, [1, 2, 3, 3]) is first
+        assert first == diagonal(ctx, 1, 2) * diagonal(ctx, 2, 3)
+        for _ in range(2):  # a bad factor is refused on every call
+            with pytest.raises(ValueError):
+                small_diagonal(ctx, (1, 4))
+
 
 class TestActions:
     def test_swap_two_odd_letters(self, ctx_g1_n2):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from quotcells.grammar import format_element, parse
 from quotcells.ring import (POINT, UNBOUNDED, UNIT, RingContext, RingElement,
-                            letter_degree, permute_factors,
+                            letter_degree, monomial_sort_key, permute_factors,
                             permute_factors_omega)
 from quotcells.weights import permutations
 
@@ -150,6 +150,25 @@ def test_format_matches_all_fraction_element(pair):
     for z in (x, x * y):
         as_fractions = RingElement(z.ctx, {m: Fraction(c) for m, c in z.coeffs.items()})
         assert format_element(z) == format_element(as_fractions)
+
+
+def reference_sort_key(mono):
+    """The canonical order as documented: degree, then t and omega (total,
+    then entrywise, high first), then letters (high degree first)."""
+    letters, omega, t = mono
+    degree = sum(letter_degree(c) for c in letters) + 2 * sum(omega) + 2 * sum(t)
+    return (degree, (-sum(t), tuple(-e for e in t)),
+            (-sum(omega), tuple(-e for e in omega)),
+            tuple((-letter_degree(c), c) for c in letters))
+
+
+@settings(max_examples=100, deadline=None)
+@given(element_pairs())
+def test_sort_key_matches_reference(pair):
+    x, y = pair
+    for z in (x, y, x * y):
+        for mono in z.coeffs:
+            assert monomial_sort_key(mono) == reference_sort_key(mono)
 
 
 @settings(max_examples=100, deadline=None)
