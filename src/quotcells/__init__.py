@@ -4,14 +4,13 @@ pullbacks by two independent routes, torus localization and Poincare
 series, all in exact rational arithmetic."""
 
 from .ring import (POINT, UNIT, UNBOUNDED, RingContext, RingElement, alpha,
-                   beta, cohomological_degree, diagonal, embed, graded_piece,
+                   beta, cohomological_degree, diagonal, graded_piece,
                    permute_factors, permute_factors_omega, point_class,
-                   project_invariant, small_diagonal, specialize_t_zero)
+                   project_invariant, small_diagonal)
 from .grammar import ParseError, format_element, parse
 from .cells import (cell_class, cell_class_equivariant, cell_class_series,
-                    cell_class_series_closed_form, from_cell_basis,
-                    lower_index_step_residual, module_recursion_residual,
-                    symmetrized_cell_class, to_cell_basis)
+                    cell_class_series_closed_form, lower_index_step_residual,
+                    module_recursion_residual, to_cell_basis)
 from .localization import (degree_bound_check, restrict_to_fixed_point,
                            t_degree, top_term, top_term_residual,
                            vanishing_check)

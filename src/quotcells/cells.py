@@ -23,7 +23,7 @@ import itertools
 
 from .ring import (RingContext, RingElement, UNBOUNDED, diagonal,
                    omega_degree, permute_factors, small_diagonal)
-from .weights import apply_perm, permutations, transposition
+from .weights import apply_perm, transposition
 
 
 def _check_entries(ctx: RingContext, v):
@@ -111,16 +111,6 @@ def _step_factor(ctx: RingContext, j: int, entry: int, eq: bool) -> RingElement:
     return step
 
 
-def symmetrized_cell_class(ctx: RingContext, v, a: RingElement) -> RingElement:
-    """Sum over all permutations of cell(sigma v) * sigma(a)."""
-    _require_letters_only(a)
-    v = tuple(v)
-    acc = ctx.zero()
-    for sigma in permutations(ctx.factors):
-        acc = acc + cell_class(ctx, apply_perm(sigma, v)) * permute_factors(sigma, a)
-    return acc
-
-
 def _require_letters_only(a: RingElement):
     for (_letters, omega, t) in a.coeffs:
         if any(omega) or t:
@@ -152,13 +142,6 @@ def to_cell_basis(x: RingElement) -> dict:
             result[v] = result.get(v, ctx.zero()) + a_v
             g = g - a_v * cell_class(ctx, v)
     return {v: a for v, a in result.items() if a}
-
-
-def from_cell_basis(ctx: RingContext, coefficients: dict) -> RingElement:
-    acc = ctx.zero()
-    for v, a in coefficients.items():
-        acc = acc + a * cell_class(ctx, v)
-    return acc
 
 
 # -- checked identities -------------------------------------------------------

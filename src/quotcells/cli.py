@@ -291,7 +291,9 @@ def build_parser():
     p.add_argument("--suite", default="all",
                    choices=("all",) + suites.SUITE_NAMES)
     p.add_argument("--n", type=_int_list, default=None,
-                   help="comma-separated factor counts")
+                   help="comma-separated factor counts; the pullback "
+                        "suite's A4 diagonal-product check always uses a "
+                        "4-factor ground set, whatever --n says")
     p.add_argument("--genus", dest="genus_list", type=_int_list, default=None,
                    help="comma-separated genera")
     p.add_argument("--rank", type=_parse_rank, default=RANK_NOT_GIVEN)

@@ -29,28 +29,48 @@ def omega_at_fixed_point(ctx: RingContext, i: int, w) -> RingElement:
     return out
 
 
+def _omega_power(ctx: RingContext, i: int, e: int, w) -> RingElement:
+    """omega_i|_w ** e, memoized per context.  The image depends on w only
+    through w_i and the positions k < i with w_k = w_i, so the fixed points
+    sharing that pattern share one entry."""
+    wi = w[i - 1]
+    key = ("omega_power", i, e, wi,
+           tuple(k for k in range(i - 1) if w[k] == wi))
+    got = ctx._memo.get(key)
+    if got is None:
+        got = ctx._memo[key] = omega_at_fixed_point(ctx, i, w) ** e
+    return got
+
+
 def restrict_to_fixed_point(x: RingElement, w) -> RingElement:
+    """The image of x at the fixed point of weight w.
+
+    The context keeps the last restriction made: a call with that very
+    element (``is``, and elements never change) at an equal w returns it,
+    so a check that restricts the cached cell class its caller has just
+    restricted does no work twice."""
     ctx = x.ctx
     w = tuple(w)
     if ctx.rank == 0:
         raise ValueError("restriction needs an equivariant context")
     _check_entries(ctx, w)
+    last = ctx._memo.get("last_restriction")
+    if last is not None and last[0] is x and last[1] == w:
+        return last[2]
     # One product per omega vector: the terms sharing it are restricted
     # together, as one letters-and-t element.
     zero = (0,) * ctx.factors
     groups = {}
     for (letters, omega, t), c in x.coeffs.items():
         groups.setdefault(omega, {})[(letters, zero, t)] = c
-    powers = {}
     acc = ctx.zero()
     for omega, terms in groups.items():
         part = RingElement(ctx, terms)
         for i, e in enumerate(omega, start=1):
             if e:
-                if (i, e) not in powers:
-                    powers[i, e] = omega_at_fixed_point(ctx, i, w) ** e
-                part = part * powers[i, e]
+                part = part * _omega_power(ctx, i, e, w)
         acc = acc + part
+    ctx._memo["last_restriction"] = (x, w, acc)
     return acc
 
 

@@ -529,26 +529,6 @@ def point_class(ctx: RingContext, subset) -> RingElement:
     return acc
 
 
-def embed(x: RingElement, target: RingContext) -> RingElement:
-    """Extend an element to a context with more factors (unit letters,
-    zero omega exponents in the new trailing factors)."""
-    src = x.ctx
-    if (src.genus, src.rank, src.degrees) != (target.genus, target.rank, target.degrees):
-        raise ValueError("contexts differ in genus, rank or degrees")
-    if src.factors > target.factors:
-        raise ValueError("target context has fewer factors")
-    pad = target.factors - src.factors
-    out = {}
-    for (letters, omega, t), c in x._coeffs.items():
-        out[(letters + (UNIT,) * pad, omega + (0,) * pad, t)] = c
-    return RingElement(target, out)
-
-
-def specialize_t_zero(x: RingElement) -> RingElement:
-    """Set every equivariant parameter t_a to zero."""
-    return RingElement(x.ctx, {m: c for m, c in x._coeffs.items() if not m[2]})
-
-
 def omega_degree(x: RingElement):
     """Largest total omega-exponent over the support (None for 0)."""
     if not x._coeffs:

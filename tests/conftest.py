@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from quotcells.ring import RingContext, RingElement, letter_degree
-from quotcells.weights import is_decreasing
+from quotcells.cells import _require_letters_only, cell_class
+from quotcells.ring import (UNIT, RingContext, RingElement, letter_degree,
+                            permute_factors)
+from quotcells.weights import apply_perm, is_decreasing, permutations
 
 
 @pytest.fixture
@@ -87,3 +89,42 @@ def assert_read_only(x):
         del x.coeffs[mono]
     with pytest.raises(AttributeError):
         x.coeffs = {}
+
+
+def symmetrized_cell_class(ctx: RingContext, v, a: RingElement) -> RingElement:
+    """Sum over all permutations of cell(sigma v) * sigma(a): the unreduced
+    symmetrization the orbit-sum pullback routes are checked against."""
+    _require_letters_only(a)
+    v = tuple(v)
+    acc = ctx.zero()
+    for sigma in permutations(ctx.factors):
+        acc = acc + cell_class(ctx, apply_perm(sigma, v)) * permute_factors(sigma, a)
+    return acc
+
+
+def from_cell_basis(ctx: RingContext, coefficients: dict) -> RingElement:
+    """sum_v a_v * cell(v), the inverse of cells.to_cell_basis."""
+    acc = ctx.zero()
+    for v, a in coefficients.items():
+        acc = acc + a * cell_class(ctx, v)
+    return acc
+
+
+def embed(x: RingElement, target: RingContext) -> RingElement:
+    """Extend an element to a context with more factors (unit letters,
+    zero omega exponents in the new trailing factors)."""
+    src = x.ctx
+    if (src.genus, src.rank, src.degrees) != (target.genus, target.rank, target.degrees):
+        raise ValueError("contexts differ in genus, rank or degrees")
+    if src.factors > target.factors:
+        raise ValueError("target context has fewer factors")
+    pad = target.factors - src.factors
+    out = {}
+    for (letters, omega, t), c in x.coeffs.items():
+        out[(letters + (UNIT,) * pad, omega + (0,) * pad, t)] = c
+    return RingElement(target, out)
+
+
+def specialize_t_zero(x: RingElement) -> RingElement:
+    """Set every equivariant parameter t_a to zero."""
+    return RingElement(x.ctx, {m: c for m, c in x.coeffs.items() if not m[2]})

@@ -9,16 +9,16 @@ import pytest
 from quotcells.cells import (cell_class, cell_class_equivariant,
                              cell_class_series,
                              cell_class_series_closed_form,
-                             complete_homogeneous, from_cell_basis,
+                             complete_homogeneous,
                              lower_index_step_residual,
-                             module_recursion_residual,
-                             symmetrized_cell_class, to_cell_basis)
+                             module_recursion_residual, to_cell_basis)
 from quotcells.ring import (RingContext, alpha, cohomological_degree,
-                            diagonal, omega_top_part, project_invariant,
-                            specialize_t_zero)
+                            diagonal, omega_top_part, project_invariant)
 from quotcells.weights import permutations
 
-from conftest import assert_read_only, random_homogeneous
+from conftest import (assert_read_only, embed, from_cell_basis,
+                      random_homogeneous, specialize_t_zero,
+                      symmetrized_cell_class)
 
 
 class TestCellCacheIsReadOnly:
@@ -54,7 +54,6 @@ class TestCellClass:
         assert cell_class(ctx, (0, 2)) == w2 * w2 + D * (w1 + w2)
 
     def test_trailing_zero_matches_embedding(self):
-        from quotcells.ring import embed
         small = RingContext(genus=1, factors=2)
         big = RingContext(genus=1, factors=4)
         assert cell_class(big, (0, 2, 0, 0)) == embed(cell_class(small, (0, 2)), big)

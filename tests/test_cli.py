@@ -413,3 +413,9 @@ def test_verify_stats_go_to_stderr_only():
         checked = [int(line.split(", ")[1].split()[0]) for line in lines[1:]]
         assert all(checked)  # every case passed, so each checked something
         assert "%d inputs checked" % sum(checked) in lines[0]
+
+
+def test_verify_help_names_the_fixed_diagonal_ground_set():
+    code, out, _ = call(["verify", "--help"])
+    assert code == 0
+    assert "4-factor ground set" in " ".join(out.split())

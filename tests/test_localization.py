@@ -13,7 +13,7 @@ from quotcells.localization import (degree_bound_check, omega_at_fixed_point,
                                     top_term_residual, vanishing_check)
 from quotcells.ring import RingContext, RingElement, diagonal
 
-from conftest import random_homogeneous
+from conftest import assert_read_only, random_homogeneous
 
 
 class TestRestriction:
@@ -96,6 +96,143 @@ class TestGroupedRestriction:
             x = cell_class_equivariant(ctx, v)
             for w in points:
                 assert restrict_to_fixed_point(x, w) == restrict_term_by_term(x, w)
+
+
+def restrict_by_descent(ctx, v, w, memo):
+    """Reference cell(v)|_w through the descent step, with u = v - e_j and j
+    the last nonzero index of v:
+
+        cell(v)|_w = (omega_j|_w - d_{u_j} pt_j - t_{u_j}) cell(u)|_w
+                     + sum over k < j with u_k <= u_j of
+                       diag_{k,j} cell(swap_{k,j} u)|_w
+
+    Letters and t are fixed by the restriction, so only omega_j moves;
+    memo maps each vector already restricted at w to its image."""
+    if v not in memo:
+        j = max((i for i, e in enumerate(v, start=1) if e), default=0)
+        if j == 0:
+            memo[v] = ctx.one()
+        else:
+            u = v[:j - 1] + (v[j - 1] - 1,) + v[j:]
+            uj = u[j - 1]
+            step = (omega_at_fixed_point(ctx, j, w)
+                    - ctx.bundle_degree(uj) * ctx.pt(j) - ctx.t_var(uj))
+            got = step * restrict_by_descent(ctx, u, w, memo)
+            for k in range(1, j):
+                if u[k - 1] <= uj:
+                    swapped = list(u)
+                    swapped[k - 1], swapped[j - 1] = uj, u[k - 1]
+                    got = got + diagonal(ctx, k, j) * restrict_by_descent(
+                        ctx, tuple(swapped), w, memo)
+            memo[v] = got
+    return memo[v]
+
+
+class TestDescentReference:
+    """restrict_to_fixed_point against the descent-step recursion on every
+    (v, w) of a grid, once with a fresh context per fixed point and once on
+    one warm context visiting the fixed points in shuffled order, so that
+    the memoized omega powers are reused across fixed points."""
+
+    GRIDS = [(0, 3, 4, (), 3), (1, 3, 4, (), 3),
+             (0, 3, 3, (1, -1, 2), 3), (1, 2, 3, (1, -1, 2), 4)]
+
+    @pytest.mark.parametrize("g,n,rank,degrees,max_co", GRIDS)
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_matches_descent_step(self, g, n, rank, degrees, max_co, warm):
+        def context():
+            return RingContext(genus=g, factors=n, rank=rank, degrees=degrees)
+
+        points = list(itertools.product(range(rank), repeat=n))
+        grid_v = [v for v in points if sum(v) <= max_co]
+        reference = context()
+        if warm:
+            ctx = context()
+            random.Random(rank * 10 + g).shuffle(points)
+        for w in points:
+            if not warm:
+                ctx = context()
+            memo = {}
+            for v in grid_v:
+                got = restrict_to_fixed_point(cell_class_equivariant(ctx, v), w)
+                assert got == restrict_by_descent(reference, v, w, memo), (v, w)
+
+
+class TestRestrictionCacheSafety:
+    """The context keeps its last restriction and the omega powers; no
+    caller can make either return a wrong value."""
+
+    def setup_method(self):
+        self.ctx = RingContext(genus=1, factors=3, rank=4)
+        self.v, self.w = (1, 0, 2), (2, 1, 3)
+        self.x = cell_class_equivariant(self.ctx, self.v)
+
+    def expected(self, v, w):
+        fresh = RingContext(genus=1, factors=3, rank=4)
+        return restrict_to_fixed_point(cell_class_equivariant(fresh, v), w)
+
+    def test_stored_restriction_is_exact_and_read_only(self):
+        first = restrict_to_fixed_point(self.x, self.w)
+        hit = restrict_to_fixed_point(self.x, list(self.w))
+        assert hit == self.expected(self.v, self.w)
+        assert not hit.is_zero()
+        assert_read_only(hit)
+        assert restrict_to_fixed_point(self.x, self.w) == first
+        assert first == self.expected(self.v, self.w)
+
+    def test_equal_but_distinct_element(self):
+        restrict_to_fixed_point(self.x, self.w)
+        y = RingElement(self.ctx, dict(self.x.coeffs))
+        assert y == self.x and y is not self.x
+        assert restrict_to_fixed_point(y, self.w) == self.expected(self.v, self.w)
+
+    def test_other_element_at_the_same_fixed_point(self):
+        restrict_to_fixed_point(self.x, self.w)
+        for v in [(0, 1, 2), (2, 1, 0), (0, 0, 0)]:
+            y = cell_class_equivariant(self.ctx, v)
+            assert restrict_to_fixed_point(y, self.w) == self.expected(v, self.w)
+        # short-lived elements, whose ids may be reused once they are freed
+        for k in range(1, 6):
+            got = restrict_to_fixed_point(k * self.ctx.omega(3), self.w)
+            assert got == k * omega_at_fixed_point(self.ctx, 3, self.w)
+
+    def test_same_element_at_another_fixed_point(self):
+        restrict_to_fixed_point(self.x, self.w)
+        for w in [(2, 1, 2), (3, 3, 3), (1, 0, 2), self.w]:
+            assert restrict_to_fixed_point(self.x, w) == self.expected(self.v, w)
+
+    def test_lemma_checks_reuse_the_callers_restriction(self, monkeypatch):
+        # the lemma checks restrict the cached class the caller has just
+        # restricted, so the only products left are the top-term formula's
+        calls = []
+        multiply = RingElement.__mul__
+
+        def counted(x, y):
+            calls.append(None)
+            return multiply(x, y)
+
+        monkeypatch.setattr(RingElement, "__mul__", counted)
+        ctx = self.ctx
+        points = list(itertools.product(range(4), repeat=3))
+        restricted_again = 0
+        for v in (v for v in points if sum(v) <= 3):
+            for w in points:
+                x = cell_class_equivariant(ctx, v)
+                restrict_to_fixed_point(x, w)
+                dominated = all(a <= b for a, b in zip(v, w))
+                del calls[:]
+                if dominated:
+                    top_term_product(ctx, v, w)
+                formula = len(calls)
+                del calls[:]
+                if dominated:
+                    top_term_residual(ctx, v, w)
+                vanishing_check(ctx, v, w)
+                if sorted(v) == sorted(w):
+                    degree_bound_check(ctx, v, w)
+                assert len(calls) == formula, (v, w)
+                restricted_again += dominated or sorted(v) == sorted(w)
+        assert restricted_again > 100
 
 
 class TestTopTerm:

@@ -7,8 +7,7 @@ from math import factorial, prod
 
 import pytest
 
-from quotcells.cells import (cell_class, complete_homogeneous,
-                             symmetrized_cell_class)
+from quotcells.cells import cell_class, complete_homogeneous
 from quotcells.pullback import (average_twist, combinatorial_prefactor,
                                 generator_span_check, invariant_dimension,
                                 invariant_letter_classes, is_invariant,
@@ -23,7 +22,7 @@ from quotcells.weights import (admissible_row_tuples, apply_perm,
                                young_subgroup)
 
 from conftest import (assert_read_only, compositions, invert,
-                      monomials_of_degree)
+                      monomials_of_degree, symmetrized_cell_class)
 from test_series import decomposition_dimension_check
 
 

@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quotcells.ring import (RingContext, RingElement, alpha,
-                            beta, cohomological_degree, diagonal, embed,
+                            beta, cohomological_degree, diagonal,
                             permute_factors, permute_factors_omega,
                             point_class, project_invariant, small_diagonal)
 from quotcells.weights import permutations, transposition
 
-from conftest import random_homogeneous
+from conftest import embed, random_homogeneous
 
 
 class TestProductTable:
