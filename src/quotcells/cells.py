@@ -22,7 +22,8 @@ from __future__ import annotations
 import itertools
 
 from .ring import (RingContext, RingElement, UNBOUNDED, diagonal,
-                   omega_degree, permute_factors, small_diagonal)
+                   omega_layers, omega_top_part, permute_factors,
+                   small_diagonal)
 from .weights import apply_perm, transposition
 
 
@@ -131,14 +132,9 @@ def to_cell_basis(x: RingElement) -> dict:
     result = {}
     g = x
     while g:
-        top = omega_degree(g)
-        layers = {}
-        for (letters, omega, t), c in g.coeffs.items():
-            if sum(omega) == top:
-                zero_omega = (0,) * ctx.factors
-                layers.setdefault(omega, {})[(letters, zero_omega, t)] = c
+        layers = omega_layers(omega_top_part(g))
         for v in sorted(layers):
-            a_v = RingElement(ctx, layers[v])
+            a_v = layers[v]
             result[v] = result.get(v, ctx.zero()) + a_v
             g = g - a_v * cell_class(ctx, v)
     return {v: a for v, a in result.items() if a}

@@ -222,9 +222,10 @@ def _cmd_verify(args):
         "rank": args.rank if isinstance(args.rank, int) else None,
         "series_max_t": args.max_t,
         "random_cases": args.random_cases,
+        "seed": args.seed,
     }
     stats = [] if args.stats else None
-    result = suites.run_suites(names, overrides, seed=args.seed, stats=stats)
+    result = suites.run_suites(names, overrides, stats=stats)
     for block in stats or ():
         _write_stats(block)
     if args.format == "json":

@@ -11,7 +11,7 @@ formula, the vanishing criterion and the t-degree bound.
 
 from __future__ import annotations
 
-from .ring import RingContext, RingElement, diagonal
+from .ring import RingContext, RingElement, diagonal, omega_layers
 from .cells import _check_entries, cell_class_equivariant
 from .weights import componentwise_leq, normalize
 
@@ -59,13 +59,8 @@ def restrict_to_fixed_point(x: RingElement, w) -> RingElement:
         return last[2]
     # One product per omega vector: the terms sharing it are restricted
     # together, as one letters-and-t element.
-    zero = (0,) * ctx.factors
-    groups = {}
-    for (letters, omega, t), c in x.coeffs.items():
-        groups.setdefault(omega, {})[(letters, zero, t)] = c
     acc = ctx.zero()
-    for omega, terms in groups.items():
-        part = RingElement(ctx, terms)
+    for omega, part in omega_layers(x).items():
         for i, e in enumerate(omega, start=1):
             if e:
                 part = part * _omega_power(ctx, i, e, w)

@@ -4,7 +4,8 @@ Two independent evaluations are provided, both sums over the orbit of
 the weight: of cell classes (the oracle) and of admissible row tuples;
 the two must agree exactly.  The module also carries the symmetry/rank
 machinery used to certify that the pullback image is the full invariant
-subring of the omega-twisted permutation action.
+subring of ring.permute_factors, the permutation action that moves each
+factor's curve class together with its omega.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from __future__ import annotations
 from .cells import _require_letters_only, cell_class
 from .linalg import exact_rank
 from .ring import (RingContext, RingElement, cohomological_degree,
-                   graded_piece, is_homogeneous, letter_monomials,
-                   permute_factors, permute_factors_omega, point_class,
+                   letter_monomials, permute_factors, point_class,
                    project_invariant, small_diagonal)
 from .series import poly_coeff, quot_series_product
 from .weights import (admissible_row_tuples, betti_b1, connected_components,
@@ -143,11 +143,11 @@ def partial_flag_pullback(ctx: RingContext, composition, v_star,
 # -- symmetry and rank certificates -------------------------------------------
 
 def is_invariant(x: RingElement) -> bool:
-    """Invariance under the simultaneous factor/omega permutation action,
-    tested on adjacent transpositions."""
+    """Invariance under the permutation action, which moves each factor's
+    letter together with its omega, tested on adjacent transpositions."""
     n = x.ctx.factors
     for i in range(1, n):
-        if permute_factors_omega(transposition(n, i, i + 1), x) != x:
+        if permute_factors(transposition(n, i, i + 1), x) != x:
             return False
     return True
 
@@ -168,20 +168,23 @@ def invariant_dimension(ctx: RingContext, degree: int) -> int:
 
 
 def span_rank(elements, degree: int) -> int:
-    """Rank over Q of the degree-d pieces of the given homogeneous classes."""
+    """Rank over Q of those of the given homogeneous classes that have the
+    given degree; classes of another degree, and zero, are skipped."""
     rows = []
     for x in elements:
-        if not is_homogeneous(x):
+        d = cohomological_degree(x)
+        if d == "inhomogeneous":
             raise ValueError("span_rank needs homogeneous classes")
-        piece = graded_piece(x, degree)
-        if piece:
-            rows.append(piece.coeffs)
+        if d == degree:
+            rows.append(x.coeffs)
     return exact_rank(rows)
 
 
 def invariant_letter_classes(ctx: RingContext, degree: int, group=None):
     """Spanning set of the group-invariant omega-free classes of the given
-    degree: orbit sums of letter monomials (vanishing sums skipped)."""
+    degree: the group sums sum_{sigma in G} sigma(m) of letter monomials m,
+    one per orbit, each |Stab_G(m)| times the signed orbit sum (vanishing
+    sums skipped)."""
     if group is None:
         group = list(permutations(ctx.factors))
     seen = set()

@@ -17,6 +17,9 @@ and element_from_terms) keep that normalization.  All arithmetic is
 exact; no floating point anywhere.  Elements are immutable values: every
 operation returns a fresh element and `coeffs` is a read-only view, so
 elements are safe to share between concurrent tasks and caches.
+
+The symmetric group acts on the factors by one action, permute_factors,
+which moves each factor's letter together with its omega exponent.
 """
 
 from __future__ import annotations
@@ -397,15 +400,6 @@ def cohomological_degree(x: RingElement):
     return degs.pop()
 
 
-def graded_piece(x: RingElement, degree: int) -> RingElement:
-    return RingElement(x.ctx, {m: c for m, c in x._coeffs.items()
-                               if monomial_degree(m) == degree})
-
-
-def is_homogeneous(x: RingElement) -> bool:
-    return cohomological_degree(x) != "inhomogeneous"
-
-
 # -- symmetric-group actions ------------------------------------------------
 
 def _sources(sigma, n):
@@ -436,11 +430,14 @@ def _moved_letters(sigma, source, letters, moved):
 
 
 def permute_factors(sigma, x: RingElement) -> RingElement:
-    """Left action of the symmetric group on the curve factors.
+    """Left action of the symmetric group on the factors: the ring
+    automorphism sending p_i^*(a) w_i^l to p_{sigma(i)}^*(a) w_{sigma(i)}^l,
+    whose invariants realize the image of the quot-scheme cohomology inside
+    the complete-flag model.
 
     sigma is a tuple with sigma[i] = image of (0-based) position i.  The
-    letter in factor i moves to factor sigma[i]; transposing two odd
-    letters costs a sign; omega and t exponents are untouched.
+    letter and the omega exponent of factor i move to factor sigma[i];
+    transposing two odd letters costs a sign; t exponents are untouched.
     """
     source = _sources(sigma, x.ctx.factors)
     moved = {}
@@ -448,24 +445,15 @@ def permute_factors(sigma, x: RingElement) -> RingElement:
     # the action is a bijection on monomials, so no two terms meet
     for (letters, omega, t), c in x._coeffs.items():
         sign, nl = _moved_letters(sigma, source, letters, moved)
+        if any(omega):  # every twist is omega-free: leave its zeros be
+            omega = tuple([omega[i] for i in source])
         out[(nl, omega, t)] = c if sign > 0 else -c
     return RingElement(x.ctx, out)
 
 
-def permute_factors_omega(sigma, x: RingElement) -> RingElement:
-    """Simultaneous permutation of curve factors and omega variables.
-
-    This is the ring automorphism sending p_i^*(a) w_i^l to
-    p_{sigma(i)}^*(a) w_{sigma(i)}^l; its invariants realize the image of
-    the quot-scheme cohomology inside the complete-flag model.
-    """
-    source = _sources(sigma, x.ctx.factors)
-    moved = {}
-    out = {}
-    for (letters, omega, t), c in x._coeffs.items():
-        sign, nl = _moved_letters(sigma, source, letters, moved)
-        out[(nl, tuple([omega[i] for i in source]), t)] = c if sign > 0 else -c
-    return RingElement(x.ctx, out)
+# The former name of the same action, kept bound because the traced
+# benchmark (bench/spans.py) wraps it.
+permute_factors_omega = permute_factors
 
 
 def project_invariant(perms, x: RingElement) -> RingElement:
@@ -541,6 +529,16 @@ def omega_top_part(x: RingElement) -> RingElement:
     if d is None:
         return x
     return RingElement(x.ctx, {m: c for m, c in x._coeffs.items() if sum(m[1]) == d})
+
+
+def omega_layers(x: RingElement) -> dict:
+    """The terms of x split by omega vector: omega -> the omega-free
+    element of the terms carrying w^omega, so x = sum w^omega * layer."""
+    zero = (0,) * x.ctx.factors
+    layers = {}
+    for (letters, omega, t), c in x._coeffs.items():
+        layers.setdefault(omega, {})[(letters, zero, t)] = c
+    return {omega: RingElement(x.ctx, terms) for omega, terms in layers.items()}
 
 
 def letter_monomials(ctx: RingContext, degree: int):

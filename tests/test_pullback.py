@@ -268,6 +268,9 @@ class TestSymmetryCertificates:
         ctx = RingContext(genus=0, factors=1)
         with pytest.raises(ValueError):
             span_rank([ctx.one() + ctx.omega(1)], 2)
+        # zero and classes of another degree are skipped, not counted
+        assert span_rank([ctx.zero(), ctx.one(), ctx.omega(1)], 2) == 1
+        assert span_rank([ctx.zero(), ctx.one()], 2) == 0
 
     def test_spanning_classes_linear_independence(self):
         # strata dimensions sum to the span rank degree by degree

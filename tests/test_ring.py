@@ -117,12 +117,6 @@ class TestActions:
         x = diagonal(ctx_g1_n2, 1, 2) * ctx_g1_n2.omega(1)
         assert permute_factors((0, 1), x) == x
 
-    def test_omega_untouched_by_plain_permutation(self, ctx_g0_n2):
-        ctx = ctx_g0_n2
-        x = ctx.pt(1) * ctx.omega(1)
-        moved = permute_factors(transposition(2, 1, 2), x)
-        assert moved == ctx.pt(2) * ctx.omega(1)
-
     def test_omega_action_moves_omega(self, ctx_g0_n2):
         # swap on p_1(pt) w_1^2 gives p_2(pt) w_2^2
         ctx = ctx_g0_n2

@@ -1,8 +1,8 @@
 """The ring kernel against a term-by-term reference.
 
 RingElement.__mul__ groups terms by letter tuple and settles letter
-collisions and signs once per pair of letter tuples; permute_factors and
-permute_factors_omega settle the odd-letter sign once per letter tuple.
+collisions and signs once per pair of letter tuples; permute_factors
+settles the odd-letter sign once per letter tuple.
 The references below are the plain loops over every pair of terms (and
 every term), written from the product table and the Koszul rule alone.
 The tests also pin the coefficient invariant: every coefficient is an
@@ -14,11 +14,14 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quotcells import ring
 from quotcells.grammar import format_element, parse
 from quotcells.ring import (POINT, UNBOUNDED, UNIT, RingContext, RingElement,
-                            letter_degree, monomial_sort_key, permute_factors,
-                            permute_factors_omega)
+                            letter_degree, monomial_sort_key, omega_layers,
+                            permute_factors)
 from quotcells.weights import permutations
+
+from conftest import assert_read_only
 
 
 def _letter_product(a, b):
@@ -66,15 +69,14 @@ def reference_product(x, y):
     return {m: c for m, c in out.items() if c}
 
 
-def reference_permute(sigma, x, with_omega):
+def reference_permute(sigma, x):
     out = {}
     for (letters, omega, t), c in x.coeffs.items():
         n = len(letters)
-        nl, no = [UNIT] * n, list(omega)
+        nl, no = [UNIT] * n, [0] * n
         for i in range(n):
             nl[sigma[i]] = letters[i]
-            if with_omega:
-                no[sigma[i]] = omega[i]
+            no[sigma[i]] = omega[i]
         odd = [sigma[i] for i in range(n) if letter_degree(letters[i]) == 1]
         inversions = sum(1 for a in range(len(odd)) for b in range(a + 1, len(odd))
                          if odd[a] > odd[b])
@@ -175,7 +177,21 @@ def test_sort_key_matches_reference(pair):
 @given(element_pairs())
 def test_permutations_match_reference(pair):
     x, _ = pair
+    assert ring.permute_factors_omega is ring.permute_factors
     for sigma in permutations(x.ctx.factors):
-        assert dict(permute_factors(sigma, x).coeffs) == reference_permute(sigma, x, False)
-        assert dict(permute_factors_omega(sigma, x).coeffs) == \
-            reference_permute(sigma, x, True)
+        assert dict(permute_factors(sigma, x).coeffs) == reference_permute(sigma, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(element_pairs())
+def test_omega_layers_rebuild_the_element(pair):
+    x, y = pair
+    for z in (x, x * y):
+        ctx = z.ctx
+        total = ctx.zero()
+        for omega, layer in omega_layers(z).items():
+            assert layer
+            assert all(not any(o) for _letters, o, _t in layer.coeffs)
+            assert_read_only(layer)
+            total = total + ctx.monomial(omega=omega) * layer
+        assert total == z
