@@ -161,10 +161,11 @@ def lower_index_step_residual(ctx: RingContext, v, m: int,
     """
     v = tuple(v)
     n = ctx.factors
-    if v[n - 1] < 1:
-        raise ValueError("last entry must be >= 1")
+    _check_entries(ctx, v)
     if not 1 <= m < n:
         raise ValueError("need 1 <= m < n")
+    if v[n - 1] < 1:
+        raise ValueError("last entry must be >= 1")
     cell = cell_class_equivariant if equivariant else cell_class
     lhs = _step_factor(ctx, m, v[m - 1], equivariant) * cell(ctx, v)
     bumped = v[:m - 1] + (v[m - 1] + 1,) + v[m:]

@@ -17,7 +17,6 @@ import sys
 from . import cells, localization, pullback, series, suites
 from .grammar import ParseError, format_element, parse
 from .ring import UNBOUNDED, RingContext
-from .weights import is_decreasing
 
 USAGE_ERROR = 2
 IDENTITY_ERROR = 1
@@ -79,8 +78,6 @@ def _cmd_xi(args):
 
 def _cmd_psi(args):
     u = _int_list(args.u)
-    if not is_decreasing(u):
-        raise ValueError("--u must be decreasing")
     ctx = _context(args, len(u))
     given = parse(ctx, args.a) if args.a else ctx.one()
     a = pullback.average_twist(ctx, u, given)
@@ -115,8 +112,6 @@ def _cmd_psi(args):
 def _cmd_restrict(args):
     v = _int_list(args.v)
     w = _int_list(args.w)
-    if len(v) != len(w):
-        raise ValueError("--v and --w must have the same length")
     if args.rank is RANK_NOT_GIVEN:
         raise ValueError("--rank is required for restriction")
     ctx = _context(args, len(v), need_rank=True)

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from .ring import RingContext, RingElement, diagonal, omega_layers
 from .cells import _check_entries, cell_class_equivariant
-from .weights import componentwise_leq, normalize
+from .weights import componentwise_leq
 
 
 def omega_at_fixed_point(ctx: RingContext, i: int, w) -> RingElement:
     """The image of omega_i at the fixed point of weight w."""
     ctx._check_factor(i)
+    _check_entries(ctx, w)
     out = ctx.t_var(w[i - 1])
     for k in range(1, i):
         if w[k - 1] == w[i - 1]:
@@ -91,6 +92,8 @@ def _require_trivial_degrees(ctx: RingContext):
 def top_term_product(ctx: RingContext, v, w) -> RingElement:
     """Product formula for the top term over all factors j:
     product over 0 <= i < v_j of (t_{w_j} - t_i)."""
+    _check_entries(ctx, v)
+    _check_entries(ctx, w)
     acc = ctx.one()
     for j in range(ctx.factors):
         for i in range(v[j]):
@@ -116,6 +119,8 @@ def vanishing_check(ctx: RingContext, v, w) -> bool:
     the entries greedily in increasing order)."""
     _require_trivial_degrees(ctx)
     v, w = tuple(v), tuple(w)
+    _check_entries(ctx, v)
+    _check_entries(ctx, w)
     if componentwise_leq(sorted(v), sorted(w)):
         return True
     return restrict_to_fixed_point(cell_class_equivariant(ctx, v), w).is_zero()
@@ -126,7 +131,7 @@ def degree_bound_check(ctx: RingContext, v, w) -> bool:
     co(v) - |{i : v_i != w_i}| + 1."""
     _require_trivial_degrees(ctx)
     v, w = tuple(v), tuple(w)
-    if normalize(v) != normalize(w):
+    if sorted(v) != sorted(w):
         raise ValueError("w must be a reordering of v")
     moved = sum(1 for a, b in zip(v, w) if a != b)
     restricted = restrict_to_fixed_point(cell_class_equivariant(ctx, v), w)

@@ -2,7 +2,8 @@
 
 Two independent evaluations are provided, both sums over the orbit of
 the weight: of cell classes (the oracle) and of admissible row tuples;
-the two must agree exactly.  The module also carries the symmetry/rank
+the two must agree exactly, and both enter through `_pullback`, so they
+accept the same weights.  The module also carries the symmetry/rank
 machinery used to certify that the pullback image is the full invariant
 subring of ring.permute_factors, the permutation action that moves each
 factor's curve class together with its omega.
@@ -10,7 +11,7 @@ factor's curve class together with its omega.
 
 from __future__ import annotations
 
-from .cells import _require_letters_only, cell_class
+from .cells import _check_entries, _require_letters_only, cell_class
 from .linalg import exact_rank
 from .ring import (RingContext, RingElement, cohomological_degree,
                    letter_monomials, permute_factors, point_class,
@@ -19,25 +20,41 @@ from .series import poly_coeff, quot_series_product
 from .weights import (admissible_row_tuples, betti_b1, connected_components,
                       decreasing_vectors, incidence_tuple, is_decreasing,
                       orbit, permutations, row_exponent, stabilizer,
-                      transposition, tuple_support, young_subgroup)
+                      transposition, tuple_support)
 
 
-def average_twist(ctx: RingContext, v, a: RingElement = None) -> RingElement:
-    """The twist a (default 1) averaged over St(v), the permutations fixing
-    v, or a itself when it is invariant: St(v) is generated by the
-    transpositions of consecutive positions holding one value of v, so
-    only these are tested and St(v) is listed only for a non-invariant a."""
-    if a is None:
-        a = ctx.one()
-    _require_letters_only(a)
+def _fixed_by_stabilizer(v, x: RingElement) -> bool:
+    """Whether x is invariant under St(v), the permutations fixing v,
+    tested on its generators: the transpositions of consecutive positions
+    holding one value of v, in order (for v = 0^n the adjacent ones)."""
     last = {}
     for i, value in enumerate(v):
         if value in last:
             tau = transposition(len(v), last[value] + 1, i + 1)
-            if permute_factors(tau, a) != a:
-                return project_invariant(stabilizer(v), a)
+            if permute_factors(tau, x) != x:
+                return False
         last[value] = i
-    return a
+    return True
+
+
+def average_twist(ctx: RingContext, v, a: RingElement = None) -> RingElement:
+    """The twist a (default 1) averaged over St(v), or a itself when it
+    is invariant; St(v) is listed only for a non-invariant a."""
+    if a is None:
+        a = ctx.one()
+    _require_letters_only(a)
+    return a if _fixed_by_stabilizer(v, a) else project_invariant(stabilizer(v), a)
+
+
+def _pullback(ctx: RingContext, member, u, a: RingElement) -> RingElement:
+    """Both routes: u must be a decreasing weight vector of the context,
+    and a twist that is not St(u)-invariant is averaged over St(u) first."""
+    u = tuple(u)
+    _check_entries(ctx, u)
+    if not is_decreasing(u):
+        raise ValueError("u must be decreasing")
+    return _orbit_sum(ctx, member, u, permutations(ctx.factors),
+                      average_twist(ctx, u, a))
 
 
 def quot_pullback(ctx: RingContext, u, a: RingElement = None) -> RingElement:
@@ -45,14 +62,8 @@ def quot_pullback(ctx: RingContext, u, a: RingElement = None) -> RingElement:
     twisted by a: the orbit sum over v in S_n u of cell(v) sigma_v(a),
     sigma_v(u) = v, which is the symmetrization (1/|St(u)|) sum_sigma
     cell(sigma u) sigma(a) since a is St(u)-invariant.
-
-    A twist that is not St(u)-invariant is averaged over St(u) first.
     """
-    u = tuple(u)
-    if not is_decreasing(u):
-        raise ValueError("u must be decreasing")
-    a = average_twist(ctx, u, a)
-    return _orbit_sum(ctx, cell_class, u, permutations(ctx.factors), a)
+    return _pullback(ctx, cell_class, u, a)
 
 
 def _orbit_sum(ctx: RingContext, member, v, group,
@@ -98,11 +109,7 @@ def quot_pullback_combinatorial(ctx: RingContext, u,
     """
     if any(ctx.degrees):
         raise ValueError("the combinatorial formula requires trivial degrees")
-    u = tuple(u)
-    if not is_decreasing(u):
-        raise ValueError("u must be decreasing")
-    a = average_twist(ctx, u, a)
-    return _orbit_sum(ctx, _prefactor_sum, u, permutations(ctx.factors), a)
+    return _pullback(ctx, _prefactor_sum, u, a)
 
 
 def _prefactor_sum(ctx: RingContext, v) -> RingElement:
@@ -121,8 +128,8 @@ def partial_flag_pullback(ctx: RingContext, composition, v_star,
                           a: RingElement = None) -> RingElement:
     """Pullback from a partial filt scheme: the orbit sum over w in Y v of
     cell(w) sigma_w(a), sigma_w(v) = w, for the concatenated blocks v and
-    the Young subgroup Y of the composition; a is averaged over the
-    blockwise stabilizer of v first.
+    the Young subgroup Y of the composition, the stabilizer of the block
+    labels; a is averaged over the blockwise stabilizer of v first.
     """
     composition = tuple(composition)
     blocks = [tuple(b) for b in v_star]
@@ -134,10 +141,10 @@ def partial_flag_pullback(ctx: RingContext, composition, v_star,
         if not is_decreasing(b):
             raise ValueError("each block must be decreasing")
     v = tuple(x for b in blocks for x in b)
-    # the Young-subgroup stabilizer of v fixes each (block label, entry) pair
-    labelled = tuple((k, x) for k, b in enumerate(blocks) for x in b)
-    return _orbit_sum(ctx, cell_class, v, young_subgroup(composition),
-                      average_twist(ctx, labelled, a))
+    labels = tuple(k for k, b in enumerate(blocks) for _ in b)
+    # the part of Y fixing v fixes each (block label, entry) pair
+    return _orbit_sum(ctx, cell_class, v, stabilizer(labels),
+                      average_twist(ctx, tuple(zip(labels, v)), a))
 
 
 # -- symmetry and rank certificates -------------------------------------------
@@ -145,11 +152,7 @@ def partial_flag_pullback(ctx: RingContext, composition, v_star,
 def is_invariant(x: RingElement) -> bool:
     """Invariance under the permutation action, which moves each factor's
     letter together with its omega, tested on adjacent transpositions."""
-    n = x.ctx.factors
-    for i in range(1, n):
-        if permute_factors(transposition(n, i, i + 1), x) != x:
-            return False
-    return True
+    return _fixed_by_stabilizer((0,) * x.ctx.factors, x)
 
 
 def invariant_dimension(ctx: RingContext, degree: int) -> int:
@@ -192,13 +195,10 @@ def invariant_letter_classes(ctx: RingContext, degree: int, group=None):
     for letters in letter_monomials(ctx, degree):
         if letters in seen:
             continue
-        mono = (letters, (0,) * ctx.factors, ())
-        orbit_sum = ctx.zero()
-        element = RingElement(ctx, {mono: 1})
-        for sigma in group:
-            image = permute_factors(sigma, element)
-            seen.add(next(iter(image.coeffs))[0])
-            orbit_sum = orbit_sum + image
+        seen.update(orbit(letters, group))
+        element = ctx.monomial(letters=letters)
+        orbit_sum = sum((permute_factors(sigma, element) for sigma in group),
+                        ctx.zero())
         if orbit_sum:
             out.append(orbit_sum)
     return out

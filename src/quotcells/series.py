@@ -87,6 +87,8 @@ def quot_poincare(g: int, r: int, length: int, max_t: int | None = None):
     """
     if r < 1:
         raise ValueError("need r >= 1")
+    if length < 0:
+        raise ValueError("length must be non-negative")
     cap = 2 * r * length if max_t is None else max_t
     acc = [[1]] + [[] for _ in range(length)]
     for a in range(r):
@@ -149,6 +151,8 @@ def filt_poincare(g: int, r: int, n: int):
         raise ValueError("g must be non-negative")
     if r < 1:
         raise ValueError("need r >= 1")
+    if n < 0:
+        raise ValueError("n must be non-negative")
     strata = poly_pow(poly_trim([1 if i % 2 == 0 else 0 for i in range(2 * r - 1)]), n)
     return poly_mul(strata, poly_pow([1, 2 * g, 1], n))
 

@@ -7,9 +7,9 @@ cases: inputs, expected and obtained values (elements in the canonical
 grammar), a pass flag, the first counterexample on failure, and the
 number of inputs actually checked.  A case that checked nothing
 fails, so an empty grid never passes.  The suite_* functions build the
-default grids of `verify`; grids are iterated in sorted order and any
-randomness comes from the caller's seeded generator, so identical
-invocations produce identical reports.
+default grids of `verify`; grids are iterated in sorted order and the
+randomized cases of suite_recursion draw from a generator seeded with
+params["seed"], so identical invocations produce identical reports.
 """
 
 from __future__ import annotations
@@ -301,7 +301,7 @@ def _vectors(n, max_co):
             if sum(v) <= max_co]
 
 
-def suite_pullback(params, rng):
+def suite_pullback(params):
     cases = []
     for g in params["genus_values"]:
         for n in params["n_values"]:
@@ -322,7 +322,8 @@ def suite_pullback(params, rng):
     return cases
 
 
-def suite_recursion(params, rng):
+def suite_recursion(params):
+    rng = random.Random(params["seed"])
     max_co = params["max_co"]
     order = min(params["series_max_t"], 6)
     grid = [(g, n, RingContext(genus=g, factors=n))
@@ -360,7 +361,7 @@ def suite_recursion(params, rng):
     return cases
 
 
-def suite_localization(params, rng):
+def suite_localization(params):
     cases = []
     r = params["rank"]
     for g in [g for g in params["genus_values"] if g <= 1] or [0]:
@@ -374,7 +375,7 @@ def suite_localization(params, rng):
     return cases
 
 
-def suite_series(params, rng):
+def suite_series(params):
     cases = []
     max_t = params["series_max_t"]
     for g in params["genus_values"]:
@@ -390,7 +391,7 @@ def suite_series(params, rng):
     return cases
 
 
-def suite_ranks(params, rng):
+def suite_ranks(params):
     cases = []
     max_degree = params["max_degree"]
     genera = [g for g in params["genus_values"] if g <= 1] or [0]
@@ -432,13 +433,12 @@ def run_suites(names, overrides=None, stats=None) -> dict:
     params = dict(DEFAULTS)
     if overrides:
         params.update({k: v for k, v in overrides.items() if v is not None})
-    rng = random.Random(params["seed"])
     reports = []
     for name in names:
         if name not in SUITES:
             raise ValueError("unknown suite %r" % name)
         started = time.perf_counter()
-        cases = SUITES[name](params, rng)
+        cases = SUITES[name](params)
         if stats is not None:
             ends = [c["finished"] for c in cases]
             stats.append({

@@ -1,9 +1,11 @@
 """Weight vectors, permutations, subset tuples and the admissible row
 tuples that drive the combinatorial pullback formula.
 
-Weight vectors are plain tuples of non-negative integers.  Permutations
-are tuples sigma with sigma[i] = image of 0-based position i; the action
-on vectors is sigma(v)[sigma[i]] = v[i].
+Weight vectors are plain tuples of non-negative integers; co(v) is
+sum(v).  Permutations are tuples sigma with sigma[i] = image of 0-based
+position i; the action on vectors is sigma(v)[sigma[i]] = v[i].  A Young
+subgroup is the stabilizer of a block-label vector, (0, 0, 1) for the
+blocks of sizes (2, 1).
 """
 
 from __future__ import annotations
@@ -32,13 +34,6 @@ def apply_perm(sigma, v):
     return tuple(out)
 
 
-def young_subgroup(composition):
-    """Block permutations of consecutive blocks of the given sizes: the
-    stabilizer of the block-label vector, e.g. (0, 0, 1) for (2, 1)."""
-    return stabilizer(tuple(k for k, size in enumerate(composition)
-                            for _ in range(size)))
-
-
 def orbit(v, group):
     """The images of v under the group, each mapped to the first member
     of the group that reaches it."""
@@ -49,15 +44,6 @@ def orbit(v, group):
 
 
 # -- weight vectors ----------------------------------------------------------
-
-def co(v) -> int:
-    return sum(v)
-
-
-def normalize(v):
-    """Descending reordering."""
-    return tuple(sorted(v, reverse=True))
-
 
 def componentwise_leq(v, w) -> bool:
     return all(a <= b for a, b in zip(v, w))
@@ -102,7 +88,7 @@ def decreasing_vectors(n: int, r=None, max_co: int | None = None):
 
     cap0 = max_co if r is None else min(r - 1, max_co)
     rec([], cap0, max_co)
-    return sorted(out, key=lambda v: (co(v), v))
+    return sorted(out, key=lambda v: (sum(v), v))
 
 
 # -- subset tuples and their incidence combinatorics -------------------------

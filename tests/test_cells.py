@@ -203,6 +203,12 @@ class TestCheckedIdentities:
         with pytest.raises(ValueError):
             lower_index_step_residual(ctx, (0, 1), 2)
 
+    @pytest.mark.parametrize("v", [(1,), (0, 1, 1)])
+    def test_cross_index_wrong_length(self, v):
+        ctx = RingContext(genus=0, factors=2)
+        with pytest.raises(ValueError):
+            lower_index_step_residual(ctx, v, 1)
+
     def test_module_recursion_trivial_twist(self):
         ctx = RingContext(genus=1, factors=2)
         assert module_recursion_residual(ctx, (0,), 1, ctx.one()).is_zero()

@@ -193,6 +193,9 @@ def test_verify_zero_coverage_fails(capsys, argv):
     ("verify", "--suite", "recursion", "--random-cases", "-1"),
     ("parse", "--text", "1/0 * [one]", "--factors", "1"),
     ("psi", "--u", "1", "--a", "1/0 * [one]"),
+    ("restrict", "--v", "0,1", "--w", "1", "--rank", "2"),
+    ("psi", "--u", "1,-1"),
+    ("psi", "--u", "1,0", "--rank", "1", "--method", "combinatorial"),
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)

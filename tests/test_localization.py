@@ -235,6 +235,22 @@ class TestRestrictionCacheSafety:
         assert restricted_again > 100
 
 
+@pytest.mark.parametrize("call", [
+    lambda ctx: omega_at_fixed_point(ctx, 2, (0,)),
+    lambda ctx: top_term_product(ctx, (1,), (1, 1)),
+    lambda ctx: top_term_product(ctx, (1, 1), (1,)),
+    lambda ctx: vanishing_check(ctx, (0, 2), (1,)),
+    lambda ctx: vanishing_check(ctx, (0,), (1, 2)),
+    lambda ctx: vanishing_check(ctx, (0, 2), (1, 3)),
+], ids=["omega-short-w", "top-term-short-v", "top-term-short-w",
+        "vanishing-short-w", "vanishing-short-v", "vanishing-w-above-rank"])
+def test_malformed_weight_is_a_value_error(call):
+    # checked before any early return: no IndexError, and no True
+    # answered for a w that is not a fixed point of the context
+    with pytest.raises(ValueError):
+        call(RingContext(genus=0, factors=2, rank=3))
+
+
 class TestTopTerm:
     def test_examples(self):
         ctx = RingContext(genus=1, factors=2, rank=2)

@@ -18,8 +18,7 @@ from quotcells.ring import (POINT, RingContext, RingElement, UNIT, alpha,
                             permute_factors_omega, project_invariant,
                             small_diagonal)
 from quotcells.weights import (admissible_row_tuples, apply_perm,
-                               decreasing_vectors, permutations, stabilizer,
-                               young_subgroup)
+                               decreasing_vectors, permutations, stabilizer)
 
 from conftest import (assert_read_only, compositions, invert,
                       monomials_of_degree, symmetrized_cell_class)
@@ -50,6 +49,17 @@ class TestOracle:
         ctx = RingContext(genus=0, factors=2)
         with pytest.raises(ValueError):
             quot_pullback(ctx, (0, 1))
+
+
+@pytest.mark.parametrize("route", [quot_pullback, quot_pullback_combinatorial])
+@pytest.mark.parametrize("rank,u", [(0, (1,)), (0, (1, 0, 0)), (0, (1, -1)),
+                                    (0, (0, 1)), (1, (1, 0))],
+                         ids=["short", "long", "negative", "increasing",
+                              "entry-above-rank"])
+def test_routes_reject_the_same_weights(route, rank, u):
+    ctx = RingContext(genus=1, factors=2, rank=rank)
+    with pytest.raises(ValueError):
+        route(ctx, u)
 
 
 class TestAverageTwist:
@@ -197,7 +207,8 @@ class TestOrbitReduction:
             positive = [tuple(p + 1 for p in c)
                         for k in range(1, n + 1) for c in compositions(n - k, k)]
             for composition in positive:
-                group = young_subgroup(composition)
+                group = stabilizer(tuple(k for k, size in enumerate(composition)
+                                         for _ in range(size)))
                 for blocks in itertools.product(*(decreasing_vectors(size, None, 3)
                                                   for size in composition)):
                     v = sum(blocks, ())

@@ -92,6 +92,10 @@ class TestQuot:
     def test_length_zero(self):
         assert quot_poincare(2, 3, 0) == [1]
 
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError):
+            quot_poincare(0, 1, -1)
+
     @pytest.mark.parametrize("g", [0, 1, 2])
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_product_formula(self, g, r):
@@ -109,6 +113,10 @@ class TestFilt:
 
     def test_zero_factors(self):
         assert filt_poincare(2, 3, 0) == [1]
+
+    def test_negative_factors_rejected(self):
+        with pytest.raises(ValueError):
+            filt_poincare(0, 2, -1)
 
     @pytest.mark.parametrize("g", [0, 1, 2])
     @pytest.mark.parametrize("r", [1, 2, 3])

@@ -6,11 +6,10 @@ import itertools
 import pytest
 
 from quotcells.weights import (admissible_row_tuples, apply_perm, betti_b1,
-                               co, componentwise_leq, connected_components,
+                               componentwise_leq, connected_components,
                                decreasing_vectors, incidence_tuple,
-                               normalize, permutations, row_exponent,
-                               row_support_hat, stabilizer, tuple_support,
-                               young_subgroup)
+                               permutations, row_exponent, row_support_hat,
+                               stabilizer, tuple_support)
 
 from conftest import compose, compositions, invert, weights_to_decomposition
 
@@ -34,12 +33,6 @@ def decomposition_co(rows) -> int:
 
 
 class TestVectors:
-    def test_normalize(self):
-        assert normalize((0, 2, 1)) == (2, 1, 0)
-
-    def test_co(self):
-        assert co((1, 2, 0)) == 3
-
     def test_stabilizer_order(self):
         assert len(stabilizer((1, 1, 0))) == 2
         assert len(stabilizer((2, 2, 2))) == 6
@@ -78,7 +71,7 @@ class TestDecompositions:
             for v in decreasing_vectors(3, r, max_co=3 * (r - 1)):
                 rows = weights_to_decomposition((v,), r)
                 assert decomposition_to_weights(rows) == (v,)
-                assert decomposition_co(rows) == co(v)
+                assert decomposition_co(rows) == sum(v)
 
     def test_multi_block(self):
         v_star = ((2, 1), (1, 0, 0))
@@ -208,11 +201,13 @@ class TestRowTuples:
 
 
 class TestYoung:
+    """A Young subgroup is the stabilizer of the block-label vector."""
+
     def test_example(self):
-        members = young_subgroup((2, 1))
-        assert set(members) == {(0, 1, 2), (1, 0, 2)}
+        # blocks of sizes (2, 1)
+        assert set(stabilizer((0, 0, 1))) == {(0, 1, 2), (1, 0, 2)}
 
     def test_block_sizes(self):
-        assert len(young_subgroup((2, 2))) == 4
-        assert len(young_subgroup((3,))) == 6
-        assert len(young_subgroup((1, 1, 1))) == 1
+        assert len(stabilizer((0, 0, 1, 1))) == 4    # (2, 2)
+        assert len(stabilizer((0, 0, 0))) == 6       # (3,)
+        assert len(stabilizer((0, 1, 2))) == 1       # (1, 1, 1)
