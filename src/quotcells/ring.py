@@ -20,14 +20,25 @@ elements are safe to share between concurrent tasks and caches.
 
 The symmetric group acts on the factors by one action, permute_factors,
 which moves each factor's letter together with its omega exponent.
+
+The kernel reads a letter tuple through its mask class: three bitmasks
+over the factors, (support, odd, points), the positions holding a
+non-unit letter, an odd letter (a_k or b_k) and the point.  Whether two
+tuples multiply to zero because a point meets a letter, and the Koszul
+sign, depend on the classes alone, so products and permutation signs are
+settled per class; only where odd letters meet does a product look at
+the letters themselves.  Each context memoizes the class of every letter
+tuple it sees, the Koszul parity per pair of odd masks (at most 4^n
+entries) and, per permutation, its inverse and its sign per odd mask (at
+most n! * 2^n entries); each element keeps its terms grouped by class
+once it has been multiplied.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, or_
 from types import MappingProxyType
 
 # Letter codes for the H*(C) basis: UNIT, POINT, alpha_k = 2k, beta_k = 2k+1.
@@ -103,6 +114,12 @@ class RingContext:
             raise ValueError("degrees must have length rank (or be empty)")
         object.__setattr__(self, "_cell_cache", {})
         object.__setattr__(self, "_memo", {})
+        # the ring kernel's tables, kept apart from _memo: letters -> mask
+        # class, (odd_x, odd_y) -> Koszul parity, sigma -> (inverse,
+        # {odd mask: parity of the odd pairs sigma reverses})
+        object.__setattr__(self, "_masks", {})
+        object.__setattr__(self, "_koszul", {})
+        object.__setattr__(self, "_permutations", {})
 
     # -- scalars and generators -------------------------------------------
 
@@ -131,7 +148,8 @@ class RingContext:
             raise ValueError("exponents must be non-negative")
         t = _trim(tuple(t))
         self._check_t_length(len(t))
-        coeff = _normal(Fraction(coeff))
+        if type(coeff) is not int:
+            coeff = _normal(Fraction(coeff))
         if coeff == 0:
             return self.zero()
         return RingElement(self, {(letters, omega, t): coeff})
@@ -210,43 +228,74 @@ def monomial_sort_key(mono):
     )
 
 
-def _letters_product(lx, ly):
-    """Product of two letter tuples: (sign, letters), or None when the
-    letters of some factor collide.  The sign is the product of the
-    symplectic signs (b_k * a_k = -pt) and the Koszul sign
-    (-1)^{sum_{i<j} |y_i||x_j|}, both counted in one pass over the
-    factors; the odd letters are the codes above POINT."""
-    flips = 0
-    odd_y = 0  # odd letters of ly left of the current factor
-    letters = []
-    for a, b in zip(lx, ly):
-        if a > POINT:
-            flips += odd_y
-        if b > POINT:
-            odd_y += 1
-        if a == UNIT:
-            letters.append(b)
-        elif b == UNIT:
-            letters.append(a)
-        elif a ^ 1 == b:  # neither is UNIT, so this is a_k * b_k or b_k * a_k
-            letters.append(POINT)
-            if a > b:
-                flips += 1
-        else:
+def _mask_class(masks, letters):
+    """The mask class (support, odd, points) of a letter tuple, memoized
+    in the context's table `masks`: bit i of each mask is set when factor
+    i holds a non-unit letter, an odd letter, the point."""
+    cls = masks.get(letters)
+    if cls is None:
+        support = odd = 0
+        for i, code in enumerate(letters):
+            if code != UNIT:
+                support |= 1 << i
+                if code > POINT:
+                    odd |= 1 << i
+        cls = masks[letters] = (support, odd, support & ~odd)
+    return cls
+
+
+def _koszul_parity(odd_x, odd_y):
+    """Parity of the pairs i < j with y_i and x_j odd, the exponent of the
+    Koszul sign (-1)^{sum_{i<j} |y_i||x_j|} of x * y."""
+    parity = 0
+    while odd_x:
+        low = odd_x & -odd_x
+        parity ^= (odd_y & (low - 1)).bit_count() & 1
+        odd_x ^= low
+    return parity
+
+
+def _letters_product(lx, ly, both):
+    """(flip, letters) for the product of two letter tuples whose odd
+    letters meet at the positions of the mask `both` and nowhere else
+    meet a non-unit letter; None unless each meeting pair is a_k and b_k
+    in some order.  flip is the parity of the pairs read b_k * a_k, each
+    of which costs the symplectic sign b_k * a_k = -pt."""
+    flip = 0
+    meets = []
+    while both:
+        low = both & -both
+        i = low.bit_length() - 1
+        a, b = lx[i], ly[i]
+        if a ^ 1 != b:
             return None
-    return (-1 if flips & 1 else 1), tuple(letters)
+        flip ^= a > b
+        meets.append(i)
+        both ^= low
+    letters = list(map(or_, lx, ly))
+    for i in meets:
+        letters[i] = POINT
+    return flip, tuple(letters)
 
 
-def _by_letters(coeffs):
-    """The terms grouped by letter tuple: letters -> [(omega, t, coeff)]."""
-    groups = {}
-    for (letters, omega, t), c in coeffs.items():
-        terms = groups.get(letters)
-        if terms is None:
-            groups[letters] = [(omega, t, c)]
-        else:
-            terms.append((omega, t, c))
-    return groups
+def _add_products(out, letters, negate, xs, ys):
+    """Add to `out` the products of the terms xs and ys, [(omega, t,
+    coeff)], whose letters multiply to `letters`, negated if `negate`."""
+    for ox, tx, cx in xs:
+        if negate:
+            cx = -cx
+        for oy, ty, cy in ys:
+            if tx and ty:
+                ta, tb = (tx, ty) if len(tx) >= len(ty) else (ty, tx)
+                t = tuple(map(add, ta, tb)) + ta[len(tb):]
+            else:
+                t = tx or ty
+            mono = (letters, tuple(map(add, ox, oy)), t)
+            s = out.get(mono, 0) + cx * cy
+            if s:
+                out[mono] = s
+            else:
+                del out[mono]
 
 
 class RingElement:
@@ -256,11 +305,38 @@ class RingElement:
     coefficient, each an int or a Fraction with denominator > 1.
     """
 
-    __slots__ = ("ctx", "_coeffs")
+    __slots__ = ("ctx", "_coeffs", "_groups")
 
     def __init__(self, ctx: RingContext, coeffs: dict):
         self.ctx = ctx
         self._coeffs = coeffs
+        self._groups = None
+
+    def _grouped(self):
+        """The terms grouped by mask class, then by letter tuple:
+        [((support, odd, points), [(letters, [(omega, t, coeff)])])].
+        Filled on the first product and kept, since elements are
+        immutable; two threads filling it at once build equal lists."""
+        groups = self._groups
+        if groups is None:
+            by_letters = {}
+            for (letters, omega, t), c in self._coeffs.items():
+                terms = by_letters.get(letters)
+                if terms is None:
+                    by_letters[letters] = [(omega, t, c)]
+                else:
+                    terms.append((omega, t, c))
+            masks = self.ctx._masks
+            classes = {}
+            for letters, terms in by_letters.items():
+                cls = _mask_class(masks, letters)
+                entries = classes.get(cls)
+                if entries is None:
+                    classes[cls] = [(letters, terms)]
+                else:
+                    entries.append((letters, terms))
+            groups = self._groups = list(classes.items())
+        return groups
 
     @property
     def coeffs(self):
@@ -324,32 +400,40 @@ class RingElement:
             return RingElement(self.ctx, {m: _normal(c * q)
                                           for m, c in self._coeffs.items()})
         self._require_same_ctx(other)
-        # The letters decide whether a pair of terms survives and with
-        # which sign, so that is settled once per pair of letter tuples;
+        # Whether a pair of letter tuples survives and with which sign is
+        # settled per pair of mask classes where the classes decide it;
         # only exponent sums and coefficient products run per term pair.
+        koszul = self.ctx._koszul
         out = {}
-        right = _by_letters(other._coeffs).items()
-        for lx, xs in _by_letters(self._coeffs).items():
-            for ly, ys in right:
-                p = _letters_product(lx, ly)
-                if p is None:
+        right = other._grouped()
+        for (sx, ox, px), xs in self._grouped():
+            for (sy, oy, py), ys in right:
+                if sx & py or px & sy:
+                    continue  # a point meets a non-unit letter
+                if not sx or not sy:
+                    # units only on one side: the other tuple is the
+                    # product, and no odd letter passes another
+                    for lx, xterms in xs:
+                        for ly, yterms in ys:
+                            _add_products(out, ly if not sx else lx, False,
+                                          xterms, yterms)
                     continue
-                sign, letters = p
-                for ox, tx, cx in xs:
-                    if sign < 0:
-                        cx = -cx
-                    for oy, ty, cy in ys:
-                        if tx and ty:
-                            ta, tb = (tx, ty) if len(tx) >= len(ty) else (ty, tx)
-                            t = tuple(map(add, ta, tb)) + ta[len(tb):]
-                        else:
-                            t = tx or ty
-                        mono = (letters, tuple(map(add, ox, oy)), t)
-                        s = out.get(mono, 0) + cx * cy
-                        if s:
-                            out[mono] = s
-                        else:
-                            del out[mono]
+                negate = koszul.get((ox, oy))
+                if negate is None:
+                    negate = koszul[(ox, oy)] = _koszul_parity(ox, oy)
+                both = ox & oy
+                for lx, xterms in xs:
+                    for ly, yterms in ys:
+                        if both:
+                            p = _letters_product(lx, ly, both)
+                            if p is None:
+                                continue
+                            flip, letters = p
+                            _add_products(out, letters, negate ^ flip,
+                                          xterms, yterms)
+                        else:  # disjoint supports
+                            _add_products(out, tuple(map(or_, lx, ly)),
+                                          negate, xterms, yterms)
         for mono, c in out.items():
             if type(c) is not int and c.denominator == 1:
                 out[mono] = c.numerator
@@ -412,21 +496,16 @@ def _sources(sigma, n):
     return source
 
 
-def _moved_letters(sigma, source, letters, moved):
-    """(sign, letters) of a letter tuple moved by sigma, computed once per
-    letter tuple in `moved`; the sign is -1 to the number of pairs of odd
-    letters whose order sigma reverses."""
-    image = moved.get(letters)
-    if image is None:
-        targets = [sigma[i] for i, c in enumerate(letters) if c > POINT]
-        inversions = 0
-        for a in range(len(targets)):
-            for b in range(a + 1, len(targets)):
-                if targets[a] > targets[b]:
-                    inversions += 1
-        image = moved[letters] = (-1 if inversions % 2 else 1,
-                                  tuple([letters[i] for i in source]))
-    return image
+def _reversed_parity(sigma, odd):
+    """Parity of the pairs of positions in the mask `odd` whose order
+    sigma reverses: moving odd letters past each other costs that sign."""
+    targets = [sigma[i] for i in range(len(sigma)) if odd >> i & 1]
+    inversions = 0
+    for a in range(len(targets)):
+        for b in range(a + 1, len(targets)):
+            if targets[a] > targets[b]:
+                inversions += 1
+    return inversions & 1
 
 
 def permute_factors(sigma, x: RingElement) -> RingElement:
@@ -439,16 +518,24 @@ def permute_factors(sigma, x: RingElement) -> RingElement:
     letter and the omega exponent of factor i move to factor sigma[i];
     transposing two odd letters costs a sign; t exponents are untouched.
     """
-    source = _sources(sigma, x.ctx.factors)
-    moved = {}
+    ctx = x.ctx
+    sigma = tuple(sigma)
+    entry = ctx._permutations.get(sigma)
+    if entry is None:
+        entry = ctx._permutations[sigma] = (_sources(sigma, ctx.factors), {})
+    source, parities = entry
+    masks = ctx._masks
     out = {}
     # the action is a bijection on monomials, so no two terms meet
     for (letters, omega, t), c in x._coeffs.items():
-        sign, nl = _moved_letters(sigma, source, letters, moved)
+        odd = _mask_class(masks, letters)[1]
+        negate = parities.get(odd)
+        if negate is None:
+            negate = parities[odd] = _reversed_parity(sigma, odd)
         if any(omega):  # every twist is omega-free: leave its zeros be
             omega = tuple([omega[i] for i in source])
-        out[(nl, omega, t)] = c if sign > 0 else -c
-    return RingElement(x.ctx, out)
+        out[(tuple([letters[i] for i in source]), omega, t)] = -c if negate else c
+    return RingElement(ctx, out)
 
 
 # The former name of the same action, kept bound because the traced
@@ -542,8 +629,19 @@ def omega_layers(x: RingElement) -> dict:
 
 
 def letter_monomials(ctx: RingContext, degree: int):
-    """All letter tuples (no omega, no t) of the given total degree."""
-    basis = ctx.curve_basis()
-    for letters in itertools.product(basis, repeat=ctx.factors):
-        if sum(letter_degree(c) for c in letters) == degree:
+    """All letter tuples (no omega, no t) of the given total degree, in the
+    order of itertools.product(ctx.curve_basis(), repeat=ctx.factors).
+
+    Built factor by factor, each prefix kept only while the factors after
+    it can still make up the degree left: a letter has degree at most 2,
+    and at genus 0 every letter degree is even."""
+    basis = [(code, letter_degree(code)) for code in ctx.curve_basis()]
+    step = 1 if ctx.genus else 2
+    prefixes = [((), degree)]
+    for rest in range(ctx.factors - 1, -1, -1):
+        prefixes = [(letters + (code,), left - d)
+                    for letters, left in prefixes for code, d in basis
+                    if 0 <= left - d <= 2 * rest and (left - d) % step == 0]
+    for letters, left in prefixes:
+        if left == 0:
             yield letters

@@ -1,14 +1,17 @@
 """The ring kernel against a term-by-term reference.
 
-RingElement.__mul__ groups terms by letter tuple and settles letter
-collisions and signs once per pair of letter tuples; permute_factors
-settles the odd-letter sign once per letter tuple.
+RingElement.__mul__ groups each element's terms by mask class (the
+bitmasks of its non-unit, odd and point positions), keeps that grouping
+on the element, and settles point collisions and the Koszul sign once
+per pair of classes; permute_factors reads the odd-letter sign from a
+per-context table keyed by (sigma, odd mask).
 The references below are the plain loops over every pair of terms (and
 every term), written from the product table and the Koszul rule alone.
 The tests also pin the coefficient invariant: every coefficient is an
 int, or a Fraction with denominator > 1.
 """
 
+import itertools
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -17,8 +20,8 @@ from hypothesis import strategies as st
 from quotcells import ring
 from quotcells.grammar import format_element, parse
 from quotcells.ring import (POINT, UNBOUNDED, UNIT, RingContext, RingElement,
-                            letter_degree, monomial_sort_key, omega_layers,
-                            permute_factors)
+                            alpha, beta, letter_degree, letter_monomials,
+                            monomial_sort_key, omega_layers, permute_factors)
 from quotcells.weights import permutations
 
 from conftest import assert_read_only
@@ -195,3 +198,114 @@ def test_omega_layers_rebuild_the_element(pair):
             assert_read_only(layer)
             total = total + ctx.monomial(omega=omega) * layer
         assert total == z
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_reused_operand_keeps_its_grouping(data):
+    ctx = data.draw(contexts())
+    x = data.draw(elements(ctx))
+    others = data.draw(st.lists(elements(ctx), min_size=1, max_size=4))
+    for y in others + [x]:
+        assert dict((x * y).coeffs) == reference_product(x, y)
+        assert dict((y * x).coeffs) == reference_product(y, x)
+    assert x._grouped() is x._grouped()
+
+
+@settings(max_examples=100, deadline=None)
+@given(element_pairs())
+def test_operands_from_equal_contexts(pair):
+    x, y = pair
+    ctx = x.ctx
+    twin = RingContext(genus=ctx.genus, factors=ctx.factors, rank=ctx.rank)
+    assert twin == ctx and twin is not ctx
+    y = RingElement(twin, dict(y.coeffs))
+    for left, right in ((x, y), (y, x), (x, x * y)):
+        product = left * right
+        assert dict(product.coeffs) == reference_product(left, right)
+        assert_normal(product)
+
+
+@st.composite
+def unit_and_odd_pairs(draw):
+    """An element with only unit letters and one whose every term carries
+    an odd letter."""
+    ctx = RingContext(genus=draw(st.integers(1, 2)),
+                      factors=draw(st.integers(1, 4)), rank=2)
+    units = (UNIT,) * ctx.factors
+    x = ctx.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        omega = draw(st.lists(st.integers(0, 2), min_size=ctx.factors,
+                              max_size=ctx.factors))
+        t = draw(st.lists(st.integers(0, 2), max_size=2))
+        x = x + ctx.monomial(units, omega, t, draw(coefficients))
+    odd = [c for c in ctx.curve_basis() if letter_degree(c) == 1]
+    y = ctx.zero()
+    for _ in range(draw(st.integers(1, 4))):
+        letters = draw(st.lists(st.sampled_from(ctx.curve_basis()),
+                                min_size=ctx.factors, max_size=ctx.factors))
+        letters[draw(st.integers(0, ctx.factors - 1))] = draw(st.sampled_from(odd))
+        y = y + ctx.monomial(letters, coeff=draw(coefficients))
+    return x, y
+
+
+@settings(max_examples=100, deadline=None)
+@given(unit_and_odd_pairs())
+def test_unit_letters_times_odd_letters(pair):
+    x, y = pair
+    for left, right in ((x, y), (y, x)):
+        assert dict((left * right).coeffs) == reference_product(left, right)
+
+
+@st.composite
+def overlapping_odd_pairs(draw):
+    """Two sums of odd-letter monomials that meet at some factors, with
+    a_k * b_k and b_k * a_k both drawn at the meeting factors."""
+    genus = draw(st.integers(1, 2))
+    n = draw(st.integers(2, 4))
+    ctx = RingContext(genus=genus, factors=n)
+    odd = [alpha(k) for k in range(1, genus + 1)] + \
+        [beta(k) for k in range(1, genus + 1)]
+    x, y = ctx.zero(), ctx.zero()
+    for _ in range(draw(st.integers(1, 4))):
+        meet = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+        lx, ly = [UNIT] * n, [UNIT] * n
+        for i in meet:
+            lx[i] = draw(st.sampled_from(odd))
+            ly[i] = lx[i] ^ 1 if draw(st.booleans()) else draw(st.sampled_from(odd))
+        for i in set(range(n)) - set(meet):
+            if draw(st.booleans()):
+                (lx if draw(st.booleans()) else ly)[i] = draw(st.sampled_from(odd))
+        x = x + ctx.monomial(lx, coeff=draw(coefficients))
+        y = y + ctx.monomial(ly, coeff=draw(coefficients))
+    return x, y
+
+
+@settings(max_examples=150, deadline=None)
+@given(overlapping_odd_pairs())
+def test_overlapping_odd_letters(pair):
+    x, y = pair
+    for left, right in ((x, y), (y, x)):
+        assert dict((left * right).coeffs) == reference_product(left, right)
+
+
+# one context for every example, so the permutation tables are warm
+WARM = RingContext(genus=2, factors=4, rank=2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements(WARM, max_terms=8))
+def test_permutations_of_s4_on_a_warm_context(x):
+    for sigma in permutations(4):
+        assert dict(permute_factors(sigma, x).coeffs) == reference_permute(sigma, x)
+
+
+def test_letter_monomials_match_brute_force():
+    for genus in range(3):
+        for n in range(1, 5):
+            ctx = RingContext(genus=genus, factors=n)
+            for degree in range(-1, 2 * n + 2):
+                brute = [letters for letters in
+                         itertools.product(ctx.curve_basis(), repeat=n)
+                         if sum(map(letter_degree, letters)) == degree]
+                assert list(letter_monomials(ctx, degree)) == brute
