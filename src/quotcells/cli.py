@@ -115,6 +115,11 @@ def _cmd_restrict(args):
     if args.rank is RANK_NOT_GIVEN:
         raise ValueError("--rank is required for restriction")
     ctx = _context(args, len(v), need_rank=True)
+    if ctx.rank != 0:
+        # reject a bad w before the class of v is built, v's error first
+        # as before (at rank 0 the class itself refuses the context)
+        cells._check_entries(ctx, v)
+        cells._check_entries(ctx, w)
     restricted = localization.restrict_to_fixed_point(
         cells.cell_class_equivariant(ctx, v), w)
     degree = localization.t_degree(restricted)

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import itemgetter
 
-from .ring import (POINT, UNIT, RingContext, RingElement, _trim,
-                   element_from_terms, letter_name, monomial_sort_key)
+from .ring import (POINT, UNIT, RingContext, RingElement, _letter_facts,
+                   _trim, element_from_terms, monomial_sort_key)
 
 
 class ParseError(ValueError):
@@ -154,11 +155,18 @@ def format_element(x: RingElement) -> str:
     coeffs = x.coeffs
     if not coeffs:
         return "0"
+    # each letter tuple's degree, sort part and names, once per context
+    table = x.ctx._letter_text
+    rows = []
+    for mono, c in coeffs.items():
+        facts = table.get(mono[0])
+        if facts is None:
+            facts = table[mono[0]] = _letter_facts(mono[0])
+        rows.append((monomial_sort_key(mono, facts), facts[2], mono, c))
+    rows.sort(key=itemgetter(0))
     parts = []
-    for mono in sorted(coeffs, key=monomial_sort_key):
-        letters, omega, t = mono
-        names = [letter_name(c) for c in letters]
-        piece = "%s * [%s]" % (coeffs[mono], "|".join(names))
+    for _key, names, (_letters, omega, t), c in rows:
+        piece = "%s * [%s]" % (c, names)
         if any(omega):
             piece += " w^(%s)" % ",".join([str(e) for e in omega])
         if t:

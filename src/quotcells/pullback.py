@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from .cells import _check_entries, _require_letters_only, cell_class
 from .linalg import exact_rank
-from .ring import (RingContext, RingElement, cohomological_degree,
-                   letter_monomials, permute_factors, point_class,
-                   project_invariant, small_diagonal)
+from .ring import (RingContext, RingElement, _add_product, _group_terms,
+                   _settled, cohomological_degree, letter_monomials,
+                   permute_factors, point_class, project_invariant,
+                   small_diagonal)
 from .series import poly_coeff, quot_series_product
 from .weights import (admissible_row_tuples, betti_b1, connected_components,
                       decreasing_vectors, incidence_tuple, is_decreasing,
@@ -69,11 +70,12 @@ def quot_pullback(ctx: RingContext, u, a: RingElement = None) -> RingElement:
 def _orbit_sum(ctx: RingContext, member, v, group,
                a: RingElement) -> RingElement:
     """sum over w in the orbit of v of member(ctx, w) sigma_w(a),
-    sigma_w(v) = w; the two pullback routes differ only in `member`."""
-    acc = ctx.zero()
+    sigma_w(v) = w; the two pullback routes differ only in `member`.
+    Every product is added into one term dict."""
+    out = {}
     for w, sigma in orbit(v, group).items():
-        acc = acc + member(ctx, w) * permute_factors(sigma, a)
-    return acc
+        _add_product(out, member(ctx, w), permute_factors(sigma, a))
+    return _settled(ctx, out)
 
 
 def diagonal_class(ctx: RingContext, sets) -> RingElement:
@@ -190,17 +192,19 @@ def invariant_letter_classes(ctx: RingContext, degree: int, group=None):
     sums skipped)."""
     if group is None:
         group = list(permutations(ctx.factors))
+    zero = (0,) * ctx.factors
     seen = set()
     out = []
     for letters in letter_monomials(ctx, degree):
         if letters in seen:
             continue
-        seen.update(orbit(letters, group))
-        element = ctx.monomial(letters=letters)
-        orbit_sum = sum((permute_factors(sigma, element) for sigma in group),
-                        ctx.zero())
+        # the term dict keeps every image, cancelled or not, so its keys
+        # are the orbit of m; its coefficients are sums of signs, ints
+        terms = _group_terms(group, RingElement(ctx, {(letters, zero, ()): 1}))
+        seen.update(mono[0] for mono in terms)
+        orbit_sum = {mono: c for mono, c in terms.items() if c}
         if orbit_sum:
-            out.append(orbit_sum)
+            out.append(RingElement(ctx, orbit_sum))
     return out
 
 

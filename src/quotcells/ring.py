@@ -32,6 +32,12 @@ tuple it sees, the Koszul parity per pair of odd masks (at most 4^n
 entries) and, per permutation, its inverse and its sign per odd mask (at
 most n! * 2^n entries); each element keeps its terms grouped by class
 once it has been multiplied.
+
+Sums of products and of permuted copies go into one term dict: the
+multiply-accumulate _add_product adds x * y into a caller's dict (a
+product is one call into a fresh dict), and group_sum adds sigma(x) over
+a group.  The canonical formatter reads each letter tuple's degree, sort
+part and names from a per-context table (_letter_facts).
 """
 
 from __future__ import annotations
@@ -120,6 +126,8 @@ class RingContext:
         object.__setattr__(self, "_masks", {})
         object.__setattr__(self, "_koszul", {})
         object.__setattr__(self, "_permutations", {})
+        # the canonical formatter's table: letters -> _letter_facts
+        object.__setattr__(self, "_letter_text", {})
 
     # -- scalars and generators -------------------------------------------
 
@@ -210,21 +218,26 @@ class RingContext:
             raise ValueError("t index %d out of range for rank %d" % (length - 1, self.rank))
 
 
-def monomial_degree(mono) -> int:
-    letters, omega, t = mono
-    return sum(letter_degree(c) for c in letters) + 2 * sum(omega) + 2 * sum(t)
-
-
-def monomial_sort_key(mono):
-    """Canonical total order: degree, then t, omega (graded lex, high first),
-    then letters factor-by-factor (high degree first)."""
-    letters, omega, t = mono
+def _letter_facts(letters):
+    """(letter degree, letters part of the sort key, "|"-joined names) of
+    a letter tuple; each context keeps them in its table _letter_text."""
     degrees = [letter_degree(c) for c in letters]
+    return (sum(degrees), tuple([(-d, c) for d, c in zip(degrees, letters)]),
+            "|".join([letter_name(c) for c in letters]))
+
+
+def monomial_sort_key(mono, facts=None):
+    """Canonical total order: degree, then t, omega (graded lex, high first),
+    then letters factor-by-factor (high degree first).  facts, when given,
+    is _letter_facts of the monomial's letters, read from a table."""
+    letters, omega, t = mono
+    degree, letters_key, _names = facts or _letter_facts(letters)
+    omega_sum, t_sum = sum(omega), sum(t)
     return (
-        sum(degrees) + 2 * sum(omega) + 2 * sum(t),
-        (-sum(t), tuple([-e for e in t])),
-        (-sum(omega), tuple([-e for e in omega])),
-        tuple([(-d, c) for d, c in zip(degrees, letters)]),
+        degree + 2 * (omega_sum + t_sum),
+        (-t_sum, tuple([-e for e in t])),
+        (-omega_sum, tuple([-e for e in omega])),
+        letters_key,
     )
 
 
@@ -296,6 +309,55 @@ def _add_products(out, letters, negate, xs, ys):
                 out[mono] = s
             else:
                 del out[mono]
+
+
+def _add_product(out, x, y):
+    """Add x * y into the term dict `out`, monomial -> coefficient, in
+    which a sum that cancels is dropped and a coefficient may be left a
+    Fraction of denominator 1 (_settled makes it an int)."""
+    x._require_same_ctx(y)
+    # Whether a pair of letter tuples survives and with which sign is
+    # settled per pair of mask classes where the classes decide it; only
+    # exponent sums and coefficient products run per term pair.
+    koszul = x.ctx._koszul
+    right = y._grouped()
+    for (sx, ox, px), xs in x._grouped():
+        for (sy, oy, py), ys in right:
+            if sx & py or px & sy:
+                continue  # a point meets a non-unit letter
+            if not sx or not sy:
+                # units only on one side: the other tuple is the
+                # product, and no odd letter passes another
+                for lx, xterms in xs:
+                    for ly, yterms in ys:
+                        _add_products(out, ly if not sx else lx, False,
+                                      xterms, yterms)
+                continue
+            negate = koszul.get((ox, oy))
+            if negate is None:
+                negate = koszul[(ox, oy)] = _koszul_parity(ox, oy)
+            both = ox & oy
+            for lx, xterms in xs:
+                for ly, yterms in ys:
+                    if both:
+                        p = _letters_product(lx, ly, both)
+                        if p is None:
+                            continue
+                        flip, letters = p
+                        _add_products(out, letters, negate ^ flip,
+                                      xterms, yterms)
+                    else:  # disjoint supports
+                        _add_products(out, tuple(map(or_, lx, ly)),
+                                      negate, xterms, yterms)
+
+
+def _settled(ctx, out):
+    """The element of a term dict filled by sums that drop what cancels:
+    each integral Fraction is made an int, in place."""
+    for mono, c in out.items():
+        if type(c) is not int and c.denominator == 1:
+            out[mono] = c.numerator
+    return RingElement(ctx, out)
 
 
 class RingElement:
@@ -399,45 +461,9 @@ class RingElement:
                 return self.ctx.zero()
             return RingElement(self.ctx, {m: _normal(c * q)
                                           for m, c in self._coeffs.items()})
-        self._require_same_ctx(other)
-        # Whether a pair of letter tuples survives and with which sign is
-        # settled per pair of mask classes where the classes decide it;
-        # only exponent sums and coefficient products run per term pair.
-        koszul = self.ctx._koszul
         out = {}
-        right = other._grouped()
-        for (sx, ox, px), xs in self._grouped():
-            for (sy, oy, py), ys in right:
-                if sx & py or px & sy:
-                    continue  # a point meets a non-unit letter
-                if not sx or not sy:
-                    # units only on one side: the other tuple is the
-                    # product, and no odd letter passes another
-                    for lx, xterms in xs:
-                        for ly, yterms in ys:
-                            _add_products(out, ly if not sx else lx, False,
-                                          xterms, yterms)
-                    continue
-                negate = koszul.get((ox, oy))
-                if negate is None:
-                    negate = koszul[(ox, oy)] = _koszul_parity(ox, oy)
-                both = ox & oy
-                for lx, xterms in xs:
-                    for ly, yterms in ys:
-                        if both:
-                            p = _letters_product(lx, ly, both)
-                            if p is None:
-                                continue
-                            flip, letters = p
-                            _add_products(out, letters, negate ^ flip,
-                                          xterms, yterms)
-                        else:  # disjoint supports
-                            _add_products(out, tuple(map(or_, lx, ly)),
-                                          negate, xterms, yterms)
-        for mono, c in out.items():
-            if type(c) is not int and c.denominator == 1:
-                out[mono] = c.numerator
-        return RingElement(self.ctx, out)
+        _add_product(out, self, other)
+        return _settled(self.ctx, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -476,7 +502,14 @@ def element_from_terms(ctx: RingContext, terms) -> RingElement:
 
 def cohomological_degree(x: RingElement):
     """Degree of a homogeneous element; "inhomogeneous" otherwise, None for 0."""
-    degs = {monomial_degree(m) for m in x._coeffs}
+    masks = x.ctx._masks
+    degs = set()
+    for letters, omega, t in x._coeffs:
+        # an odd letter has degree 1 and the point 2: one per support bit,
+        # one more per point bit
+        support, _odd, points = _mask_class(masks, letters)
+        degs.add(support.bit_count() + points.bit_count()
+                 + 2 * (sum(omega) + sum(t)))
     if not degs:
         return None
     if len(degs) > 1:
@@ -508,6 +541,29 @@ def _reversed_parity(sigma, odd):
     return inversions & 1
 
 
+def _add_images(out, sigma, x: RingElement):
+    """Add sigma(x), term by term, into the term dict `out`; a sum that
+    cancels stays as a zero entry.  The one permutation action: the
+    letter and the omega exponent of factor i move to factor sigma[i],
+    the odd letters that sigma moves past each other give the sign."""
+    ctx = x.ctx
+    sigma = tuple(sigma)
+    entry = ctx._permutations.get(sigma)
+    if entry is None:
+        entry = ctx._permutations[sigma] = (_sources(sigma, ctx.factors), {})
+    source, parities = entry
+    masks = ctx._masks
+    for (letters, omega, t), c in x._coeffs.items():
+        odd = (masks.get(letters) or _mask_class(masks, letters))[1]
+        negate = parities.get(odd)
+        if negate is None:
+            negate = parities[odd] = _reversed_parity(sigma, odd)
+        if any(omega):  # every twist is omega-free: leave its zeros be
+            omega = tuple([omega[i] for i in source])
+        mono = (tuple([letters[i] for i in source]), omega, t)
+        out[mono] = out.get(mono, 0) + (-c if negate else c)
+
+
 def permute_factors(sigma, x: RingElement) -> RingElement:
     """Left action of the symmetric group on the factors: the ring
     automorphism sending p_i^*(a) w_i^l to p_{sigma(i)}^*(a) w_{sigma(i)}^l,
@@ -518,24 +574,10 @@ def permute_factors(sigma, x: RingElement) -> RingElement:
     letter and the omega exponent of factor i move to factor sigma[i];
     transposing two odd letters costs a sign; t exponents are untouched.
     """
-    ctx = x.ctx
-    sigma = tuple(sigma)
-    entry = ctx._permutations.get(sigma)
-    if entry is None:
-        entry = ctx._permutations[sigma] = (_sources(sigma, ctx.factors), {})
-    source, parities = entry
-    masks = ctx._masks
-    out = {}
     # the action is a bijection on monomials, so no two terms meet
-    for (letters, omega, t), c in x._coeffs.items():
-        odd = _mask_class(masks, letters)[1]
-        negate = parities.get(odd)
-        if negate is None:
-            negate = parities[odd] = _reversed_parity(sigma, odd)
-        if any(omega):  # every twist is omega-free: leave its zeros be
-            omega = tuple([omega[i] for i in source])
-        out[(tuple([letters[i] for i in source]), omega, t)] = -c if negate else c
-    return RingElement(ctx, out)
+    out = {}
+    _add_images(out, sigma, x)
+    return RingElement(x.ctx, out)
 
 
 # The former name of the same action, kept bound because the traced
@@ -543,13 +585,24 @@ def permute_factors(sigma, x: RingElement) -> RingElement:
 permute_factors_omega = permute_factors
 
 
+def _group_terms(group, x: RingElement) -> dict:
+    """sum_{sigma in group} sigma(x) as a term dict whose keys are all the
+    images of x's monomials, the cancelled ones with a zero coefficient."""
+    out = {}
+    for sigma in group:
+        _add_images(out, sigma, x)
+    return out
+
+
+def group_sum(group, x: RingElement) -> RingElement:
+    """The sum of sigma(x) over the permutations sigma of a finite group."""
+    return _settled(x.ctx, {m: c for m, c in _group_terms(group, x).items() if c})
+
+
 def project_invariant(perms, x: RingElement) -> RingElement:
     """Average of the factor-permutation action over a finite group."""
     perms = list(perms)
-    acc = x.ctx.zero()
-    for sigma in perms:
-        acc = acc + permute_factors(sigma, x)
-    return acc * Fraction(1, len(perms))
+    return group_sum(perms, x) * Fraction(1, len(perms))
 
 
 # -- diagonal and point classes ---------------------------------------------

@@ -220,6 +220,28 @@ def test_restrict_rank_inf_element_and_missing_rank(capsys):
     assert code == 2 and "--rank is required" in err
 
 
+@pytest.mark.parametrize("args, message", [
+    (("--v", "1,0", "--w", "1", "--rank", "2"), "weight vector must have 2 entries"),
+    (("--v", "1,0", "--w", "1,5", "--rank", "2"), "entry 5 out of range for rank 2"),
+    (("--v", "5,0", "--w", "1", "--rank", "2"), "entry 5 out of range for rank 2"),
+    (("--v", "1,0", "--w", "1,-1", "--rank", "inf"), "weight entries must be non-negative"),
+])
+def test_restrict_rejects_a_bad_w_before_building_the_class(capsys, monkeypatch,
+                                                            args, message):
+    calls = []
+    monkeypatch.setattr(cli.cells, "cell_class_equivariant",
+                        lambda *a: calls.append(a))
+    code, out, err = run(capsys, "restrict", *args)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+    assert calls == []
+
+
+def test_restrict_at_rank_0_is_refused_by_the_class(capsys):
+    code, out, err = run(capsys, "restrict", "--v", "1,0", "--w", "1", "--rank", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: equivariant classes need a context of rank >= 1\n"
+
+
 # sha256 of the default text output of three suites, as first recorded;
 # a change that moves any byte of a report fails here.
 GOLDEN_VERIFY = {

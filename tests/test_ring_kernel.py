@@ -4,7 +4,11 @@ RingElement.__mul__ groups each element's terms by mask class (the
 bitmasks of its non-unit, odd and point positions), keeps that grouping
 on the element, and settles point collisions and the Koszul sign once
 per pair of classes; permute_factors reads the odd-letter sign from a
-per-context table keyed by (sigma, odd mask).
+per-context table keyed by (sigma, odd mask).  Products and group sums
+that are summed (the pullback orbit sums, the invariant letter classes)
+are added into one term dict by ring._add_product and ring.group_sum, and
+format_element reads each letter tuple's part of the canonical text from
+a per-context table.
 The references below are the plain loops over every pair of terms (and
 every term), written from the product table and the Koszul rule alone.
 The tests also pin the coefficient invariant: every coefficient is an
@@ -20,9 +24,10 @@ from hypothesis import strategies as st
 from quotcells import ring
 from quotcells.grammar import format_element, parse
 from quotcells.ring import (POINT, UNBOUNDED, UNIT, RingContext, RingElement,
-                            alpha, beta, letter_degree, letter_monomials,
-                            monomial_sort_key, omega_layers, permute_factors)
-from quotcells.weights import permutations
+                            alpha, beta, group_sum, letter_degree,
+                            letter_monomials, monomial_sort_key, omega_layers,
+                            permute_factors)
+from quotcells.weights import permutations, stabilizer
 
 from conftest import assert_read_only
 
@@ -309,3 +314,89 @@ def test_letter_monomials_match_brute_force():
                          itertools.product(ctx.curve_basis(), repeat=n)
                          if sum(map(letter_degree, letters)) == degree]
                 assert list(letter_monomials(ctx, degree)) == brute
+
+
+def _summed(dicts):
+    out = {}
+    for d in dicts:
+        for mono, c in d.items():
+            out[mono] = out.get(mono, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_multiply_accumulate_matches_summed_references(data):
+    ctx = data.draw(contexts())
+    pairs = data.draw(st.lists(st.tuples(elements(ctx), elements(ctx)),
+                               min_size=1, max_size=3))
+    if data.draw(st.booleans()):
+        x, y = pairs[0]
+        pairs.append((x, -y))  # every term of x * y cancels
+    out = {}
+    for x, y in pairs:
+        ring._add_product(out, x, y)
+    total = ring._settled(ctx, out)
+    assert dict(total.coeffs) == _summed(reference_product(x, y) for x, y in pairs)
+    assert_normal(total)
+
+
+@st.composite
+def groups(draw, n):
+    """All of S_n, or the stabilizer of a drawn weight vector."""
+    if draw(st.booleans()):
+        return list(permutations(n))
+    return stabilizer(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_group_sum_matches_summed_references(data):
+    ctx = data.draw(contexts())
+    x = data.draw(elements(ctx))
+    group = data.draw(groups(ctx.factors))
+    expected = [reference_permute(sigma, x) for sigma in group]
+    total = group_sum(group, x)
+    assert dict(total.coeffs) == _summed(expected)
+    assert_normal(total)
+    # the term dict keeps every image, also those whose sum cancels
+    assert set(ring._group_terms(group, x)) == {m for d in expected for m in d}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_group_sum_of_repeated_odd_letters_cancels(data):
+    genus = data.draw(st.integers(1, 2))
+    n = data.draw(st.integers(2, 4))
+    ctx = RingContext(genus=genus, factors=n)
+    odd = data.draw(st.sampled_from([alpha(1), beta(1)]))
+    letters = [odd, odd] + data.draw(st.lists(st.sampled_from(ctx.curve_basis()),
+                                              min_size=n - 2, max_size=n - 2))
+    x = ctx.monomial(letters, coeff=data.draw(coefficients))
+    # the swap of the first two factors fixes the letters and costs a sign
+    assert group_sum(permutations(n), x) == ctx.zero()
+    assert _summed(reference_permute(s, x) for s in permutations(n)) == {}
+
+
+@st.composite
+def unbounded_elements(draw):
+    """Elements with omega, t and Fraction coefficients at rank UNBOUNDED."""
+    ctx = RingContext(genus=draw(st.integers(0, 2)),
+                      factors=draw(st.integers(1, 4)), rank=UNBOUNDED)
+    return draw(elements(ctx, max_terms=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(unbounded_elements())
+def test_format_lists_terms_in_reference_order(x):
+    ctx = x.ctx
+    text = format_element(x)
+    assert parse(ctx, text) == x
+    if not x:
+        assert text == "0"
+        return
+    monos = [next(iter(parse(ctx, piece).coeffs)) for piece in text.split(" + ")]
+    assert monos == sorted(x.coeffs, key=reference_sort_key)
+    # a context whose letter table is cold writes the same text
+    twin = RingContext(genus=ctx.genus, factors=ctx.factors, rank=UNBOUNDED)
+    assert format_element(RingElement(twin, dict(x.coeffs))) == text
