@@ -39,10 +39,8 @@ def _int_list(text):
 
 def _context(args, factors, need_rank=False):
     rank = args.rank if args.rank is not RANK_NOT_GIVEN else (1 if need_rank else 0)
-    degrees = args.degrees or ()
-    if rank == 0:
-        degrees = ()
-    return RingContext(genus=args.genus, factors=factors, rank=rank, degrees=degrees)
+    return RingContext(genus=args.genus, factors=factors, rank=rank,
+                       degrees=args.degrees or ())
 
 
 def _emit_element(args, element, extra=None):

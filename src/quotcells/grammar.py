@@ -155,14 +155,8 @@ def format_element(x: RingElement) -> str:
     coeffs = x.coeffs
     if not coeffs:
         return "0"
-    # each letter tuple's degree, sort part and names, once per context
-    table = x.ctx._letter_text
-    rows = []
-    for mono, c in coeffs.items():
-        facts = table.get(mono[0])
-        if facts is None:
-            facts = table[mono[0]] = _letter_facts(mono[0])
-        rows.append((monomial_sort_key(mono, facts), facts[2], mono, c))
+    rows = [(monomial_sort_key(mono), _letter_facts(mono[0])[2], mono, c)
+            for mono, c in coeffs.items()]
     rows.sort(key=itemgetter(0))
     parts = []
     for _key, names, (_letters, omega, t), c in rows:

@@ -27,23 +27,27 @@ non-unit letter, an odd letter (a_k or b_k) and the point.  Whether two
 tuples multiply to zero because a point meets a letter, and the Koszul
 sign, depend on the classes alone, so products and permutation signs are
 settled per class; only where odd letters meet does a product look at
-the letters themselves.  Each context memoizes the class of every letter
-tuple it sees, the Koszul parity per pair of odd masks (at most 4^n
-entries) and, per permutation, its inverse and its sign per odd mask (at
-most n! * 2^n entries); each element keeps its terms grouped by class
-once it has been multiplied.
+the letters themselves.  None of these facts depends on the genus, the
+rank or the degrees, so each is a function of its own key, memoized once
+per process: the class of every letter tuple (at most (2g+2)^n per
+(g, n)), the Koszul parity per pair of odd masks (at most 4^n per n)
+and, per (sigma, n), the inverse and the sign per odd mask (at most
+n! * 2^n per n).  The tables grow only with what the process meets, and
+a fresh context starts warm.  Each element keeps its terms grouped by
+class once it has been multiplied.
 
 Sums of products and of permuted copies go into one term dict: the
 multiply-accumulate _add_product adds x * y into a caller's dict (a
 product is one call into a fresh dict), and group_sum adds sigma(x) over
 a group.  The canonical formatter reads each letter tuple's degree, sort
-part and names from a per-context table (_letter_facts).
+part and names from the process-wide _letter_facts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from operator import add, or_
 from types import MappingProxyType
 
@@ -120,14 +124,6 @@ class RingContext:
             raise ValueError("degrees must have length rank (or be empty)")
         object.__setattr__(self, "_cell_cache", {})
         object.__setattr__(self, "_memo", {})
-        # the ring kernel's tables, kept apart from _memo: letters -> mask
-        # class, (odd_x, odd_y) -> Koszul parity, sigma -> (inverse,
-        # {odd mask: parity of the odd pairs sigma reverses})
-        object.__setattr__(self, "_masks", {})
-        object.__setattr__(self, "_koszul", {})
-        object.__setattr__(self, "_permutations", {})
-        # the canonical formatter's table: letters -> _letter_facts
-        object.__setattr__(self, "_letter_text", {})
 
     # -- scalars and generators -------------------------------------------
 
@@ -218,20 +214,20 @@ class RingContext:
             raise ValueError("t index %d out of range for rank %d" % (length - 1, self.rank))
 
 
+@cache
 def _letter_facts(letters):
     """(letter degree, letters part of the sort key, "|"-joined names) of
-    a letter tuple; each context keeps them in its table _letter_text."""
+    a letter tuple."""
     degrees = [letter_degree(c) for c in letters]
     return (sum(degrees), tuple([(-d, c) for d, c in zip(degrees, letters)]),
             "|".join([letter_name(c) for c in letters]))
 
 
-def monomial_sort_key(mono, facts=None):
+def monomial_sort_key(mono):
     """Canonical total order: degree, then t, omega (graded lex, high first),
-    then letters factor-by-factor (high degree first).  facts, when given,
-    is _letter_facts of the monomial's letters, read from a table."""
+    then letters factor-by-factor (high degree first)."""
     letters, omega, t = mono
-    degree, letters_key, _names = facts or _letter_facts(letters)
+    degree, letters_key, _names = _letter_facts(letters)
     omega_sum, t_sum = sum(omega), sum(t)
     return (
         degree + 2 * (omega_sum + t_sum),
@@ -241,22 +237,21 @@ def monomial_sort_key(mono, facts=None):
     )
 
 
-def _mask_class(masks, letters):
-    """The mask class (support, odd, points) of a letter tuple, memoized
-    in the context's table `masks`: bit i of each mask is set when factor
-    i holds a non-unit letter, an odd letter, the point."""
-    cls = masks.get(letters)
-    if cls is None:
-        support = odd = 0
-        for i, code in enumerate(letters):
-            if code != UNIT:
-                support |= 1 << i
-                if code > POINT:
-                    odd |= 1 << i
-        cls = masks[letters] = (support, odd, support & ~odd)
-    return cls
+@cache
+def _mask_class(letters):
+    """The mask class (support, odd, points) of a letter tuple: bit i of
+    each mask is set when factor i holds a non-unit letter, an odd
+    letter, the point."""
+    support = odd = 0
+    for i, code in enumerate(letters):
+        if code != UNIT:
+            support |= 1 << i
+            if code > POINT:
+                odd |= 1 << i
+    return support, odd, support & ~odd
 
 
+@cache
 def _koszul_parity(odd_x, odd_y):
     """Parity of the pairs i < j with y_i and x_j odd, the exponent of the
     Koszul sign (-1)^{sum_{i<j} |y_i||x_j|} of x * y."""
@@ -319,7 +314,6 @@ def _add_product(out, x, y):
     # Whether a pair of letter tuples survives and with which sign is
     # settled per pair of mask classes where the classes decide it; only
     # exponent sums and coefficient products run per term pair.
-    koszul = x.ctx._koszul
     right = y._grouped()
     for (sx, ox, px), xs in x._grouped():
         for (sy, oy, py), ys in right:
@@ -333,9 +327,7 @@ def _add_product(out, x, y):
                         _add_products(out, ly if not sx else lx, False,
                                       xterms, yterms)
                 continue
-            negate = koszul.get((ox, oy))
-            if negate is None:
-                negate = koszul[(ox, oy)] = _koszul_parity(ox, oy)
+            negate = _koszul_parity(ox, oy)
             both = ox & oy
             for lx, xterms in xs:
                 for ly, yterms in ys:
@@ -388,10 +380,9 @@ class RingElement:
                     by_letters[letters] = [(omega, t, c)]
                 else:
                     terms.append((omega, t, c))
-            masks = self.ctx._masks
             classes = {}
             for letters, terms in by_letters.items():
-                cls = _mask_class(masks, letters)
+                cls = _mask_class(letters)
                 entries = classes.get(cls)
                 if entries is None:
                     classes[cls] = [(letters, terms)]
@@ -429,6 +420,8 @@ class RingElement:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.ctx.scalar(other)
+        elif not isinstance(other, RingElement):
+            return NotImplemented
         self._require_same_ctx(other)
         out = dict(self._coeffs)
         for mono, c in other._coeffs.items():
@@ -461,6 +454,8 @@ class RingElement:
                 return self.ctx.zero()
             return RingElement(self.ctx, {m: _normal(c * q)
                                           for m, c in self._coeffs.items()})
+        if not isinstance(other, RingElement):
+            return NotImplemented
         out = {}
         _add_product(out, self, other)
         return _settled(self.ctx, out)
@@ -502,12 +497,11 @@ def element_from_terms(ctx: RingContext, terms) -> RingElement:
 
 def cohomological_degree(x: RingElement):
     """Degree of a homogeneous element; "inhomogeneous" otherwise, None for 0."""
-    masks = x.ctx._masks
     degs = set()
     for letters, omega, t in x._coeffs:
         # an odd letter has degree 1 and the point 2: one per support bit,
         # one more per point bit
-        support, _odd, points = _mask_class(masks, letters)
+        support, _odd, points = _mask_class(letters)
         degs.add(support.bit_count() + points.bit_count()
                  + 2 * (sum(omega) + sum(t)))
     if not degs:
@@ -529,6 +523,15 @@ def _sources(sigma, n):
     return source
 
 
+@cache
+def _permutation_table(sigma, n):
+    """(inverse of sigma, {odd mask: parity of the odd pairs sigma
+    reverses}) for a permutation of n positions; the parities are filled
+    as the masks are met.  Keyed by (sigma, n), so the check of _sources
+    runs for every length a tuple is used with."""
+    return _sources(sigma, n), {}
+
+
 def _reversed_parity(sigma, odd):
     """Parity of the pairs of positions in the mask `odd` whose order
     sigma reverses: moving odd letters past each other costs that sign."""
@@ -546,15 +549,10 @@ def _add_images(out, sigma, x: RingElement):
     cancels stays as a zero entry.  The one permutation action: the
     letter and the omega exponent of factor i move to factor sigma[i],
     the odd letters that sigma moves past each other give the sign."""
-    ctx = x.ctx
     sigma = tuple(sigma)
-    entry = ctx._permutations.get(sigma)
-    if entry is None:
-        entry = ctx._permutations[sigma] = (_sources(sigma, ctx.factors), {})
-    source, parities = entry
-    masks = ctx._masks
+    source, parities = _permutation_table(sigma, x.ctx.factors)
     for (letters, omega, t), c in x._coeffs.items():
-        odd = (masks.get(letters) or _mask_class(masks, letters))[1]
+        odd = _mask_class(letters)[1]
         negate = parities.get(odd)
         if negate is None:
             negate = parities[odd] = _reversed_parity(sigma, odd)

@@ -196,6 +196,9 @@ def test_verify_zero_coverage_fails(capsys, argv):
     ("restrict", "--v", "0,1", "--w", "1", "--rank", "2"),
     ("psi", "--u", "1,-1"),
     ("psi", "--u", "1,0", "--rank", "1", "--method", "combinatorial"),
+    # a rank-0 context carries no line-bundle degrees
+    ("xi", "--v", "1", "--degrees", "1"),
+    ("psi", "--u", "1", "--degrees", "1"),
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -15,8 +15,7 @@ from quotcells.pullback import (average_twist, combinatorial_prefactor,
                                 quot_pullback_combinatorial, span_rank)
 from quotcells.ring import (POINT, RingContext, RingElement, UNIT, alpha,
                             diagonal, letter_monomials, permute_factors,
-                            permute_factors_omega, project_invariant,
-                            small_diagonal)
+                            project_invariant, small_diagonal)
 from quotcells.weights import (admissible_row_tuples, apply_perm,
                                decreasing_vectors, permutations, stabilizer)
 
@@ -303,7 +302,7 @@ def projector_trace(ctx: RingContext, basis) -> int:
     for sigma, size in cycle_types(n):
         trace = 0
         for mono in basis:
-            image = permute_factors_omega(sigma, RingElement(ctx, {mono: 1}))
+            image = permute_factors(sigma, RingElement(ctx, {mono: 1}))
             trace += image.coeffs.get(mono, 0)
         total += size * trace
     dim = Fraction(total, factorial(n))
@@ -341,7 +340,7 @@ def trace_bases(ctx, degree):
 def permutation_traces(ctx, basis):
     """sigma -> trace of the omega-twisted action of sigma on the span of
     the basis, for every sigma in S_n."""
-    return {sigma: sum(permute_factors_omega(sigma, RingElement(ctx, {mono: 1}))
+    return {sigma: sum(permute_factors(sigma, RingElement(ctx, {mono: 1}))
                        .coeffs.get(mono, 0) for mono in basis)
             for sigma in permutations(ctx.factors)}
 

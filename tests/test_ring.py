@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from quotcells.ring import (RingContext, RingElement, alpha,
                             beta, cohomological_degree, diagonal,
-                            permute_factors, permute_factors_omega,
-                            point_class, project_invariant, small_diagonal)
+                            permute_factors, point_class, project_invariant,
+                            small_diagonal)
 from quotcells.weights import permutations, transposition
 
 from conftest import embed, random_homogeneous
@@ -121,13 +121,13 @@ class TestActions:
         # swap on p_1(pt) w_1^2 gives p_2(pt) w_2^2
         ctx = ctx_g0_n2
         x = ctx.pt(1) * ctx.omega(1, 2)
-        moved = permute_factors_omega(transposition(2, 1, 2), x)
+        moved = permute_factors(transposition(2, 1, 2), x)
         assert moved == ctx.pt(2) * ctx.omega(2, 2)
 
     def test_omega_action_fixes_symmetrized_class(self, ctx_g1_n2):
         ctx = ctx_g1_n2
         x = ctx.omega(1) + ctx.omega(2) + diagonal(ctx, 1, 2)
-        assert permute_factors_omega(transposition(2, 1, 2), x) == x
+        assert permute_factors(transposition(2, 1, 2), x) == x
 
     def test_group_action_law(self):
         ctx = RingContext(genus=1, factors=3)
@@ -147,9 +147,9 @@ class TestActions:
             for _ in range(3):
                 x = random_homogeneous(ctx, rng.choice((1, 2, 3)), rng)
                 y = random_homogeneous(ctx, rng.choice((1, 2, 3)), rng)
-                assert (permute_factors_omega(sigma, x * y)
-                        == permute_factors_omega(sigma, x)
-                        * permute_factors_omega(sigma, y))
+                assert (permute_factors(sigma, x * y)
+                        == permute_factors(sigma, x)
+                        * permute_factors(sigma, y))
 
     def test_project_invariant(self):
         ctx = RingContext(genus=1, factors=2)
@@ -210,6 +210,15 @@ class TestStructure:
         ctx = RingContext(genus=0, factors=1)
         with pytest.raises(ValueError):
             ctx.t_var(0)
+
+    @pytest.mark.parametrize("other", [0.5, None, "1", [1]])
+    def test_other_operands_are_a_type_error(self, other):
+        x = RingContext(genus=0, factors=1).pt(1)
+        for operation in (lambda: x * other, lambda: other * x,
+                          lambda: x + other, lambda: other + x,
+                          lambda: x - other, lambda: other - x):
+            with pytest.raises(TypeError):
+                operation()
 
 
 @settings(max_examples=60, deadline=None)

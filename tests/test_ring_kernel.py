@@ -4,11 +4,14 @@ RingElement.__mul__ groups each element's terms by mask class (the
 bitmasks of its non-unit, odd and point positions), keeps that grouping
 on the element, and settles point collisions and the Koszul sign once
 per pair of classes; permute_factors reads the odd-letter sign from a
-per-context table keyed by (sigma, odd mask).  Products and group sums
+table keyed by (sigma, n) and the odd mask.  Products and group sums
 that are summed (the pullback orbit sums, the invariant letter classes)
 are added into one term dict by ring._add_product and ring.group_sum, and
 format_element reads each letter tuple's part of the canonical text from
-a per-context table.
+ring._letter_facts.  Every such table is a function of its own key,
+memoized once per process, so a fresh context starts with the tables
+that earlier contexts filled; the tests below also check that the
+tables are keyed by all they depend on.
 The references below are the plain loops over every pair of terms (and
 every term), written from the product table and the Koszul rule alone.
 The tests also pin the coefficient invariant: every coefficient is an
@@ -18,6 +21,7 @@ int, or a Fraction with denominator > 1.
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -294,7 +298,8 @@ def test_overlapping_odd_letters(pair):
         assert dict((left * right).coeffs) == reference_product(left, right)
 
 
-# one context for every example, so the permutation tables are warm
+# one context for every example: the first example fills the (sigma, 4)
+# tables and the later ones read them
 WARM = RingContext(genus=2, factors=4, rank=2)
 
 
@@ -397,6 +402,49 @@ def test_format_lists_terms_in_reference_order(x):
         return
     monos = [next(iter(parse(ctx, piece).coeffs)) for piece in text.split(" + ")]
     assert monos == sorted(x.coeffs, key=reference_sort_key)
-    # a context whose letter table is cold writes the same text
+    # a fresh context of the same parameters writes the same text
     twin = RingContext(genus=ctx.genus, factors=ctx.factors, rank=UNBOUNDED)
     assert format_element(RingElement(twin, dict(x.coeffs))) == text
+
+
+def test_permutation_check_runs_for_every_length():
+    """A tuple cached as a permutation of two factors is still refused on
+    three, and a non-permutation is refused every time."""
+    two = RingContext(genus=1, factors=2)
+    three = RingContext(genus=1, factors=3)
+    x = two.letter_at(1, alpha(1)) * two.letter_at(2, beta(1))
+    y = three.letter_at(1, alpha(1)) * three.pt(3)
+    swapped = -two.letter_at(1, beta(1)) * two.letter_at(2, alpha(1))
+    for _ in range(2):
+        assert permute_factors((1, 0), x) == swapped
+        with pytest.raises(ValueError):
+            permute_factors((1, 0), y)  # too short for three factors
+        assert permute_factors((2, 1, 0), y) == three.pt(1) * three.letter_at(3, alpha(1))
+        with pytest.raises(ValueError):
+            permute_factors((2, 1, 0), x)  # too long for two factors
+        for sigma in ((0, 0, 1), (0, 1, 3)):
+            with pytest.raises(ValueError):
+                permute_factors(sigma, y)
+
+
+KERNEL_TABLES = (ring._mask_class, ring._koszul_parity, ring._permutation_table,
+                 ring._letter_facts)
+
+
+def test_a_fresh_context_adds_no_table_entries():
+    def work(ctx):
+        x = ring.diagonal(ctx, 1, 2) * ctx.omega(3) + ctx.letter_at(3, alpha(2))
+        y = parse(ctx, "[a1|b1|one] + 1/2 * [b2|one|a1] w^(0,1,0) t^(1)")
+        text = format_element(x * y)
+        images = [format_element(permute_factors(sigma, x))
+                  for sigma in permutations(3)]
+        return text, images
+
+    first = work(RingContext(genus=2, factors=3, rank=2))
+    sizes = [table.cache_info().currsize for table in KERNEL_TABLES]
+    fresh = RingContext(genus=2, factors=3, rank=2)
+    # a context holds no kernel table of its own
+    assert set(vars(fresh)) == {"genus", "factors", "rank", "degrees",
+                                "_cell_cache", "_memo"}
+    assert work(fresh) == first
+    assert [table.cache_info().currsize for table in KERNEL_TABLES] == sizes
