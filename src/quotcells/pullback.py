@@ -3,36 +3,40 @@
 Two independent evaluations are provided, both sums over the orbit of
 the weight: of cell classes (the oracle) and of admissible row tuples;
 the two must agree exactly, and both enter through `_pullback`, so they
-accept the same weights.  The module also carries the symmetry/rank
-machinery used to certify that the pullback image is the full invariant
-subring of ring.permute_factors, the permutation action that moves each
-factor's curve class together with its omega.
+accept the same weights.  Each route, and the partial-flag pullback,
+walks its orbit with weights.orbit_walk, in at most n steps per orbit
+member and without listing a group.  The module also carries the
+symmetry/rank machinery used to certify that the pullback image is the
+full invariant subring of ring.permute_factors, the permutation action
+that moves each factor's curve class together with its omega;
+invariance is tested term by term (ring._fixed_by).
 """
 
 from __future__ import annotations
 
 from .cells import _check_entries, _require_letters_only, cell_class
 from .linalg import exact_rank
-from .ring import (RingContext, RingElement, _add_product, _group_terms,
-                   _settled, cohomological_degree, letter_monomials,
-                   permute_factors, point_class, project_invariant,
-                   small_diagonal)
+from .ring import (RingContext, RingElement, _add_product, _fixed_by,
+                   _group_terms, _settled, cohomological_degree,
+                   letter_monomials, permute_factors, point_class,
+                   project_invariant, small_diagonal)
 from .series import poly_coeff, quot_series_product
 from .weights import (admissible_row_tuples, betti_b1, connected_components,
                       decreasing_vectors, incidence_tuple, is_decreasing,
-                      orbit, permutations, row_exponent, stabilizer,
+                      orbit_walk, permutations, row_exponent, stabilizer,
                       transposition, tuple_support)
 
 
 def _fixed_by_stabilizer(v, x: RingElement) -> bool:
     """Whether x is invariant under St(v), the permutations fixing v,
     tested on its generators: the transpositions of consecutive positions
-    holding one value of v, in order (for v = 0^n the adjacent ones)."""
+    holding one value of v, in order (for v = 0^n the adjacent ones),
+    each term by term."""
     last = {}
     for i, value in enumerate(v):
         if value in last:
             tau = transposition(len(v), last[value] + 1, i + 1)
-            if permute_factors(tau, x) != x:
+            if not _fixed_by(tau, x):
                 return False
         last[value] = i
     return True
@@ -54,8 +58,7 @@ def _pullback(ctx: RingContext, member, u, a: RingElement) -> RingElement:
     _check_entries(ctx, u)
     if not is_decreasing(u):
         raise ValueError("u must be decreasing")
-    return _orbit_sum(ctx, member, u, permutations(ctx.factors),
-                      average_twist(ctx, u, a))
+    return _orbit_sum(ctx, member, orbit_walk(u), average_twist(ctx, u, a))
 
 
 def quot_pullback(ctx: RingContext, u, a: RingElement = None) -> RingElement:
@@ -67,13 +70,16 @@ def quot_pullback(ctx: RingContext, u, a: RingElement = None) -> RingElement:
     return _pullback(ctx, cell_class, u, a)
 
 
-def _orbit_sum(ctx: RingContext, member, v, group,
+def _orbit_sum(ctx: RingContext, member, images: dict,
                a: RingElement) -> RingElement:
-    """sum over w in the orbit of v of member(ctx, w) sigma_w(a),
+    """sum over w in the orbit of v of member(ctx, w) sigma_w(a), for
+    the images {w: sigma_w} of v that weights.orbit_walk lists,
     sigma_w(v) = w; the two pullback routes differ only in `member`.
-    Every product is added into one term dict."""
+    Each sigma_w(a) comes out of permute_factors already grouped, and
+    grouping a itself is done once for the whole orbit; every product is
+    added into one term dict."""
     out = {}
-    for w, sigma in orbit(v, group).items():
+    for w, sigma in images.items():
         _add_product(out, member(ctx, w), permute_factors(sigma, a))
     return _settled(ctx, out)
 
@@ -145,7 +151,7 @@ def partial_flag_pullback(ctx: RingContext, composition, v_star,
     v = tuple(x for b in blocks for x in b)
     labels = tuple(k for k, b in enumerate(blocks) for _ in b)
     # the part of Y fixing v fixes each (block label, entry) pair
-    return _orbit_sum(ctx, cell_class, v, stabilizer(labels),
+    return _orbit_sum(ctx, cell_class, orbit_walk(v, labels),
                       average_twist(ctx, tuple(zip(labels, v)), a))
 
 

@@ -31,16 +31,26 @@ the letters themselves.  None of these facts depends on the genus, the
 rank or the degrees, so each is a function of its own key, memoized once
 per process: the class of every letter tuple (at most (2g+2)^n per
 (g, n)), the Koszul parity per pair of odd masks (at most 4^n per n)
-and, per (sigma, n), the inverse and the sign per odd mask (at most
+and, per (sigma, n), the tuple mover and the sign per odd mask (at most
 n! * 2^n per n).  The tables grow only with what the process meets, and
 a fresh context starts warm.  Each element keeps its terms grouped by
-class once it has been multiplied.
+class once it has been multiplied or permuted.
+
+A permutation reads its operand grouped, too: one sign lookup per mask
+class and one moved tuple per letter tuple.  permute_factors builds its
+image straight into the grouped form, which the image keeps, so a twist
+permuted along an orbit is grouped once and each of its images is ready
+for the product.  _fixed_by tests sigma(x) == x term by term, without
+building sigma(x), and stops at the first term that differs.
 
 Sums of products and of permuted copies go into one term dict: the
 multiply-accumulate _add_product adds x * y into a caller's dict (a
 product is one call into a fresh dict), and group_sum adds sigma(x) over
-a group.  The canonical formatter reads each letter tuple's degree, sort
-part and names from the process-wide _letter_facts.
+a group.  A right-hand term with letters only, zero omega and no t, as
+every twist's terms are, gives each product the left term's own omega
+and t tuples, with no exponent sums.  The canonical formatter reads each
+letter tuple's degree, sort part and names from the process-wide
+_letter_facts.
 """
 
 from __future__ import annotations
@@ -48,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from operator import add, or_
+from operator import add, itemgetter, or_
 from types import MappingProxyType
 
 # Letter codes for the H*(C) basis: UNIT, POINT, alpha_k = 2k, beta_k = 2k+1.
@@ -289,6 +299,21 @@ def _letters_product(lx, ly, both):
 def _add_products(out, letters, negate, xs, ys):
     """Add to `out` the products of the terms xs and ys, [(omega, t,
     coeff)], whose letters multiply to `letters`, negated if `negate`."""
+    if len(ys) == 1:
+        oy, ty, cy = ys[0]
+        if not ty and not any(oy):
+            # a letters-only right term, as every twist's is: each
+            # product keeps the left term's own omega and t tuples
+            if negate:
+                cy = -cy
+            for ox, tx, cx in xs:
+                mono = (letters, ox, tx)
+                s = out.get(mono, 0) + cx * cy
+                if s:
+                    out[mono] = s
+                else:
+                    del out[mono]
+            return
     for ox, tx, cx in xs:
         if negate:
             cx = -cx
@@ -523,13 +548,30 @@ def _sources(sigma, n):
     return source
 
 
+class _Parities(dict):
+    """{odd mask: parity of the odd pairs sigma reverses}, each parity
+    computed when its mask is first met."""
+
+    __slots__ = ("sigma",)
+
+    def __init__(self, sigma):
+        super().__init__()
+        self.sigma = sigma
+
+    def __missing__(self, odd):
+        parity = self[odd] = _reversed_parity(self.sigma, odd)
+        return parity
+
+
 @cache
 def _permutation_table(sigma, n):
-    """(inverse of sigma, {odd mask: parity of the odd pairs sigma
-    reverses}) for a permutation of n positions; the parities are filled
-    as the masks are met.  Keyed by (sigma, n), so the check of _sources
-    runs for every length a tuple is used with."""
-    return _sources(sigma, n), {}
+    """(move, its _Parities) for a permutation sigma of n positions,
+    where move(x) = (x[source[0]], ..., x[source[n-1]]) for the inverse
+    `source` of sigma moves the entry of each factor i to sigma[i].
+    Keyed by (sigma, n), so the check of _sources runs for every length
+    a tuple is used with."""
+    source = _sources(sigma, n)
+    return (itemgetter(*source) if n > 1 else tuple), _Parities(sigma)
 
 
 def _reversed_parity(sigma, odd):
@@ -548,18 +590,17 @@ def _add_images(out, sigma, x: RingElement):
     """Add sigma(x), term by term, into the term dict `out`; a sum that
     cancels stays as a zero entry.  The one permutation action: the
     letter and the omega exponent of factor i move to factor sigma[i],
-    the odd letters that sigma moves past each other give the sign."""
-    sigma = tuple(sigma)
-    source, parities = _permutation_table(sigma, x.ctx.factors)
-    for (letters, omega, t), c in x._coeffs.items():
-        odd = _mask_class(letters)[1]
-        negate = parities.get(odd)
-        if negate is None:
-            negate = parities[odd] = _reversed_parity(sigma, odd)
-        if any(omega):  # every twist is omega-free: leave its zeros be
-            omega = tuple([omega[i] for i in source])
-        mono = (tuple([letters[i] for i in source]), omega, t)
-        out[mono] = out.get(mono, 0) + (-c if negate else c)
+    and the odd letters that sigma moves past each other give the sign,
+    looked up once per mask class of x; each letter tuple is moved once."""
+    move, parities = _permutation_table(tuple(sigma), x.ctx.factors)
+    for (_support, odd, _points), entries in x._grouped():
+        negate = parities[odd]
+        for letters, terms in entries:
+            moved = move(letters)
+            for omega, t, c in terms:
+                # every twist is omega-free: leave its zeros be
+                mono = (moved, move(omega) if any(omega) else omega, t)
+                out[mono] = out.get(mono, 0) + (-c if negate else c)
 
 
 def permute_factors(sigma, x: RingElement) -> RingElement:
@@ -571,11 +612,49 @@ def permute_factors(sigma, x: RingElement) -> RingElement:
     sigma is a tuple with sigma[i] = image of (0-based) position i.  The
     letter and the omega exponent of factor i move to factor sigma[i];
     transposing two odd letters costs a sign; t exponents are untouched.
+    This is the action of _add_images, built straight into the grouped
+    form that products read: x's grouping is moved class by class, and
+    the image keeps it.
     """
-    # the action is a bijection on monomials, so no two terms meet
-    out = {}
-    _add_images(out, sigma, x)
-    return RingElement(x.ctx, out)
+    # the action is a bijection on monomials that maps each mask class
+    # onto one class, so no two terms meet and no two classes merge
+    move, parities = _permutation_table(tuple(sigma), x.ctx.factors)
+    coeffs, groups = {}, []
+    for (_support, odd, _points), entries in x._grouped():
+        negate = parities[odd]
+        moved_entries = []
+        for letters, terms in entries:
+            moved = move(letters)
+            moved_terms = []
+            for omega, t, c in terms:
+                if any(omega):
+                    omega = move(omega)
+                if negate:
+                    c = -c
+                coeffs[moved, omega, t] = c
+                moved_terms.append((omega, t, c))
+            moved_entries.append((moved, moved_terms))
+        groups.append((_mask_class(moved_entries[0][0]), moved_entries))
+    image = RingElement(x.ctx, coeffs)
+    image._groups = groups
+    return image
+
+
+def _fixed_by(sigma, x: RingElement) -> bool:
+    """Whether sigma(x) == x, tested term by term: the test ends at the
+    first term whose image is missing from x or carries another signed
+    coefficient.  sigma is a bijection on monomials, so no image is
+    built."""
+    move, parities = _permutation_table(tuple(sigma), x.ctx.factors)
+    coeffs = x._coeffs
+    for (_support, odd, _points), entries in x._grouped():
+        negate = parities[odd]
+        for letters, terms in entries:
+            moved = move(letters)
+            for omega, t, c in terms:
+                if coeffs.get((moved, move(omega), t)) != (-c if negate else c):
+                    return False
+    return True
 
 
 # The former name of the same action, kept bound because the traced

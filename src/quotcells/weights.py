@@ -11,6 +11,7 @@ blocks of sizes (2, 1).
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 
 
 # -- permutations ------------------------------------------------------------
@@ -34,13 +35,68 @@ def apply_perm(sigma, v):
     return tuple(out)
 
 
-def orbit(v, group):
-    """The images of v under the group, each mapped to the first member
-    of the group that reaches it."""
+def orbit_walk(v, labels=None):
+    """The images of v under the permutations that keep each position's
+    label (all of S_n when labels is None), each mapped to the
+    lexicographically first permutation reaching it, in lexicographic
+    order of those permutations.
+
+    That permutation sends positions holding one (label, value) pair to
+    increasing targets, so the walk gives position i any free target of
+    its label after the target of the last earlier position holding its
+    pair, and leaves enough targets after it for the later positions
+    holding the pair.  When equal pairs sit next to each other, as in a
+    decreasing vector or in decreasing blocks, no branch dead-ends, so
+    the walk takes at most n steps per image.  The stack is explicit:
+    sigma's prefix and the index of each target in its free list.
+    """
+    v = tuple(v)
+    n = len(v)
+    if not n:
+        return {(): ()}
+    if labels is None:
+        labels = (0,) * n
+    keys = tuple(zip(labels, v))
+    free = {}                # the free targets of each label
+    for j, label in enumerate(labels):
+        free.setdefault(label, []).append(j)
+    frees = [free[label] for label in labels]
+    after, last = [], {}     # after[i]: last earlier position holding keys[i]
+    for i, key in enumerate(keys):
+        after.append(last.get(key, -1))
+        last[key] = i
+    left, seen = [0] * n, {}  # left[i]: positions from i on holding keys[i]
+    for i in range(n - 1, -1, -1):
+        left[i] = seen[keys[i]] = seen.get(keys[i], 0) + 1
+    tail = n - 1             # the last run of equal pairs starts here
+    while tail and keys[tail - 1] == keys[-1]:
+        tail -= 1
+    rest, bound = frees[tail], after[tail]
     images = {}
-    for sigma in group:
-        images.setdefault(apply_perm(sigma, v), sigma)
-    return images
+    sigma, image = [0] * n, [0] * n
+    picks = []               # index of each target in its free list
+    i, k = 0, 0
+    while True:
+        if i < tail and k <= len(frees[i]) - left[i]:
+            target = sigma[i] = frees[i].pop(k)
+            image[target] = v[i]
+            picks.append(k)
+            i += 1
+            if i < tail:
+                a = after[i]
+                k = bisect_right(frees[i], sigma[a]) if a >= 0 else 0
+                continue
+        if i == tail and (bound < 0 or rest[0] > sigma[bound]):
+            # the last run takes the free targets left, in order
+            for target in rest:
+                image[target] = v[-1]
+            images[tuple(image)] = tuple(sigma[:tail]) + tuple(rest)
+        if not picks:
+            return images
+        i -= 1
+        k = picks.pop()
+        frees[i].insert(k, sigma[i])
+        k += 1
 
 
 # -- weight vectors ----------------------------------------------------------

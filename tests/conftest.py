@@ -91,6 +91,16 @@ def assert_read_only(x):
         x.coeffs = {}
 
 
+def orbit(v, group):
+    """The images of v under the group, each mapped to the first member
+    of the group that reaches it: the whole-group reference that
+    weights.orbit_walk is checked against."""
+    images = {}
+    for sigma in group:
+        images.setdefault(apply_perm(sigma, v), sigma)
+    return images
+
+
 def symmetrized_cell_class(ctx: RingContext, v, a: RingElement) -> RingElement:
     """Sum over all permutations of cell(sigma v) * sigma(a): the unreduced
     symmetrization the orbit-sum pullback routes are checked against."""

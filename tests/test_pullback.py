@@ -8,6 +8,7 @@ from math import factorial, prod
 import pytest
 
 from quotcells.cells import cell_class, complete_homogeneous
+from quotcells.grammar import parse
 from quotcells.pullback import (average_twist, combinatorial_prefactor,
                                 generator_span_check, invariant_dimension,
                                 invariant_letter_classes, is_invariant,
@@ -226,6 +227,17 @@ class TestOrbitReduction:
                         unreduced = unreduced * Fraction(1, len(stab))
                         assert partial_flag_pullback(ctx, composition, blocks, a) \
                             == unreduced, (ctx, composition, blocks, a)
+
+
+def test_routes_agree_at_twelve_factors():
+    """An orbit of 12 members in S_12: beyond reach of a walk over the
+    whole group, which would apply 12! permutations."""
+    ctx = RingContext(genus=0, factors=12)
+    u = (1,) + (0,) * 11
+    for a in (None, parse(ctx, "[pt" + "|one" * 11 + "]")):
+        got = quot_pullback(ctx, u, a)
+        assert got and got == quot_pullback_combinatorial(ctx, u, a)
+        assert is_invariant(got)
 
 
 class TestPartialFlag:

@@ -4,7 +4,10 @@ RingElement.__mul__ groups each element's terms by mask class (the
 bitmasks of its non-unit, odd and point positions), keeps that grouping
 on the element, and settles point collisions and the Koszul sign once
 per pair of classes; permute_factors reads the odd-letter sign from a
-table keyed by (sigma, n) and the odd mask.  Products and group sums
+table keyed by (sigma, n) and the odd mask, once per class, and builds
+its image grouped; ring._fixed_by tests sigma(x) == x term by term.  A
+right-hand term with letters only, as every twist's is, keeps the left
+term's omega and t.  Products and group sums
 that are summed (the pullback orbit sums, the invariant letter classes)
 are added into one term dict by ring._add_product and ring.group_sum, and
 format_element reads each letter tuple's part of the canonical text from
@@ -31,7 +34,7 @@ from quotcells.ring import (POINT, UNBOUNDED, UNIT, RingContext, RingElement,
                             alpha, beta, group_sum, letter_degree,
                             letter_monomials, monomial_sort_key, omega_layers,
                             permute_factors)
-from quotcells.weights import permutations, stabilizer
+from quotcells.weights import permutations, stabilizer, transposition
 
 from conftest import assert_read_only
 
@@ -448,3 +451,109 @@ def test_a_fresh_context_adds_no_table_entries():
                                 "_cell_cache", "_memo"}
     assert work(fresh) == first
     assert [table.cache_info().currsize for table in KERNEL_TABLES] == sizes
+
+
+@st.composite
+def letters_only_products(draw):
+    """(x, y) with y letters-only, as every twist is, and a term of x
+    carrying both omega and t."""
+    ctx = RingContext(genus=draw(st.integers(0, 2)),
+                      factors=draw(st.integers(1, 4)),
+                      rank=draw(st.sampled_from([2, UNBOUNDED])))
+    n = ctx.factors
+    letters = st.lists(st.sampled_from(ctx.curve_basis()), min_size=n, max_size=n)
+    omega = st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(any)
+    t = st.lists(st.integers(0, 2), min_size=1, max_size=2).filter(any)
+    x = draw(elements(ctx)) + ctx.monomial(draw(letters), draw(omega), draw(t),
+                                           draw(coefficients))
+    y = ctx.zero()
+    for _ in range(draw(st.integers(1, 4))):
+        y = y + ctx.monomial(draw(letters), coeff=draw(coefficients))
+    return x, y
+
+
+@settings(max_examples=150, deadline=None)
+@given(letters_only_products(), st.booleans())
+def test_letters_only_right_operand(pair, cancel):
+    x, y = pair
+    pairs = [(x, y), (y, y)] + ([(x, -y)] if cancel else [])  # x * y cancels
+    out = {}
+    for left, right in pairs:
+        ring._add_product(out, left, right)
+    total = ring._settled(x.ctx, out)
+    assert dict(total.coeffs) == _summed(reference_product(a, b) for a, b in pairs)
+    assert_normal(total)
+    # each product monomial keeps the left term's own omega and t tuples
+    out = {}
+    ring._add_product(out, x, y)
+    own = {id(part) for mono in x.coeffs for part in mono[1:]}
+    assert all(id(mono[1]) in own and (not mono[2] or id(mono[2]) in own)
+               for mono in out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_permuted_image_is_built_grouped(data):
+    ctx = data.draw(contexts())
+    x = data.draw(elements(ctx))
+    sigma = tuple(data.draw(st.permutations(range(ctx.factors))))
+    image = permute_factors(sigma, x)
+    assert dict(image.coeffs) == reference_permute(sigma, x)
+    assert_normal(image)
+    # kept as it was built: the grouping of the image's own terms
+    assert image._groups is not None
+    assert image._groups == RingElement(ctx, dict(image.coeffs))._grouped()
+    y = data.draw(elements(ctx))
+    assert dict((y * image).coeffs) == reference_product(y, image)
+
+
+@st.composite
+def near_misses(draw):
+    """A transposition tau and an element that tau fixes, y + tau(y),
+    or that element changed at one term: negated, its coefficient
+    doubled, or dropped, so that the image of its partner is missing.
+    Odd letters at both moved factors make tau cost a sign."""
+    ctx = RingContext(genus=draw(st.integers(1, 2)),
+                      factors=draw(st.integers(2, 4)),
+                      rank=draw(st.sampled_from([0, 2])))
+    n = ctx.factors
+    i, j = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+    tau = transposition(n, i, j)
+    y = draw(elements(ctx))
+    odd = [c for c in ctx.curve_basis() if letter_degree(c) == 1]
+    for _ in range(draw(st.integers(0, 2))):
+        letters = draw(st.lists(st.sampled_from(ctx.curve_basis()),
+                                min_size=n, max_size=n))
+        letters[i - 1] = draw(st.sampled_from(odd))
+        letters[j - 1] = draw(st.sampled_from(odd))
+        y = y + ctx.monomial(letters, coeff=draw(coefficients))
+    terms = dict((y + permute_factors(tau, y)).coeffs)
+    change = draw(st.sampled_from(["none", "negate", "double", "drop"]))
+    if terms and change != "none":
+        mono = draw(st.sampled_from(sorted(terms, key=repr)))
+        if change == "negate":
+            terms[mono] = -terms[mono]
+        elif change == "double":
+            terms[mono] = 2 * terms[mono]
+        else:
+            del terms[mono]
+    return tau, RingElement(ctx, terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_misses())
+def test_term_by_term_invariance_matches_the_image(case):
+    tau, x = case
+    assert ring._fixed_by(tau, x) == (permute_factors(tau, x) == x)
+
+
+def test_term_by_term_invariance_reads_the_sign():
+    """tau([a1|b1]) = -[b1|a1]: the odd letters pass each other."""
+    ctx = RingContext(genus=1, factors=2)
+    ab = ctx.monomial([alpha(1), beta(1)])
+    ba = ctx.monomial([beta(1), alpha(1)])
+    assert ring._fixed_by((1, 0), ab - ba)
+    assert not ring._fixed_by((1, 0), ab + ba)       # the other sign
+    assert not ring._fixed_by((1, 0), ab - 2 * ba)   # another coefficient
+    assert not ring._fixed_by((1, 0), ab)            # the image is missing
+    assert ring._fixed_by((1, 0), ctx.zero())

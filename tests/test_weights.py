@@ -2,16 +2,18 @@
 admissible row tuples."""
 
 import itertools
+import sys
 
 import pytest
 
 from quotcells.weights import (admissible_row_tuples, apply_perm, betti_b1,
                                componentwise_leq, connected_components,
                                decreasing_vectors, incidence_tuple,
-                               permutations, row_exponent, row_support_hat,
-                               stabilizer, tuple_support)
+                               orbit_walk, permutations, row_exponent,
+                               row_support_hat, stabilizer, tuple_support)
 
-from conftest import compose, compositions, invert, weights_to_decomposition
+from conftest import (compose, compositions, invert, orbit,
+                      weights_to_decomposition)
 
 
 def decomposition_to_weights(rows):
@@ -211,3 +213,37 @@ class TestYoung:
         assert len(stabilizer((0, 0, 1, 1))) == 4    # (2, 2)
         assert len(stabilizer((0, 0, 0))) == 6       # (3,)
         assert len(stabilizer((0, 1, 2))) == 1       # (1, 1, 1)
+
+
+class TestOrbitWalk:
+    """The orbit walk against the whole-group reference: the same images,
+    each with the same first permutation, in the same order."""
+
+    def test_full_group(self):
+        for n in range(7):
+            for v in itertools.product(range(3), repeat=n):
+                assert list(orbit_walk(v).items()) \
+                    == list(orbit(v, permutations(n)).items()), v
+
+    def test_young_subgroups(self):
+        for n in range(6):
+            # the block labels of each composition of n into k parts
+            for k in range(n + 1):
+                for c in compositions(n - k, k):
+                    labels = tuple(b for b, size in enumerate(c)
+                                   for _ in range(size + 1))
+                    group = stabilizer(labels)
+                    for v in itertools.product(range(3), repeat=n):
+                        assert list(orbit_walk(v, labels).items()) \
+                            == list(orbit(v, group).items()), (v, labels)
+
+    def test_long_vector(self):
+        """Longer than the recursion limit: the walk keeps its own stack."""
+        n = sys.getrecursionlimit() + 10
+        images = orbit_walk((0,) * (n - 1) + (1,))
+        # the first permutations in lex order move the 1 the least
+        assert [w.index(1) for w in images] == list(range(n - 1, -1, -1))
+        for w, sigma in images.items():
+            assert sorted(sigma) == list(range(n))
+            assert sigma[-1] == w.index(1)
+            assert list(sigma[:-1]) == sorted(sigma[:-1])
