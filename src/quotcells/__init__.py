@@ -4,9 +4,8 @@ pullbacks by two independent routes, torus localization and Poincare
 series, all in exact rational arithmetic."""
 
 from .ring import (POINT, UNIT, UNBOUNDED, RingContext, RingElement, alpha,
-                   beta, cohomological_degree, diagonal, group_sum,
-                   permute_factors, point_class, project_invariant,
-                   small_diagonal)
+                   beta, cohomological_degree, diagonal, permute_factors,
+                   point_class, small_diagonal)
 from .grammar import ParseError, format_element, parse
 from .cells import (cell_class, cell_class_equivariant, cell_class_series,
                     cell_class_series_closed_form, lower_index_step_residual,

@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 a verified identity failed, 2 usage error,
-3 an unexpected internal error (one `error:` line on stderr, no
-traceback).
+Exit codes: 0 success (also when a pipe into `head` closes stdout early:
+the call ends quietly), 1 a verified identity failed, 2 usage error, 3
+an unexpected internal error (one `error:` line on stderr, no traceback).
 Element-valued results are printed in the canonical grammar, so JSON
 output round-trips through `parse`.
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import cells, localization, pullback, series, suites
@@ -320,7 +321,12 @@ def main(argv=None) -> int:
     # looked up at call time, so a rebound `_cmd_*` is the one that runs
     handler = globals()["_cmd_" + args.command]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:  # stdout to devnull: the flush at exit passes
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ParseError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return USAGE_ERROR

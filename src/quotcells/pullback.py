@@ -5,7 +5,8 @@ the weight: of cell classes (the oracle) and of admissible row tuples;
 the two must agree exactly, and both enter through `_pullback`, so they
 accept the same weights.  Each route, and the partial-flag pullback,
 walks its orbit with weights.orbit_walk, in at most n steps per orbit
-member and without listing a group.  The module also carries the
+member and without listing a group; twist averages and invariant letter
+classes are orbit sums too.  The module also carries the
 symmetry/rank machinery used to certify that the pullback image is the
 full invariant subring of ring.permute_factors, the permutation action
 that moves each factor's curve class together with its omega;
@@ -14,17 +15,20 @@ invariance is tested term by term (ring._fixed_by).
 
 from __future__ import annotations
 
+from collections import Counter
+from fractions import Fraction
+from math import factorial, prod
+
 from .cells import _check_entries, _require_letters_only, cell_class
 from .linalg import exact_rank
-from .ring import (RingContext, RingElement, _add_product, _fixed_by,
-                   _group_terms, _settled, cohomological_degree,
-                   letter_monomials, permute_factors, point_class,
-                   project_invariant, small_diagonal)
+from .ring import (POINT, RingContext, RingElement, _add_product, _fixed_by,
+                   _normal, _settled, cohomological_degree, letter_monomials,
+                   permute_factors, point_class, small_diagonal)
 from .series import poly_coeff, quot_series_product
 from .weights import (admissible_row_tuples, betti_b1, connected_components,
                       decreasing_vectors, incidence_tuple, is_decreasing,
-                      orbit_walk, permutations, row_exponent, stabilizer,
-                      transposition, tuple_support)
+                      orbit_walk, row_exponent, stabilizer, transposition,
+                      tuple_support)
 
 
 def _fixed_by_stabilizer(v, x: RingElement) -> bool:
@@ -42,13 +46,49 @@ def _fixed_by_stabilizer(v, x: RingElement) -> bool:
     return True
 
 
+def _young_order(labels) -> int:
+    """The order of the permutations that keep each position's label."""
+    return prod(factorial(labels.count(label)) for label in set(labels))
+
+
+def _orbit_group_sum(labels, order, orbit):
+    """sum_{sigma in G} sigma(m), monomial -> coefficient, for the first
+    member m of an orbit of letter tuples under the group G of the given
+    order keeping each position's label: |G| / |orbit| times the sign of
+    sigma(m) = +-w at each member w, the parity of m's odd (label, letter)
+    pairs plus w's.  Empty when an odd letter repeats under one label:
+    the swap of the two fixes m and costs a sign."""
+    parities = []
+    for w in orbit:
+        odd = [pair for pair in zip(labels, w) if pair[1] > POINT]
+        parities.append(sum(b > a for i, a in enumerate(odd) for b in odd[:i]) & 1)
+    if len(set(odd)) < len(odd):  # every member has the same odd pairs
+        return {}
+    zero, scale = (0,) * len(labels), order // len(orbit)
+    return {(w, zero, ()): -scale if p ^ parities[0] else scale
+            for w, p in zip(orbit, parities)}
+
+
 def average_twist(ctx: RingContext, v, a: RingElement = None) -> RingElement:
     """The twist a (default 1) averaged over St(v), or a itself when it
-    is invariant; St(v) is listed only for a non-invariant a."""
+    is invariant."""
     if a is None:
         a = ctx.one()
     _require_letters_only(a)
-    return a if _fixed_by_stabilizer(v, a) else project_invariant(stabilizer(v), a)
+    return a if _fixed_by_stabilizer(v, a) else _orbit_average(ctx, v, a)
+
+
+def _orbit_average(ctx: RingContext, v, a: RingElement) -> RingElement:
+    """a averaged over St(v): each term c m gives c |Stab(m)| / |St(v)| =
+    c / |orbit| times the signed sum over the St(v)-orbit of m, which
+    weights.orbit_walk lists with v as labels."""
+    order, out = _young_order(v), Counter()
+    for (letters, _omega, _t), c in a._coeffs.items():
+        orbit = list(orbit_walk(letters, v))
+        for mono, k in _orbit_group_sum(v, order, orbit).items():
+            out[mono] += c * k
+    return RingElement(ctx, {mono: _normal(Fraction(c, order))
+                             for mono, c in out.items() if c})
 
 
 def _pullback(ctx: RingContext, member, u, a: RingElement) -> RingElement:
@@ -194,24 +234,22 @@ def span_rank(elements, degree: int) -> int:
 def invariant_letter_classes(ctx: RingContext, degree: int, group=None):
     """Spanning set of the group-invariant omega-free classes of the given
     degree: the group sums sum_{sigma in G} sigma(m) of letter monomials m,
-    one per orbit, each |Stab_G(m)| times the signed orbit sum (vanishing
-    sums skipped)."""
-    if group is None:
-        group = list(permutations(ctx.factors))
-    zero = (0,) * ctx.factors
-    seen = set()
-    out = []
+    one per orbit in the order of its first member, each |Stab_G(m)| =
+    |G| / |orbit| times the signed orbit sum (vanishing sums skipped).
+
+    G is S_n (None) or a Young subgroup such as St(u), read once for its
+    order and for the least position each position reaches, its label;
+    an orbit is the letter tuples of one multiset of (label, letter)."""
+    n = ctx.factors
+    labels = (0,) * n if group is None else tuple(map(min, zip(*group)))
+    order = _young_order(labels)
+    if len(labels) != n or group is not None and len(group) != order:
+        raise ValueError("group is not a Young subgroup of S_%d" % n)
+    orbits = {}
     for letters in letter_monomials(ctx, degree):
-        if letters in seen:
-            continue
-        # the term dict keeps every image, cancelled or not, so its keys
-        # are the orbit of m; its coefficients are sums of signs, ints
-        terms = _group_terms(group, RingElement(ctx, {(letters, zero, ()): 1}))
-        seen.update(mono[0] for mono in terms)
-        orbit_sum = {mono: c for mono, c in terms.items() if c}
-        if orbit_sum:
-            out.append(RingElement(ctx, orbit_sum))
-    return out
+        orbits.setdefault(tuple(sorted(zip(labels, letters))), []).append(letters)
+    sums = (_orbit_group_sum(labels, order, orbit) for orbit in orbits.values())
+    return [RingElement(ctx, terms) for terms in sums if terms]
 
 
 def quot_pullback_spanning_classes(ctx: RingContext, degree: int):

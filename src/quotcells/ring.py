@@ -43,14 +43,13 @@ permuted along an orbit is grouped once and each of its images is ready
 for the product.  _fixed_by tests sigma(x) == x term by term, without
 building sigma(x), and stops at the first term that differs.
 
-Sums of products and of permuted copies go into one term dict: the
-multiply-accumulate _add_product adds x * y into a caller's dict (a
-product is one call into a fresh dict), and group_sum adds sigma(x) over
-a group.  A right-hand term with letters only, zero omega and no t, as
-every twist's terms are, gives each product the left term's own omega
-and t tuples, with no exponent sums.  The canonical formatter reads each
-letter tuple's degree, sort part and names from the process-wide
-_letter_facts.
+Sums of products go into one term dict: the multiply-accumulate
+_add_product adds x * y into a caller's dict (a product is one call into
+a fresh dict).  A right-hand term with letters only, zero omega and no
+t, as every twist's terms are, gives each product the left term's own
+omega and t tuples, with no exponent sums.  No sum here runs over a
+group.  The canonical formatter reads each letter tuple's degree, sort
+part and names from the process-wide _letter_facts.
 """
 
 from __future__ import annotations
@@ -586,23 +585,6 @@ def _reversed_parity(sigma, odd):
     return inversions & 1
 
 
-def _add_images(out, sigma, x: RingElement):
-    """Add sigma(x), term by term, into the term dict `out`; a sum that
-    cancels stays as a zero entry.  The one permutation action: the
-    letter and the omega exponent of factor i move to factor sigma[i],
-    and the odd letters that sigma moves past each other give the sign,
-    looked up once per mask class of x; each letter tuple is moved once."""
-    move, parities = _permutation_table(tuple(sigma), x.ctx.factors)
-    for (_support, odd, _points), entries in x._grouped():
-        negate = parities[odd]
-        for letters, terms in entries:
-            moved = move(letters)
-            for omega, t, c in terms:
-                # every twist is omega-free: leave its zeros be
-                mono = (moved, move(omega) if any(omega) else omega, t)
-                out[mono] = out.get(mono, 0) + (-c if negate else c)
-
-
 def permute_factors(sigma, x: RingElement) -> RingElement:
     """Left action of the symmetric group on the factors: the ring
     automorphism sending p_i^*(a) w_i^l to p_{sigma(i)}^*(a) w_{sigma(i)}^l,
@@ -612,9 +594,8 @@ def permute_factors(sigma, x: RingElement) -> RingElement:
     sigma is a tuple with sigma[i] = image of (0-based) position i.  The
     letter and the omega exponent of factor i move to factor sigma[i];
     transposing two odd letters costs a sign; t exponents are untouched.
-    This is the action of _add_images, built straight into the grouped
-    form that products read: x's grouping is moved class by class, and
-    the image keeps it.
+    The image is built straight into the grouped form that products
+    read: x's grouping is moved class by class, and the image keeps it.
     """
     # the action is a bijection on monomials that maps each mask class
     # onto one class, so no two terms meet and no two classes merge
@@ -660,26 +641,6 @@ def _fixed_by(sigma, x: RingElement) -> bool:
 # The former name of the same action, kept bound because the traced
 # benchmark (bench/spans.py) wraps it.
 permute_factors_omega = permute_factors
-
-
-def _group_terms(group, x: RingElement) -> dict:
-    """sum_{sigma in group} sigma(x) as a term dict whose keys are all the
-    images of x's monomials, the cancelled ones with a zero coefficient."""
-    out = {}
-    for sigma in group:
-        _add_images(out, sigma, x)
-    return out
-
-
-def group_sum(group, x: RingElement) -> RingElement:
-    """The sum of sigma(x) over the permutations sigma of a finite group."""
-    return _settled(x.ctx, {m: c for m, c in _group_terms(group, x).items() if c})
-
-
-def project_invariant(perms, x: RingElement) -> RingElement:
-    """Average of the factor-permutation action over a finite group."""
-    perms = list(perms)
-    return group_sum(perms, x) * Fraction(1, len(perms))
 
 
 # -- diagonal and point classes ---------------------------------------------

@@ -16,11 +16,6 @@ from bisect import bisect_right
 
 # -- permutations ------------------------------------------------------------
 
-def permutations(n: int):
-    """All of S_n in lexicographic order, as image tuples."""
-    return itertools.permutations(range(n))
-
-
 def transposition(n: int, i: int, j: int):
     """Transposition of 1-based positions i and j inside S_n."""
     sigma = list(range(n))

@@ -6,7 +6,7 @@ import pytest
 from quotcells.cells import _require_letters_only, cell_class
 from quotcells.ring import (UNIT, RingContext, RingElement, letter_degree,
                             permute_factors)
-from quotcells.weights import apply_perm, is_decreasing, permutations
+from quotcells.weights import apply_perm, is_decreasing
 
 
 @pytest.fixture
@@ -89,6 +89,27 @@ def assert_read_only(x):
         del x.coeffs[mono]
     with pytest.raises(AttributeError):
         x.coeffs = {}
+
+
+def permutations(n: int):
+    """All of S_n in lexicographic order, as image tuples."""
+    return itertools.permutations(range(n))
+
+
+def group_sum(group, x: RingElement) -> RingElement:
+    """The sum of sigma(x) over the permutations sigma of a finite group:
+    the whole-group reference that the orbit sums of the library are
+    checked against."""
+    acc = x.ctx.zero()
+    for sigma in group:
+        acc = acc + permute_factors(sigma, x)
+    return acc
+
+
+def project_invariant(perms, x: RingElement) -> RingElement:
+    """Average of the factor-permutation action over a finite group."""
+    perms = list(perms)
+    return group_sum(perms, x) * Fraction(1, len(perms))
 
 
 def orbit(v, group):

@@ -13,12 +13,11 @@ from quotcells.cells import (cell_class, cell_class_equivariant,
                              lower_index_step_residual,
                              module_recursion_residual, to_cell_basis)
 from quotcells.ring import (RingContext, alpha, cohomological_degree,
-                            diagonal, omega_top_part, project_invariant)
-from quotcells.weights import permutations
+                            diagonal, omega_top_part)
 
-from conftest import (assert_read_only, embed, from_cell_basis,
-                      random_homogeneous, specialize_t_zero,
-                      symmetrized_cell_class)
+from conftest import (assert_read_only, embed, from_cell_basis, permutations,
+                      project_invariant, random_homogeneous,
+                      specialize_t_zero, symmetrized_cell_class)
 
 
 class TestCellCacheIsReadOnly:

@@ -5,7 +5,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -65,27 +68,24 @@ def test_psi_json_round_trip(capsys):
     assert parse(ctx, payload["element"]) == quot_pullback(ctx, (1, 0))
 
 
-def count_project_invariant(monkeypatch):
-    """Wrap every quotcells binding of ring.project_invariant in one call
-    counter, returned as a one-element list."""
-    import sys
-    from quotcells import ring
-    original = ring.project_invariant
+def count_orbit_averages(monkeypatch):
+    """Wrap pullback._orbit_average, the step that averages a twist that
+    is not invariant, in one call counter, returned as a one-element
+    list."""
+    from quotcells import pullback
+    original = pullback._orbit_average
     calls = [0]
 
-    def counted(perms, x):
+    def counted(ctx, v, a):
         calls[0] += 1
-        return original(perms, x)
+        return original(ctx, v, a)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("quotcells") and \
-                getattr(module, "project_invariant", None) is original:
-            monkeypatch.setattr(module, "project_invariant", counted)
+    monkeypatch.setattr(pullback, "_orbit_average", counted)
     return calls
 
 
 def test_psi_averages_the_twist_once(capsys, monkeypatch):
-    calls = count_project_invariant(monkeypatch)
+    calls = count_orbit_averages(monkeypatch)
     code, out, _ = run(capsys, "psi", "--u", "1,1", "--a", "1 * [a1|one]",
                        "--genus", "1", "--method", "both")
     assert code == 0
@@ -279,6 +279,25 @@ def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
     assert code == cli.INTERNAL_ERROR == 3
     assert out == ""
     assert err == "error: internal error (RuntimeError) boom second line\n"
+
+
+def test_closed_stdout_ends_the_call_quietly():
+    """A stdout whose reader is gone before the first write, as when the
+    CLI is piped into `head`: exit 0, and nothing at all on stderr."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "quotcells.cli", "psi", "--u", "2,1,0",
+             "--genus", "1", "--method", "both"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
 
 
 # -- random argument vectors ----------------------------------------------------

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from quotcells.ring import (RingContext, RingElement, alpha,
                             beta, cohomological_degree, diagonal,
-                            permute_factors, point_class, project_invariant,
-                            small_diagonal)
-from quotcells.weights import permutations, transposition
+                            permute_factors, point_class, small_diagonal)
+from quotcells.weights import transposition
 
-from conftest import embed, random_homogeneous
+from conftest import (embed, permutations, project_invariant,
+                      random_homogeneous)
 
 
 class TestProductTable:

@@ -7,11 +7,11 @@ per pair of classes; permute_factors reads the odd-letter sign from a
 table keyed by (sigma, n) and the odd mask, once per class, and builds
 its image grouped; ring._fixed_by tests sigma(x) == x term by term.  A
 right-hand term with letters only, as every twist's is, keeps the left
-term's omega and t.  Products and group sums
-that are summed (the pullback orbit sums, the invariant letter classes)
-are added into one term dict by ring._add_product and ring.group_sum, and
-format_element reads each letter tuple's part of the canonical text from
-ring._letter_facts.  Every such table is a function of its own key,
+term's omega and t.  Products that are summed (the pullback orbit sums)
+are added into one term dict by ring._add_product, and the invariant
+letter classes, built from letter orbits, are checked against sums over
+the whole group.  format_element reads each letter tuple's part of the
+canonical text from ring._letter_facts.  Every such table is a function of its own key,
 memoized once per process, so a fresh context starts with the tables
 that earlier contexts filled; the tests below also check that the
 tables are keyed by all they depend on.
@@ -30,13 +30,13 @@ from hypothesis import strategies as st
 
 from quotcells import ring
 from quotcells.grammar import format_element, parse
+from quotcells.pullback import average_twist, invariant_letter_classes
 from quotcells.ring import (POINT, UNBOUNDED, UNIT, RingContext, RingElement,
-                            alpha, beta, group_sum, letter_degree,
-                            letter_monomials, monomial_sort_key, omega_layers,
-                            permute_factors)
-from quotcells.weights import permutations, stabilizer, transposition
+                            alpha, beta, letter_degree, letter_monomials,
+                            monomial_sort_key, omega_layers, permute_factors)
+from quotcells.weights import stabilizer, transposition
 
-from conftest import assert_read_only
+from conftest import assert_read_only, permutations
 
 
 def _letter_product(a, b):
@@ -349,41 +349,76 @@ def test_multiply_accumulate_matches_summed_references(data):
     assert_normal(total)
 
 
-@st.composite
-def groups(draw, n):
-    """All of S_n, or the stabilizer of a drawn weight vector."""
-    if draw(st.booleans()):
-        return list(permutations(n))
-    return stabilizer(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+def reference_letter_classes(ctx, degree, group):
+    """invariant_letter_classes summed over the whole group: for each
+    letter monomial m of no earlier orbit, in order, the sum of the
+    reference images of m over the group, kept unless it cancels; every
+    image, cancelled or not, marks its letter tuple as seen."""
+    zero = (0,) * ctx.factors
+    seen = set()
+    out = []
+    for letters in letter_monomials(ctx, degree):
+        if letters in seen:
+            continue
+        m = RingElement(ctx, {(letters, zero, ()): 1})
+        images = [reference_permute(sigma, m) for sigma in group]
+        seen.update(mono[0] for image in images for mono in image)
+        total = _summed(images)
+        if total:
+            out.append(total)
+    return out
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_group_sum_matches_summed_references(data):
-    ctx = data.draw(contexts())
-    x = data.draw(elements(ctx))
-    group = data.draw(groups(ctx.factors))
-    expected = [reference_permute(sigma, x) for sigma in group]
-    total = group_sum(group, x)
-    assert dict(total.coeffs) == _summed(expected)
-    assert_normal(total)
-    # the term dict keeps every image, also those whose sum cancels
-    assert set(ring._group_terms(group, x)) == {m for d in expected for m in d}
+def test_letter_classes_match_summed_references():
+    """Every degree at genus 0-2 and n <= 4, over S_n and over St(v) for
+    every v in {0, 1, 2}^n: the same classes, scale included, in the same
+    order, and no class for an orbit whose sum cancels."""
+    for genus in (0, 1, 2):
+        for n in range(1, 5):
+            ctx = RingContext(genus=genus, factors=n)
+            groups = [list(permutations(n))] + \
+                [stabilizer(v) for v in itertools.product(range(3), repeat=n)]
+            for degree in range(2 * n + 1):
+                expected = {}
+                for group in groups:
+                    # St(v) is one group for every v of one position partition
+                    key = frozenset(group)
+                    if key not in expected:
+                        expected[key] = reference_letter_classes(ctx, degree, group)
+                    got = invariant_letter_classes(ctx, degree, group)
+                    assert [dict(x.coeffs) for x in got] == expected[key], \
+                        (genus, n, degree, group)
+                assert invariant_letter_classes(ctx, degree) == \
+                    invariant_letter_classes(ctx, degree, groups[0])
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_group_sum_of_repeated_odd_letters_cancels(data):
+def test_letter_classes_skip_repeated_odd_letters(data):
     genus = data.draw(st.integers(1, 2))
     n = data.draw(st.integers(2, 4))
     ctx = RingContext(genus=genus, factors=n)
     odd = data.draw(st.sampled_from([alpha(1), beta(1)]))
-    letters = [odd, odd] + data.draw(st.lists(st.sampled_from(ctx.curve_basis()),
-                                              min_size=n - 2, max_size=n - 2))
+    letters = (odd, odd) + tuple(data.draw(st.lists(
+        st.sampled_from(ctx.curve_basis()), min_size=n - 2, max_size=n - 2)))
+    v = (0, 0) + tuple(data.draw(st.lists(st.integers(0, 2), min_size=n - 2,
+                                          max_size=n - 2)))
+    group = data.draw(st.sampled_from([list(permutations(n)), stabilizer(v)]))
     x = ctx.monomial(letters, coeff=data.draw(coefficients))
     # the swap of the first two factors fixes the letters and costs a sign
-    assert group_sum(permutations(n), x) == ctx.zero()
-    assert _summed(reference_permute(s, x) for s in permutations(n)) == {}
+    assert _summed(reference_permute(s, x) for s in group) == {}
+    assert average_twist(ctx, v, x) == ctx.zero()
+    degree = sum(map(letter_degree, letters))
+    for c in invariant_letter_classes(ctx, degree, group):
+        assert all(mono[0] != letters for mono in c.coeffs)
+
+
+def test_letter_classes_refuse_a_group_that_is_no_stabilizer():
+    ctx = RingContext(genus=1, factors=3)
+    three_cycles = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+    for group in (three_cycles, stabilizer((0, 0)), [(0, 1, 2), (0, 1, 2)]):
+        with pytest.raises(ValueError):
+            invariant_letter_classes(ctx, 2, group)
 
 
 @st.composite

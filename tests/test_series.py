@@ -12,7 +12,7 @@ from quotcells.series import (filt_poincare, filt_presentation_check,
                               symmetric_product_poincare, tensor_model_series)
 from quotcells.weights import decreasing_vectors, stabilizer
 
-from conftest import weights_to_decomposition
+from conftest import permutations, weights_to_decomposition
 
 
 def decomposition_dimension_check(ctx, r, max_degree):
@@ -66,7 +66,6 @@ class TestSymmetricProduct:
         from math import factorial
         from quotcells.ring import (RingContext, RingElement,
                                     letter_monomials, permute_factors)
-        from quotcells.weights import permutations
         ctx = RingContext(genus=g, factors=m)
         dims = []
         for d in range(2 * m + 1):

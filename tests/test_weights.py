@@ -9,10 +9,10 @@ import pytest
 from quotcells.weights import (admissible_row_tuples, apply_perm, betti_b1,
                                componentwise_leq, connected_components,
                                decreasing_vectors, incidence_tuple,
-                               orbit_walk, permutations, row_exponent,
-                               row_support_hat, stabilizer, tuple_support)
+                               orbit_walk, row_exponent, row_support_hat,
+                               stabilizer, tuple_support)
 
-from conftest import (compose, compositions, invert, orbit,
+from conftest import (compose, compositions, invert, orbit, permutations,
                       weights_to_decomposition)
 
 
