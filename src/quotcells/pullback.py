@@ -27,7 +27,7 @@ from .ring import (POINT, RingContext, RingElement, _add_product, _fixed_by,
 from .series import poly_coeff, quot_series_product
 from .weights import (admissible_row_tuples, betti_b1, connected_components,
                       decreasing_vectors, incidence_tuple, is_decreasing,
-                      orbit_walk, row_exponent, stabilizer, transposition,
+                      orbit_walk, row_exponent, transposition,
                       tuple_support)
 
 
@@ -233,19 +233,25 @@ def span_rank(elements, degree: int) -> int:
 
 def invariant_letter_classes(ctx: RingContext, degree: int, group=None):
     """Spanning set of the group-invariant omega-free classes of the given
-    degree: the group sums sum_{sigma in G} sigma(m) of letter monomials m,
-    one per orbit in the order of its first member, each |Stab_G(m)| =
-    |G| / |orbit| times the signed orbit sum (vanishing sums skipped).
-
-    G is S_n (None) or a Young subgroup such as St(u), read once for its
-    order and for the least position each position reaches, its label;
-    an orbit is the letter tuples of one multiset of (label, letter)."""
+    degree, for G = S_n (None) or a listed Young subgroup such as St(u):
+    `_letter_classes` with the least position each position reaches under
+    G as its labels.  The library passes u itself to `_letter_classes`."""
     n = ctx.factors
     labels = (0,) * n if group is None else tuple(map(min, zip(*group)))
-    order = _young_order(labels)
-    if len(labels) != n or group is not None and len(group) != order:
+    if len(labels) != n or group is not None and len(group) != _young_order(labels):
         raise ValueError("group is not a Young subgroup of S_%d" % n)
-    orbits = {}
+    return _letter_classes(ctx, degree, labels)
+
+
+def _letter_classes(ctx: RingContext, degree: int, labels):
+    """The group sums sum_{sigma in G} sigma(m) of letter monomials m of
+    the given degree, for the permutations G keeping each position's
+    label (St(u) for the labels u), one per orbit in the order of its
+    first member, each |Stab_G(m)| = |G| / |orbit| times the signed orbit
+    sum (vanishing sums skipped); an orbit is the letter tuples of one
+    multiset of (label, letter), so only which positions share a label
+    matters, not the labels' values or order."""
+    order, orbits = _young_order(labels), {}
     for letters in letter_monomials(ctx, degree):
         orbits.setdefault(tuple(sorted(zip(labels, letters))), []).append(letters)
     sums = (_orbit_group_sum(labels, order, orbit) for orbit in orbits.values())
@@ -254,16 +260,10 @@ def invariant_letter_classes(ctx: RingContext, degree: int, group=None):
 
 def quot_pullback_spanning_classes(ctx: RingContext, degree: int):
     """The pullback classes of degree `degree` built from all decreasing
-    weights and a spanning set of stabilizer-invariant twists."""
-    n = ctx.factors
-    out = []
-    for u in decreasing_vectors(n, None, degree // 2):
-        rest = degree - 2 * sum(u)
-        if rest < 0 or rest > 2 * n:
-            continue
-        for a in invariant_letter_classes(ctx, rest, stabilizer(u)):
-            out.append(quot_pullback(ctx, u, a))
-    return out
+    weights u and a spanning set of St(u)-invariant twists."""
+    return [quot_pullback(ctx, u, a)
+            for u in decreasing_vectors(ctx.factors, None, degree // 2)
+            for a in _letter_classes(ctx, degree - 2 * sum(u), u)]
 
 
 def pullback_generators(ctx: RingContext):

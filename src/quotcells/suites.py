@@ -22,8 +22,7 @@ from . import cells, localization, pullback, series
 from .grammar import format_element
 from .ring import (RingContext, cohomological_degree, omega_top_part,
                    small_diagonal)
-from .weights import (betti_b1, connected_components, decreasing_vectors,
-                      stabilizer)
+from .weights import betti_b1, connected_components, decreasing_vectors
 
 DEFAULTS = {
     "n_values": (2, 3),
@@ -55,24 +54,25 @@ def _case(inputs, expected, got, ok, checked):
 # -- pullbacks ------------------------------------------------------------------
 
 def pullback_classes(ctx, us, degrees):
-    """(u, a, psi(u; a)) for each u and each stabilizer-invariant letter
-    class a of the degrees: checks given one grid share its pullbacks."""
-    return [(u, a, pullback.quot_pullback(ctx, u, a))
+    """(u, a, psi(u; a)) for each u and each St(u)-invariant letter class
+    a of the degrees, u serving as its own labels, streamed one class at
+    a time: checks given one grid share its pullbacks through list()."""
+    return ((u, a, pullback.quot_pullback(ctx, u, a))
             for u in us for d in degrees
-            for a in pullback.invariant_letter_classes(ctx, d, stabilizer(u))]
+            for a in pullback._letter_classes(ctx, d, u))
 
 
 def check_pullback_routes(label, ctx, classes):
-    """The combinatorial route reproduces every pullback of the grid."""
-    bad = None
-    for u, a, x in classes:
+    """The combinatorial route reproduces every pullback of the grid,
+    counted as it is read."""
+    bad, count = None, 0
+    for count, (u, a, x) in enumerate(classes, 1):
         other = pullback.quot_pullback_combinatorial(ctx, u, a)
         if x != other and bad is None:
             bad = "u=%s a=%s residual=%s" % (
                 list(u), format_element(a), format_element(x - other))
     return [_case({"check": "combinatorial-vs-symmetrization", **label,
-                   "classes": len(classes)},
-                  "0", bad or "0", bad is None, len(classes))]
+                   "classes": count}, "0", bad or "0", bad is None, count)]
 
 
 def check_pullback_invariance(label, ctx, classes):

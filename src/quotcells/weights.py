@@ -101,7 +101,11 @@ def componentwise_leq(v, w) -> bool:
 
 
 def stabilizer(v):
-    """All permutations fixing v, as a list (product of per-value groups)."""
+    """All permutations fixing v, as a list (product of per-value groups).
+
+    The benchmark and the tests pass such a listed group to
+    pullback.invariant_letter_classes; the library itself passes weights,
+    whose values serve as the position labels."""
     classes = {}
     for i, value in enumerate(v):
         classes.setdefault(value, []).append(i)
@@ -127,19 +131,13 @@ def decreasing_vectors(n: int, r=None, max_co: int | None = None):
         if r is None:
             raise ValueError("need r or max_co to bound the enumeration")
         max_co = n * (r - 1)
-    out = []
-
-    def rec(prefix, cap, budget):
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        top = min(cap, budget)
-        for value in range(top + 1):
-            rec(prefix + [value], value, budget - value)
-
-    cap0 = max_co if r is None else min(r - 1, max_co)
-    rec([], cap0, max_co)
-    return sorted(out, key=lambda v: (sum(v), v))
+    # (prefix, cap, budget) level by level, so no depth limit applies
+    level = [((), max_co if r is None else min(r - 1, max_co), max_co)]
+    for _ in range(n):
+        level = [(prefix + (value,), value, budget - value)
+                 for prefix, cap, budget in level
+                 for value in range(min(cap, budget) + 1)]
+    return sorted((prefix for prefix, _, _ in level), key=lambda v: (sum(v), v))
 
 
 # -- subset tuples and their incidence combinatorics -------------------------
@@ -221,12 +219,11 @@ def admissible_row_tuples(v):
     position.
 
     Deterministic: rows are filled from index n downwards, candidate
-    entries in lexicographic order.
+    entries in lexicographic order.  The search keeps an explicit stack of
+    per-row candidate iterators, so no depth limit applies.
     """
     target = tuple(v)
     n = len(target)
-
-    rows = [None] * n
 
     def admissible(row, j, rem_before, rem_after):
         hat = row_support_hat(row, j)
@@ -239,21 +236,32 @@ def admissible_row_tuples(v):
                 return False
         return True
 
-    def rec(j, rem):
-        if j == 0:
-            L = tuple(rows)
-            comps = connected_components(incidence_tuple(L))
-            if all(betti_b1(c) <= 1 for c in comps):
-                yield L
-            return
+    def candidates(j, rem):
+        """The admissible rows l_j, each with the remainder it leaves."""
         need = rem[j - 1]
         for prefix in itertools.product(*(range(rem[i] + 1) for i in range(j - 1))):
             row = prefix + (need,)
             rem_after = tuple(a - b for a, b in zip(rem, row + (0,) * (len(rem) - j)))
-            if not admissible(row, j, rem, rem_after):
-                continue
-            rows[j - 1] = row
-            yield from rec(j - 1, rem_after)
-        rows[j - 1] = None
+            if admissible(row, j, rem, rem_after):
+                yield row, rem_after
 
-    yield from rec(n, target)
+    rows = [None] * n
+    stack = []               # stack[k]: the untried candidates for row n - k
+    j, rem = n, target
+    while True:
+        if j:
+            stack.append(candidates(j, rem))
+        else:
+            L = tuple(rows)
+            comps = connected_components(incidence_tuple(L))
+            if all(betti_b1(c) <= 1 for c in comps):
+                yield L
+        while stack:
+            step = next(stack[-1], None)
+            if step is not None:
+                break
+            stack.pop()
+        else:
+            return
+        j = n - len(stack)   # the top fills row j + 1; row j comes next
+        rows[j], rem = step

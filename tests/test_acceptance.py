@@ -46,8 +46,8 @@ def _a1_cases():
     routes, invariance = [], []
     for g, n, max_co in _A1_GRID:
         ctx = _ctx(g, n)
-        classes = suites.pullback_classes(
-            ctx, decreasing_vectors(n, None, max_co=max_co), range(5))
+        classes = list(suites.pullback_classes(
+            ctx, decreasing_vectors(n, None, max_co=max_co), range(5)))
         label = {"genus": g, "factors": n, "max_co": max_co}
         routes += suites.check_pullback_routes(label, ctx, classes)
         invariance += suites.check_pullback_invariance(label, ctx, classes)

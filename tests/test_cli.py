@@ -100,6 +100,16 @@ def test_psi_averages_the_twist_once(capsys, monkeypatch):
     assert calls[0] == 0
 
 
+def test_psi_of_a_weight_longer_than_the_recursion_limit(capsys):
+    """Both routes at sys.getrecursionlimit() + 10 factors: the row-tuple
+    search keeps its own stack."""
+    zeros = ",".join(["0"] * (sys.getrecursionlimit() + 10))
+    code, out, err = run(capsys, "psi", "--u", zeros, "--genus", "0",
+                         "--method", "both")
+    assert code == 0, err
+    assert "equal: True" in out
+
+
 def test_psi_rejects_non_decreasing(capsys):
     code, _, err = run(capsys, "psi", "--u", "0,1")
     assert code == 2

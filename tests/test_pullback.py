@@ -2,18 +2,21 @@
 symmetry and rank certificates."""
 
 import itertools
+import sys
 from fractions import Fraction
 from math import factorial, prod
 
 import pytest
 
+from quotcells import suites, weights
 from quotcells.cells import cell_class, complete_homogeneous
 from quotcells.grammar import parse
 from quotcells.pullback import (average_twist, combinatorial_prefactor,
                                 generator_span_check, invariant_dimension,
                                 invariant_letter_classes, is_invariant,
                                 partial_flag_pullback, quot_pullback,
-                                quot_pullback_combinatorial, span_rank)
+                                quot_pullback_combinatorial,
+                                quot_pullback_spanning_classes, span_rank)
 from quotcells.ring import (POINT, RingContext, RingElement, UNIT, alpha,
                             diagonal, letter_monomials, permute_factors,
                             small_diagonal)
@@ -306,6 +309,54 @@ class TestSymmetryCertificates:
         ctx = RingContext(genus=0, factors=2)
         report = decomposition_dimension_check(ctx, 2, 6)
         assert report["pass"], report
+
+
+def test_no_library_path_lists_a_group(monkeypatch):
+    """The pullback and rank suites and the spanning classes pass each
+    weight as its own labels: every binding of weights.stabilizer inside
+    quotcells raises, and they still run and pass."""
+    listed = weights.stabilizer
+
+    def refuse(v):
+        raise AssertionError("St(%s) listed" % (v,))
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "quotcells":
+            for attr, value in list(vars(module).items()):
+                if value is listed:
+                    monkeypatch.setattr(module, attr, refuse)
+    report = suites.run_suites(["pullback", "ranks"], {
+        "n_values": (2, 3), "genus_values": (0, 1), "max_co": 2})
+    assert report["ok"]
+    ctx = RingContext(genus=1, factors=3)
+    for degree in range(7):
+        assert span_rank(quot_pullback_spanning_classes(ctx, degree), degree) \
+            == invariant_dimension(ctx, degree)
+
+
+def test_route_check_reads_a_stream_once():
+    """pullback_classes streams the twists of the listed St(u), and
+    check_pullback_routes reads its classes once: a one-pass generator
+    with one corrupted class gives the case a list of the same triples
+    gives, with the same class count and first mismatch."""
+    ctx = RingContext(genus=1, factors=3)
+    us = decreasing_vectors(3, None, max_co=2)
+    triples = list(suites.pullback_classes(ctx, us, range(3)))
+    assert [(u, a) for u, a, _ in triples] == [
+        (u, a) for u in us for d in range(3)
+        for a in invariant_letter_classes(ctx, d, stabilizer(u))]
+    u, a, x = triples[3]
+    triples[3] = (u, a, x + 1)
+    label = {"genus": 1, "factors": 3}
+    [listed] = suites.check_pullback_routes(label, ctx, triples)
+    stream = (triple for triple in triples)
+    [streamed] = suites.check_pullback_routes(label, ctx, stream)
+    assert next(stream, None) is None
+    del listed["finished"], streamed["finished"]
+    assert streamed == listed
+    assert not streamed["pass"]
+    assert streamed["checked"] == streamed["inputs"]["classes"] == len(triples)
+    assert streamed["got"].startswith("u=%s a=" % list(u))
 
 
 def projector_trace(ctx: RingContext, basis) -> int:

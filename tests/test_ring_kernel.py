@@ -30,7 +30,8 @@ from hypothesis import strategies as st
 
 from quotcells import ring
 from quotcells.grammar import format_element, parse
-from quotcells.pullback import average_twist, invariant_letter_classes
+from quotcells.pullback import (_letter_classes, average_twist,
+                                invariant_letter_classes)
 from quotcells.ring import (POINT, UNBOUNDED, UNIT, RingContext, RingElement,
                             alpha, beta, letter_degree, letter_monomials,
                             monomial_sort_key, omega_layers, permute_factors)
@@ -371,13 +372,14 @@ def reference_letter_classes(ctx, degree, group):
 
 def test_letter_classes_match_summed_references():
     """Every degree at genus 0-2 and n <= 4, over S_n and over St(v) for
-    every v in {0, 1, 2}^n: the same classes, scale included, in the same
-    order, and no class for an orbit whose sum cancels."""
+    every v in {0, 1, 2}^n, listed or given by v itself as the labels:
+    the same classes, scale included, in the same order, and no class for
+    an orbit whose sum cancels."""
     for genus in (0, 1, 2):
         for n in range(1, 5):
             ctx = RingContext(genus=genus, factors=n)
-            groups = [list(permutations(n))] + \
-                [stabilizer(v) for v in itertools.product(range(3), repeat=n)]
+            vectors = list(itertools.product(range(3), repeat=n))
+            groups = [list(permutations(n))] + [stabilizer(v) for v in vectors]
             for degree in range(2 * n + 1):
                 expected = {}
                 for group in groups:
@@ -388,6 +390,10 @@ def test_letter_classes_match_summed_references():
                     got = invariant_letter_classes(ctx, degree, group)
                     assert [dict(x.coeffs) for x in got] == expected[key], \
                         (genus, n, degree, group)
+                for v, group in zip(vectors, groups[1:]):
+                    got = _letter_classes(ctx, degree, v)
+                    assert [dict(x.coeffs) for x in got] == \
+                        expected[frozenset(group)], (genus, n, degree, v)
                 assert invariant_letter_classes(ctx, degree) == \
                     invariant_letter_classes(ctx, degree, groups[0])
 

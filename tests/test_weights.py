@@ -91,6 +91,11 @@ class TestDecompositions:
         assert decreasing_vectors(2, 2, max_co=2) == [(0, 0), (1, 0), (1, 1)]
         assert decreasing_vectors(2, None, max_co=1) == [(0, 0), (1, 0)]
 
+    def test_long_vectors(self):
+        """Longer than the recursion limit: built level by level."""
+        n = sys.getrecursionlimit() + 10
+        assert decreasing_vectors(n, None, 1) == [(0,) * n, (1,) + (0,) * (n - 1)]
+
 
 class TestSubsetTuples:
     def test_component_example(self):
