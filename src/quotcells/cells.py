@@ -27,9 +27,13 @@ from .ring import (RingContext, RingElement, UNBOUNDED, diagonal,
 from .weights import apply_perm, transposition
 
 
-def _check_entries(ctx: RingContext, v):
+def _check_length(ctx: RingContext, v):
     if len(v) != ctx.factors:
         raise ValueError("weight vector must have %d entries" % ctx.factors)
+
+
+def _check_entries(ctx: RingContext, v):
+    _check_length(ctx, v)
     if any(e < 0 for e in v):
         raise ValueError("weight entries must be non-negative")
     if ctx.rank not in (0, UNBOUNDED):

@@ -19,16 +19,18 @@ from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
 
-from .cells import _check_entries, _require_letters_only, cell_class
+from .cells import (_check_entries, _check_length, _require_letters_only,
+                    cell_class)
 from .linalg import exact_rank
 from .ring import (POINT, RingContext, RingElement, _add_product, _fixed_by,
-                   _normal, _settled, cohomological_degree, letter_monomials,
-                   permute_factors, point_class, small_diagonal)
+                   _normal, _require_ctx, _settled, cohomological_degree,
+                   letter_monomials, permute_factors, point_class,
+                   small_diagonal)
 from .series import poly_coeff, quot_series_product
-from .weights import (admissible_row_tuples, betti_b1, connected_components,
-                      decreasing_vectors, incidence_tuple, is_decreasing,
-                      orbit_walk, row_exponent, transposition,
-                      tuple_support)
+from .weights import (admissible_row_tuples, apply_perm, betti_b1,
+                      connected_components, decreasing_vectors,
+                      incidence_tuple, is_decreasing, orbit_walk,
+                      row_exponent, transposition, tuple_support)
 
 
 def _fixed_by_stabilizer(v, x: RingElement) -> bool:
@@ -71,9 +73,12 @@ def _orbit_group_sum(labels, order, orbit):
 
 def average_twist(ctx: RingContext, v, a: RingElement = None) -> RingElement:
     """The twist a (default 1) averaged over St(v), or a itself when it
-    is invariant."""
+    is invariant.  v has one entry per factor (a weight, or the (label,
+    entry) pairs of a partial flag), and a must be built against ctx."""
+    _check_length(ctx, v)
     if a is None:
         a = ctx.one()
+    _require_ctx(ctx, a)
     _require_letters_only(a)
     return a if _fixed_by_stabilizer(v, a) else _orbit_average(ctx, v, a)
 
@@ -235,11 +240,18 @@ def invariant_letter_classes(ctx: RingContext, degree: int, group=None):
     """Spanning set of the group-invariant omega-free classes of the given
     degree, for G = S_n (None) or a listed Young subgroup such as St(u):
     `_letter_classes` with the least position each position reaches under
-    G as its labels.  The library passes u itself to `_letter_classes`."""
+    G as its labels.  A listed group must be that Young subgroup: each
+    member keeps the labels, none repeats, and there are as many as its
+    order.  The library passes u itself to `_letter_classes`."""
     n = ctx.factors
-    labels = (0,) * n if group is None else tuple(map(min, zip(*group)))
-    if len(labels) != n or group is not None and len(group) != _young_order(labels):
-        raise ValueError("group is not a Young subgroup of S_%d" % n)
+    if group is None:
+        labels = (0,) * n
+    else:
+        labels = tuple(map(min, zip(*group)))
+        if (len(labels) != n or len(group) != _young_order(labels)
+                or len(set(map(tuple, group))) != len(group)
+                or any(apply_perm(sigma, labels) != labels for sigma in group)):
+            raise ValueError("group is not a Young subgroup of S_%d" % n)
     return _letter_classes(ctx, degree, labels)
 
 

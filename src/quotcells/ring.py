@@ -31,10 +31,10 @@ the letters themselves.  None of these facts depends on the genus, the
 rank or the degrees, so each is a function of its own key, memoized once
 per process: the class of every letter tuple (at most (2g+2)^n per
 (g, n)), the Koszul parity per pair of odd masks (at most 4^n per n)
-and, per (sigma, n), the tuple mover and the sign per odd mask (at most
-n! * 2^n per n).  The tables grow only with what the process meets, and
-a fresh context starts warm.  Each element keeps its terms grouped by
-class once it has been multiplied or permuted.
+and the sign of a permutation sigma per odd mask (at most n! * 2^n per
+n); tuples move by weights.mover.  The tables grow only with what the
+process meets, and a fresh context starts warm.  Each element keeps
+its terms grouped by class once it has been multiplied or permuted.
 
 A permutation reads its operand grouped, too: one sign lookup per mask
 class and one moved tuple per letter tuple.  permute_factors builds its
@@ -57,8 +57,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from operator import add, itemgetter, or_
+from operator import add, or_
 from types import MappingProxyType
+
+from .weights import mover
 
 # Letter codes for the H*(C) basis: UNIT, POINT, alpha_k = 2k, beta_k = 2k+1.
 UNIT = 0
@@ -334,7 +336,7 @@ def _add_product(out, x, y):
     """Add x * y into the term dict `out`, monomial -> coefficient, in
     which a sum that cancels is dropped and a coefficient may be left a
     Fraction of denominator 1 (_settled makes it an int)."""
-    x._require_same_ctx(y)
+    _require_ctx(x.ctx, y)
     # Whether a pair of letter tuples survives and with which sign is
     # settled per pair of mask classes where the classes decide it; only
     # exponent sums and coefficient products run per term pair.
@@ -365,6 +367,13 @@ def _add_product(out, x, y):
                     else:  # disjoint supports
                         _add_products(out, tuple(map(or_, lx, ly)),
                                       negate, xterms, yterms)
+
+
+def _require_ctx(ctx, x):
+    """Raise unless the element x was built against ctx or an equal
+    context."""
+    if x.ctx is not ctx and x.ctx != ctx:
+        raise ValueError("elements built against different contexts")
 
 
 def _settled(ctx, out):
@@ -437,16 +446,12 @@ class RingElement:
     def __hash__(self):
         return hash((self.ctx, frozenset(self._coeffs.items())))
 
-    def _require_same_ctx(self, other):
-        if self.ctx is not other.ctx and self.ctx != other.ctx:
-            raise ValueError("elements built against different contexts")
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.ctx.scalar(other)
         elif not isinstance(other, RingElement):
             return NotImplemented
-        self._require_same_ctx(other)
+        _require_ctx(self.ctx, other)
         out = dict(self._coeffs)
         for mono, c in other._coeffs.items():
             s = out.get(mono, 0) + c
@@ -537,45 +542,11 @@ def cohomological_degree(x: RingElement):
 
 # -- symmetric-group actions ------------------------------------------------
 
-def _sources(sigma, n):
-    """Inverse of the permutation sigma of n positions, as a list."""
-    if len(sigma) != n or set(sigma) != set(range(n)):
-        raise ValueError("not a permutation of %d factors" % n)
-    source = [0] * n
-    for i, target in enumerate(sigma):
-        source[target] = i
-    return source
-
-
-class _Parities(dict):
-    """{odd mask: parity of the odd pairs sigma reverses}, each parity
-    computed when its mask is first met."""
-
-    __slots__ = ("sigma",)
-
-    def __init__(self, sigma):
-        super().__init__()
-        self.sigma = sigma
-
-    def __missing__(self, odd):
-        parity = self[odd] = _reversed_parity(self.sigma, odd)
-        return parity
-
-
 @cache
-def _permutation_table(sigma, n):
-    """(move, its _Parities) for a permutation sigma of n positions,
-    where move(x) = (x[source[0]], ..., x[source[n-1]]) for the inverse
-    `source` of sigma moves the entry of each factor i to sigma[i].
-    Keyed by (sigma, n), so the check of _sources runs for every length
-    a tuple is used with."""
-    source = _sources(sigma, n)
-    return (itemgetter(*source) if n > 1 else tuple), _Parities(sigma)
-
-
 def _reversed_parity(sigma, odd):
     """Parity of the pairs of positions in the mask `odd` whose order
-    sigma reverses: moving odd letters past each other costs that sign."""
+    sigma reverses: moving odd letters past each other costs that sign.
+    Read only after weights.mover has checked sigma."""
     targets = [sigma[i] for i in range(len(sigma)) if odd >> i & 1]
     inversions = 0
     for a in range(len(targets)):
@@ -599,10 +570,11 @@ def permute_factors(sigma, x: RingElement) -> RingElement:
     """
     # the action is a bijection on monomials that maps each mask class
     # onto one class, so no two terms meet and no two classes merge
-    move, parities = _permutation_table(tuple(sigma), x.ctx.factors)
+    sigma = tuple(sigma)
+    move = mover(sigma, x.ctx.factors)
     coeffs, groups = {}, []
     for (_support, odd, _points), entries in x._grouped():
-        negate = parities[odd]
+        negate = _reversed_parity(sigma, odd)
         moved_entries = []
         for letters, terms in entries:
             moved = move(letters)
@@ -626,10 +598,11 @@ def _fixed_by(sigma, x: RingElement) -> bool:
     first term whose image is missing from x or carries another signed
     coefficient.  sigma is a bijection on monomials, so no image is
     built."""
-    move, parities = _permutation_table(tuple(sigma), x.ctx.factors)
+    sigma = tuple(sigma)
+    move = mover(sigma, x.ctx.factors)
     coeffs = x._coeffs
     for (_support, odd, _points), entries in x._grouped():
-        negate = parities[odd]
+        negate = _reversed_parity(sigma, odd)
         for letters, terms in entries:
             moved = move(letters)
             for omega, t, c in terms:

@@ -3,15 +3,17 @@ tuples that drive the combinatorial pullback formula.
 
 Weight vectors are plain tuples of non-negative integers; co(v) is
 sum(v).  Permutations are tuples sigma with sigma[i] = image of 0-based
-position i; the action on vectors is sigma(v)[sigma[i]] = v[i].  A Young
-subgroup is the stabilizer of a block-label vector, (0, 0, 1) for the
-blocks of sizes (2, 1).
+position i; the action on tuples, sigma(v)[sigma[i]] = v[i], is written
+once, as mover(sigma, n).  A Young subgroup is the stabilizer of a
+block-label vector, (0, 0, 1) for the blocks of sizes (2, 1).
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
+from functools import cache
+from operator import itemgetter
 
 
 # -- permutations ------------------------------------------------------------
@@ -23,18 +25,28 @@ def transposition(n: int, i: int, j: int):
     return tuple(sigma)
 
 
+@cache
+def mover(sigma, n):
+    """x -> sigma(x) on n-tuples, an itemgetter over sigma's inverse;
+    ValueError unless sigma is a permutation of range(n).  Memoized per
+    process and keyed by (sigma, n), so the check runs for each length."""
+    if len(sigma) != n or set(sigma) != set(range(n)):
+        raise ValueError("not a permutation of %d factors" % n)
+    source = [0] * n
+    for i, target in enumerate(sigma):
+        source[target] = i
+    return itemgetter(*source) if n > 1 else tuple
+
+
 def apply_perm(sigma, v):
-    out = [0] * len(v)
-    for i, value in enumerate(v):
-        out[sigma[i]] = value
-    return tuple(out)
+    return mover(tuple(sigma), len(v))(tuple(v))
 
 
 def orbit_walk(v, labels=None):
     """The images of v under the permutations that keep each position's
-    label (all of S_n when labels is None), each mapped to the
-    lexicographically first permutation reaching it, in lexicographic
-    order of those permutations.
+    label (one per position; all of S_n when labels is None), each
+    mapped to the lexicographically first permutation reaching it, in
+    lexicographic order of those permutations.
 
     That permutation sends positions holding one (label, value) pair to
     increasing targets, so the walk gives position i any free target of
@@ -47,10 +59,12 @@ def orbit_walk(v, labels=None):
     """
     v = tuple(v)
     n = len(v)
-    if not n:
-        return {(): ()}
     if labels is None:
         labels = (0,) * n
+    elif len(labels) != n:
+        raise ValueError("labels must have %d entries" % n)
+    if not n:
+        return {(): ()}
     keys = tuple(zip(labels, v))
     free = {}                # the free targets of each label
     for j, label in enumerate(labels):

@@ -112,6 +112,27 @@ class TestAverageTwist:
         with pytest.raises(ValueError):
             average_twist(ctx, (1, 1), ctx.omega(1))
 
+    @pytest.mark.parametrize("u", [(0, 0), (1, 0)])
+    def test_rejects_a_twist_of_another_context(self, u):
+        """Invariant or not, a genus-1 twist is not re-homed in genus 0."""
+        g0 = RingContext(genus=0, factors=2)
+        a = RingContext(genus=1, factors=2).letter_at(1, alpha(1))
+        for call in (lambda: average_twist(g0, u, a),
+                     lambda: quot_pullback(g0, u, a),
+                     lambda: quot_pullback_combinatorial(g0, u, a),
+                     lambda: partial_flag_pullback(g0, (2,), (u,), a)):
+            with pytest.raises(ValueError, match="different contexts"):
+                call()
+        # an equal context is the same context
+        twin = RingContext(genus=0, factors=2).pt(1)
+        assert quot_pullback(g0, u, twin) == quot_pullback(g0, u, g0.pt(1))
+
+    @pytest.mark.parametrize("v", [(0, 1, 2, 3), (0, 0, 0, 0), (0, 0)])
+    def test_rejects_a_weight_of_another_length(self, v):
+        ctx = RingContext(genus=1, factors=3)
+        with pytest.raises(ValueError, match="must have 3 entries"):
+            average_twist(ctx, v, ctx.letter_at(1, alpha(1)))
+
 
 class TestCombinatorialRoute:
     @pytest.mark.parametrize("g", [0, 1, 2])

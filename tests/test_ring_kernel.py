@@ -3,9 +3,10 @@
 RingElement.__mul__ groups each element's terms by mask class (the
 bitmasks of its non-unit, odd and point positions), keeps that grouping
 on the element, and settles point collisions and the Koszul sign once
-per pair of classes; permute_factors reads the odd-letter sign from a
-table keyed by (sigma, n) and the odd mask, once per class, and builds
-its image grouped; ring._fixed_by tests sigma(x) == x term by term.  A
+per pair of classes; permute_factors moves tuples with weights.mover,
+the one memoized action of a permutation on tuples, reads the
+odd-letter sign per (sigma, odd mask), once per class, and builds its
+image grouped; ring._fixed_by tests sigma(x) == x term by term.  A
 right-hand term with letters only, as every twist's is, keeps the left
 term's omega and t.  Products that are summed (the pullback orbit sums)
 are added into one term dict by ring._add_product, and the invariant
@@ -23,19 +24,20 @@ int, or a Fraction with denominator > 1.
 
 import itertools
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quotcells import ring
+from quotcells import ring, weights
 from quotcells.grammar import format_element, parse
 from quotcells.pullback import (_letter_classes, average_twist,
                                 invariant_letter_classes)
 from quotcells.ring import (POINT, UNBOUNDED, UNIT, RingContext, RingElement,
                             alpha, beta, letter_degree, letter_monomials,
                             monomial_sort_key, omega_layers, permute_factors)
-from quotcells.weights import stabilizer, transposition
+from quotcells.weights import apply_perm, stabilizer, transposition
 
 from conftest import assert_read_only, permutations
 
@@ -422,7 +424,12 @@ def test_letter_classes_skip_repeated_odd_letters(data):
 def test_letter_classes_refuse_a_group_that_is_no_stabilizer():
     ctx = RingContext(genus=1, factors=3)
     three_cycles = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
-    for group in (three_cycles, stabilizer((0, 0)), [(0, 1, 2), (0, 1, 2)]):
+    # of the order of St((0, 1, 0)), which its 3-cycle does not keep
+    unlabelled = [(0, 1, 2), (1, 2, 0)]
+    # of the order of S_3, with repeats
+    repeated = [(0, 1, 2), (1, 0, 2), (2, 1, 0)] * 2
+    for group in (three_cycles, stabilizer((0, 0)), [(0, 1, 2), (0, 1, 2)],
+                  unlabelled, repeated):
         with pytest.raises(ValueError):
             invariant_letter_classes(ctx, 2, group)
 
@@ -471,8 +478,48 @@ def test_permutation_check_runs_for_every_length():
                 permute_factors(sigma, y)
 
 
-KERNEL_TABLES = (ring._mask_class, ring._koszul_parity, ring._permutation_table,
-                 ring._letter_facts)
+KERNEL_TABLES = (ring._mask_class, ring._koszul_parity, weights.mover,
+                 ring._reversed_parity, ring._letter_facts)
+
+
+def _immutable(value):
+    """Whether value is built of ints, strings, tuples and itemgetters
+    only, or is the tuple constructor (the mover of n <= 1 factors)."""
+    if isinstance(value, tuple):
+        return all(map(_immutable, value))
+    return value is tuple or type(value) in (int, str, itemgetter)
+
+
+def test_kernel_tables_are_cached_functions_of_immutable_values():
+    ctx = RingContext(genus=2, factors=3)
+    x = parse(ctx, "[a1|b2|pt] + 1/2 * [b1|one|a2] w^(1,0,0)")
+    for sigma in permutations(3):
+        permute_factors(sigma, x)
+    letters = [(mono[0],) for mono in x.coeffs]
+    keys = {ring._mask_class: letters,
+            ring._koszul_parity: [(0b011, 0b101), (0, 0b111)],
+            weights.mover: [(sigma, 3) for sigma in permutations(3)]
+            + [((0,), 1), ((), 0)],
+            ring._reversed_parity: [(sigma, odd) for sigma in permutations(3)
+                                    for odd in range(8)],
+            ring._letter_facts: letters}
+    assert set(keys) == set(KERNEL_TABLES)
+    for table in KERNEL_TABLES:
+        assert table.cache_parameters() == {"maxsize": None, "typed": False}
+        for args in keys[table]:
+            assert _immutable(table(*args)), (table, args)
+
+
+def test_apply_perm_and_permute_factors_share_one_mover():
+    ctx = RingContext(genus=1, factors=5)
+    x = ctx.letter_at(1, alpha(1)) * ctx.letter_at(4, beta(1))
+    sigma = (4, 2, 0, 1, 3)
+    assert apply_perm(sigma, (9, 8, 7, 6, 5)) == (7, 6, 8, 5, 9)
+    size = weights.mover.cache_info().currsize
+    # a1 moves to factor 5 and b1 to factor 2, past each other
+    assert permute_factors(sigma, x) \
+        == -ctx.letter_at(2, beta(1)) * ctx.letter_at(5, alpha(1))
+    assert weights.mover.cache_info().currsize == size
 
 
 def test_a_fresh_context_adds_no_table_entries():

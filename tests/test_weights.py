@@ -59,6 +59,12 @@ class TestVectors:
         sigma = (1, 2, 0)
         assert apply_perm(sigma, (7, 8, 9)) == (9, 7, 8)
 
+    def test_perm_of_another_length_is_refused(self):
+        for sigma, v in (((0, 1), (1, 0, 0)), ((0, 1, 2), (5, 6)),
+                         ((0,), ())):
+            with pytest.raises(ValueError):
+                apply_perm(sigma, v)
+
 
 class TestDecompositions:
     def test_scalar_example(self):
@@ -241,6 +247,12 @@ class TestOrbitWalk:
                     for v in itertools.product(range(3), repeat=n):
                         assert list(orbit_walk(v, labels).items()) \
                             == list(orbit(v, group).items()), (v, labels)
+
+    def test_labels_of_another_length_are_refused(self):
+        for v, labels in (((1, 0, 0), (0, 0)), ((1, 0), (0, 0, 1)),
+                          ((), (0,))):
+            with pytest.raises(ValueError):
+                orbit_walk(v, labels)
 
     def test_long_vector(self):
         """Longer than the recursion limit: the walk keeps its own stack."""
