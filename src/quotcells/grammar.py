@@ -6,6 +6,10 @@
     letter  := "one" | "a"k | "b"k | "pt"
 
 Omitted w/t vectors mean all-zero; an omitted coefficient means 1.  The
+text "0" is zero, and with no factors the letters read "[]".  Whitespace
+may stand between tokens, not inside "w^", "t^", a rational or a letter
+name.  A ParseError points at the start of a term that _TERM does not
+match, or inside the group of a term that fails its own check.  The
 canonical form produced by format_element always writes the coefficient
 (as a reduced fraction, possibly negative) and omits all-zero w/t parts;
 terms are listed in the canonical monomial order.
@@ -29,125 +33,87 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-_RATIONAL = re.compile(r"-?\d+(/\d+)?")
-_LETTER = re.compile(r"one|pt|a(\d+)|b(\d+)")
-_INT = re.compile(r"-?\d+")
+# one term and the "+" or the end of text after it
+_TERM = re.compile(r"""
+    \s* (?: (?P<coeff> -?\d+ (?:/\d+)? ) \s* \* \s* )?
+    \[ (?P<letters> [^\]]* ) \]
+    (?: \s* w\^ \s* \( (?P<w> [^)]* ) \) )?
+    (?: \s* t\^ \s* \( (?P<t> [^)]* ) \) )?
+    \s* (?: (?P<plus> \+ ) | \Z )""", re.VERBOSE)
+_LETTER = re.compile(r"\s*(one|pt|[ab](\d+))\s*")
+_INT = re.compile(r"\s*(-?\d+)\s*")
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def eof(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def accept(self, literal: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(literal, self.pos):
-            self.pos += len(literal)
-            return True
-        return False
-
-    def expect(self, literal: str):
-        if not self.accept(literal):
-            raise ParseError("expected %r" % literal, self.pos)
-
-    def regex(self, pattern, what: str):
-        self.skip_ws()
-        m = pattern.match(self.text, self.pos)
-        if not m:
-            raise ParseError("expected %s" % what, self.pos)
-        self.pos = m.end()
-        return m
+def _letter_codes(ctx: RingContext, m) -> tuple:
+    pos, letters = m.start("letters"), []
+    # with no factors the group is "[]" or blank
+    for piece in m["letters"].split("|") if m["letters"].strip() else ():
+        lm = _LETTER.fullmatch(piece)
+        if not lm:
+            raise ParseError("expected letter (one, pt, a<k> or b<k>)", pos)
+        name, k = lm.group(1, 2)
+        if k is None:
+            letters.append(UNIT if name == "one" else POINT)
+        elif 1 <= int(k) <= ctx.genus:
+            letters.append(2 * int(k) + (name[0] == "b"))
+        else:
+            raise ParseError("letter %s out of range for genus %d" % (name, ctx.genus), pos)
+        pos += len(piece) + 1
+    if len(letters) != ctx.factors:
+        raise ParseError("expected %d letters, got %d" % (ctx.factors, len(letters)),
+                         m.start("letters") - 1)
+    return tuple(letters)
 
 
-def _parse_int_vector(sc: _Scanner):
-    sc.expect("(")
-    values = [int(sc.regex(_INT, "integer").group())]
-    while sc.accept(","):
-        values.append(int(sc.regex(_INT, "integer").group()))
-    sc.expect(")")
-    return values
+def _exponents(ctx: RingContext, m, group: str) -> tuple:
+    pos = start = m.start(group)
+    values = []
+    for piece in m[group].split(","):
+        im = _INT.fullmatch(piece)
+        if not im:
+            raise ParseError("expected integer", pos)
+        values.append(int(im.group(1)))
+        pos += len(piece) + 1
+    if group == "w" and len(values) != ctx.factors:
+        raise ParseError("w-vector must have %d entries" % ctx.factors, start)
+    if any(v < 0 for v in values):
+        raise ParseError("%s-exponents must be non-negative" % group, start)
+    if group == "w":
+        return tuple(values)
+    t = _trim(tuple(values))
+    try:
+        ctx._check_t_length(len(t))
+    except ValueError as exc:
+        raise ParseError(str(exc), start) from None
+    return t
 
 
-def _parse_letter(sc: _Scanner, ctx: RingContext) -> int:
-    pos = sc.pos
-    m = sc.regex(_LETTER, "letter (one, pt, a<k> or b<k>)")
-    token = m.group()
-    if token == "one":
-        return UNIT
-    if token == "pt":
-        return POINT
-    k = int(token[1:])
-    if not 1 <= k <= ctx.genus:
-        raise ParseError("letter %s out of range for genus %d" % (token, ctx.genus), pos)
-    return 2 * k if token[0] == "a" else 2 * k + 1
-
-
-def _parse_term(sc: _Scanner, ctx: RingContext):
-    sc.skip_ws()
+def _term(ctx: RingContext, m):
     coeff = Fraction(1)
-    if sc.pos < len(sc.text) and sc.text[sc.pos] != "[":
-        pos = sc.pos
-        token = sc.regex(_RATIONAL, "rational coefficient").group()
+    if m["coeff"]:
         try:
-            coeff = Fraction(token)
+            coeff = Fraction(m["coeff"])
         except ZeroDivisionError:
-            raise ParseError("zero denominator in %s" % token, pos) from None
-        sc.expect("*")
-    pos = sc.pos
-    sc.expect("[")
-    letters = []
-    if ctx.factors == 0:
-        sc.expect("]")
-    else:
-        letters.append(_parse_letter(sc, ctx))
-        while sc.accept("|"):
-            letters.append(_parse_letter(sc, ctx))
-        sc.expect("]")
-        if len(letters) != ctx.factors:
-            raise ParseError("expected %d letters, got %d" % (ctx.factors, len(letters)), pos)
-    omega = (0,) * ctx.factors
-    t = ()
-    if sc.accept("w^"):
-        pos = sc.pos
-        values = _parse_int_vector(sc)
-        if len(values) != ctx.factors:
-            raise ParseError("w-vector must have %d entries" % ctx.factors, pos)
-        if any(v < 0 for v in values):
-            raise ParseError("w-exponents must be non-negative", pos)
-        omega = tuple(values)
-    if sc.accept("t^"):
-        pos = sc.pos
-        values = _parse_int_vector(sc)
-        if any(v < 0 for v in values):
-            raise ParseError("t-exponents must be non-negative", pos)
-        t = _trim(tuple(values))
-        try:
-            ctx._check_t_length(len(t))
-        except ValueError as exc:
-            raise ParseError(str(exc), pos) from None
-    return (tuple(letters), omega, t), coeff
+            raise ParseError("zero denominator in %s" % m["coeff"], m.start("coeff")) from None
+    letters = _letter_codes(ctx, m)
+    omega = _exponents(ctx, m, "w") if m["w"] is not None else (0,) * ctx.factors
+    t = _exponents(ctx, m, "t") if m["t"] is not None else ()
+    return (letters, omega, t), coeff
 
 
 def parse(ctx: RingContext, text: str) -> RingElement:
     # the zero element has no term syntax of its own
     if text.strip() == "0":
         return ctx.zero()
-    sc = _Scanner(text)
-    if sc.eof():
-        raise ParseError("empty input", sc.pos)
-    terms = [_parse_term(sc, ctx)]
-    while sc.accept("+"):
-        terms.append(_parse_term(sc, ctx))
-    if not sc.eof():
-        raise ParseError("trailing input", sc.pos)
+    if not text.strip():
+        raise ParseError("empty input", len(text))
+    terms, pos, more = [], 0, True
+    while more:
+        m = _TERM.match(text, pos)
+        if m is None:
+            raise ParseError("expected a term like '-1/2 * [a1|pt] w^(0,1) t^(2)'", pos)
+        terms.append(_term(ctx, m))
+        pos, more = m.end(), m["plus"] is not None
     return element_from_terms(ctx, terms)
 
 

@@ -574,7 +574,8 @@ def permute_factors(sigma, x: RingElement) -> RingElement:
     move = mover(sigma, x.ctx.factors)
     coeffs, groups = {}, []
     for (_support, odd, _points), entries in x._grouped():
-        negate = _reversed_parity(sigma, odd)
+        # with at most one odd letter no pair can be reversed
+        negate = odd & (odd - 1) and _reversed_parity(sigma, odd)
         moved_entries = []
         for letters, terms in entries:
             moved = move(letters)
@@ -602,7 +603,7 @@ def _fixed_by(sigma, x: RingElement) -> bool:
     move = mover(sigma, x.ctx.factors)
     coeffs = x._coeffs
     for (_support, odd, _points), entries in x._grouped():
-        negate = _reversed_parity(sigma, odd)
+        negate = odd & (odd - 1) and _reversed_parity(sigma, odd)
         for letters, terms in entries:
             moved = move(letters)
             for omega, t, c in terms:
@@ -629,15 +630,17 @@ def diagonal(ctx: RingContext, i: int, j: int) -> RingElement:
     ctx._check_factor(j)
     if not i < j:
         raise ValueError("need i < j")
-    acc = ctx.pt(i) + ctx.pt(j)
-    for k in range(1, ctx.genus + 1):
+
+    def mono(at_i, at_j):
         letters = [UNIT] * ctx.factors
-        letters[i - 1], letters[j - 1] = alpha(k), beta(k)
-        acc = acc - ctx.monomial(letters=letters)
-        letters = list(letters)
-        letters[i - 1], letters[j - 1] = beta(k), alpha(k)
-        acc = acc + ctx.monomial(letters=letters)
-    return acc
+        letters[i - 1], letters[j - 1] = at_i, at_j
+        return tuple(letters), (0,) * ctx.factors, ()
+
+    coeffs = {mono(POINT, UNIT): 1, mono(UNIT, POINT): 1}
+    for k in range(1, ctx.genus + 1):
+        coeffs[mono(alpha(k), beta(k))] = -1
+        coeffs[mono(beta(k), alpha(k))] = 1
+    return RingElement(ctx, coeffs)
 
 
 def small_diagonal(ctx: RingContext, subset) -> RingElement:

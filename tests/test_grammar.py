@@ -1,6 +1,7 @@
 """Element grammar: parsing, canonical formatting, round trips."""
 
 import random
+import re
 
 import pytest
 
@@ -19,6 +20,10 @@ def test_basic_term():
 def test_coefficient_optional():
     ctx = RingContext(genus=1, factors=2)
     assert parse(ctx, "[a1|one]") == ctx.letter_at(1, alpha(1))
+    # with no factors the letter group is empty
+    ctx = RingContext(genus=0, factors=0)
+    assert parse(ctx, "[]") == parse(ctx, "[ ]") == ctx.one()
+    assert parse(ctx, "2 * []") == ctx.scalar(2)
 
 
 def test_fractional_and_negative_coefficients():
@@ -47,20 +52,41 @@ def test_range_error_reports_position():
         parse(ctx, "[a9|one]")
     assert "a9" in str(err.value)
     assert err.value.pos == 1
+    with pytest.raises(ParseError, match="letter a9 out of range") as err:
+        parse(ctx, "[one|a9]")
+    assert err.value.pos == 5
+    # a0 and b0 are no letters, though their codes are those of one and pt
+    for text in ("[a0|one]", "[b0|one]"):
+        with pytest.raises(ParseError, match="out of range for genus 2"):
+            parse(ctx, text)
 
 
 def test_syntax_error_reports_position():
     ctx = RingContext(genus=0, factors=2)
-    with pytest.raises(ParseError):
-        parse(ctx, "1 * [one|one] w^(0)")
-    with pytest.raises(ParseError):
-        parse(ctx, "1 * [one]")
-    with pytest.raises(ParseError):
-        parse(ctx, "1 * [one|one] +")
+    for text in ("1 * [one|one] w^(0)", "1 * [one]", "1 * [one|one] +",
+                 "1 [one|one]", "1 * [one|one", "[one|one] +", "", " "):
+        with pytest.raises(ParseError) as err:
+            parse(ctx, text)
+        assert 0 <= err.value.pos <= len(text)
     for text in ("1/0 * [one]", "2/0 * [one]"):
         with pytest.raises(ParseError) as err:
             parse(RingContext(genus=0, factors=1), text)
         assert err.value.pos == 0
+
+
+@pytest.mark.parametrize("rank, text, message", [
+    (0, "[one|one] w^(0)", "w-vector must have 2 entries"),
+    (0, "[one|one] w^(1, x)", "expected integer"),
+    (0, "[one|pt] w^(1,-1)", "w-exponents must be non-negative"),
+    (2, "[pt|one] t^(-1)", "t-exponents must be non-negative"),
+    (2, "[one|one] w^(1,0) t^(0, 0,1)", "t index 2 out of range for rank 2"),
+])
+def test_field_errors_point_inside_their_group(rank, text, message):
+    ctx = RingContext(genus=0, factors=2, rank=rank)
+    with pytest.raises(ParseError, match=re.escape(message)) as err:
+        parse(ctx, text)
+    group = text.rindex("(")
+    assert group < err.value.pos <= text.rindex(")")
 
 
 def test_t_rejected_in_rank_zero():
@@ -90,3 +116,23 @@ def test_round_trips():
                 text = format_element(x)
                 assert parse(ctx, text) == x
                 assert format_element(parse(ctx, text)) == text
+
+
+def test_whitespace_between_tokens_round_trips():
+    # spaces and tabs may stand between any two tokens, but not inside
+    # "w^", "t^", a rational or a letter name
+    token = re.compile(r"w\^|t\^|-?\d+(?:/\d+)?|one|pt|[ab]\d+|[*\[\]|(),+]")
+    rng = random.Random(29)
+    for genus in (0, 1, 2):
+        for rank in (0, 2):
+            for factors in (0, 1, 2, 3):
+                ctx = RingContext(genus=genus, factors=factors, rank=rank)
+                for degree in (0, 1, 2, 3):
+                    x = random_homogeneous(ctx, degree, rng, terms=3)
+                    if rank:
+                        x = x * (ctx.t_var(1) + ctx.one())
+                    tokens = token.findall(format_element(x))
+                    assert "".join(tokens) == format_element(x).replace(" ", "")
+                    text = "".join(rng.choice(("", " ", "\t", " \t ")) + tok
+                                   for tok in tokens) + rng.choice(("", "\t"))
+                    assert parse(ctx, text) == x, text
