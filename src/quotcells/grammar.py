@@ -8,16 +8,18 @@
 Omitted w/t vectors mean all-zero; an omitted coefficient means 1.  The
 text "0" is zero, and with no factors the letters read "[]".  Whitespace
 may stand between tokens, not inside "w^", "t^", a rational or a letter
-name.  A ParseError points at the start of a term that _TERM does not
-match, or inside the group of a term that fails its own check.  The
-canonical form produced by format_element always writes the coefficient
-(as a reduced fraction, possibly negative) and omits all-zero w/t parts;
-terms are listed in the canonical monomial order.
+name; digits and whitespace are ASCII only.  A ParseError points at the
+start of a term that _TERM does not match, or inside the group of a
+term that fails its own check, a number past Python's int digit limit
+included.  The canonical form produced by format_element always writes
+the coefficient (as a reduced fraction, possibly negative) and omits
+all-zero w/t parts; terms are listed in the canonical monomial order.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from operator import itemgetter
 
@@ -39,22 +41,33 @@ _TERM = re.compile(r"""
     \[ (?P<letters> [^\]]* ) \]
     (?: \s* w\^ \s* \( (?P<w> [^)]* ) \) )?
     (?: \s* t\^ \s* \( (?P<t> [^)]* ) \) )?
-    \s* (?: (?P<plus> \+ ) | \Z )""", re.VERBOSE)
-_LETTER = re.compile(r"\s*(one|pt|[ab](\d+))\s*")
-_INT = re.compile(r"\s*(-?\d+)\s*")
+    \s* (?: (?P<plus> \+ ) | \Z )""", re.VERBOSE | re.ASCII)
+_LETTER = re.compile(r"\s*(one|pt|[ab](\d+))\s*", re.ASCII)
+_INT = re.compile(r"\s*(-?\d+)\s*", re.ASCII)
+_SPACE = " \t\n\r\f\v"  # what \s matches under re.ASCII
+
+
+def _int(digits: str, pos: int) -> int:
+    """int(digits); a number past Python's int digit limit raises a
+    ParseError at pos instead of a bare ValueError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError("number longer than %d digits"
+                         % sys.get_int_max_str_digits(), pos) from None
 
 
 def _letter_codes(ctx: RingContext, m) -> tuple:
     pos, letters = m.start("letters"), []
     # with no factors the group is "[]" or blank
-    for piece in m["letters"].split("|") if m["letters"].strip() else ():
+    for piece in m["letters"].split("|") if m["letters"].strip(_SPACE) else ():
         lm = _LETTER.fullmatch(piece)
         if not lm:
             raise ParseError("expected letter (one, pt, a<k> or b<k>)", pos)
         name, k = lm.group(1, 2)
         if k is None:
             letters.append(UNIT if name == "one" else POINT)
-        elif 1 <= int(k) <= ctx.genus:
+        elif 1 <= _int(k, pos) <= ctx.genus:
             letters.append(2 * int(k) + (name[0] == "b"))
         else:
             raise ParseError("letter %s out of range for genus %d" % (name, ctx.genus), pos)
@@ -72,7 +85,7 @@ def _exponents(ctx: RingContext, m, group: str) -> tuple:
         im = _INT.fullmatch(piece)
         if not im:
             raise ParseError("expected integer", pos)
-        values.append(int(im.group(1)))
+        values.append(_int(im.group(1), pos))
         pos += len(piece) + 1
     if group == "w" and len(values) != ctx.factors:
         raise ParseError("w-vector must have %d entries" % ctx.factors, start)
@@ -91,10 +104,13 @@ def _exponents(ctx: RingContext, m, group: str) -> tuple:
 def _term(ctx: RingContext, m):
     coeff = Fraction(1)
     if m["coeff"]:
+        pos = m.start("coeff")
+        numerator, _, denominator = m["coeff"].partition("/")
         try:
-            coeff = Fraction(m["coeff"])
+            coeff = Fraction(_int(numerator, pos),
+                             _int(denominator, pos) if denominator else 1)
         except ZeroDivisionError:
-            raise ParseError("zero denominator in %s" % m["coeff"], m.start("coeff")) from None
+            raise ParseError("zero denominator in %s" % m["coeff"], pos) from None
     letters = _letter_codes(ctx, m)
     omega = _exponents(ctx, m, "w") if m["w"] is not None else (0,) * ctx.factors
     t = _exponents(ctx, m, "t") if m["t"] is not None else ()
@@ -103,9 +119,9 @@ def _term(ctx: RingContext, m):
 
 def parse(ctx: RingContext, text: str) -> RingElement:
     # the zero element has no term syntax of its own
-    if text.strip() == "0":
+    if text.strip(_SPACE) == "0":
         return ctx.zero()
-    if not text.strip():
+    if not text.strip(_SPACE):
         raise ParseError("empty input", len(text))
     terms, pos, more = [], 0, True
     while more:

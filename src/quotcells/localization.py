@@ -11,7 +11,8 @@ formula, the vanishing criterion and the t-degree bound.
 
 from __future__ import annotations
 
-from .ring import RingContext, RingElement, diagonal, omega_layers
+from .ring import (UNIT, RingContext, RingElement, _add_product, _settled,
+                   diagonal, omega_layers)
 from .cells import _check_entries, cell_class_equivariant
 from .weights import componentwise_leq
 
@@ -58,14 +59,25 @@ def restrict_to_fixed_point(x: RingElement, w) -> RingElement:
     last = ctx._memo.get("last_restriction")
     if last is not None and last[0] is x and last[1] == w:
         return last[2]
-    # One product per omega vector: the terms sharing it are restricted
-    # together, as one letters-and-t element.
-    acc = ctx.zero()
+    # One multiply-accumulate per omega layer into one term dict: the
+    # layer times the product of its omega powers' images.
+    out = {}
     for omega, part in omega_layers(x).items():
+        image = None
         for i, e in enumerate(omega, start=1):
             if e:
-                part = part * _omega_power(ctx, i, e, w)
-        acc = acc + part
+                power = _omega_power(ctx, i, e, w)
+                image = power if image is None else image * power
+        if image is None:  # the omega-free layer is its own image
+            for mono, c in part._coeffs.items():
+                s = out.get(mono, 0) + c
+                if s:
+                    out[mono] = s
+                else:
+                    del out[mono]
+        else:
+            _add_product(out, part, image)
+    acc = _settled(ctx, out)
     ctx._memo["last_restriction"] = (x, w, acc)
     return acc
 
@@ -94,10 +106,17 @@ def top_term_product(ctx: RingContext, v, w) -> RingElement:
     product over 0 <= i < v_j of (t_{w_j} - t_i)."""
     _check_entries(ctx, v)
     _check_entries(ctx, w)
+    if any(v):
+        ctx._check_t_length(1)  # a rank-0 context has no t-variables
+    letters, zero = (UNIT,) * ctx.factors, (0,) * ctx.factors
     acc = ctx.one()
     for j in range(ctx.factors):
+        top = (0,) * w[j] + (1,)
         for i in range(v[j]):
-            acc = acc * (ctx.t_var(w[j]) - ctx.t_var(i))
+            if i == w[j]:  # the factor t_{w_j} - t_{w_j}
+                return ctx.zero()
+            acc = acc * RingElement(ctx, {(letters, zero, top): 1,
+                                          (letters, zero, (0,) * i + (1,)): -1})
     return acc
 
 

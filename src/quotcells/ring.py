@@ -34,7 +34,8 @@ per process: the class of every letter tuple (at most (2g+2)^n per
 and the sign of a permutation sigma per odd mask (at most n! * 2^n per
 n); tuples move by weights.mover.  The tables grow only with what the
 process meets, and a fresh context starts warm.  Each element keeps
-its terms grouped by class once it has been multiplied or permuted.
+its terms grouped by class once it has been multiplied or permuted,
+and its omega layers (omega_layers) from the first split on.
 
 A permutation reads its operand grouped, too: one sign lookup per mask
 class and one moved tuple per letter tuple.  permute_factors builds its
@@ -45,11 +46,12 @@ building sigma(x), and stops at the first term that differs.
 
 Sums of products go into one term dict: the multiply-accumulate
 _add_product adds x * y into a caller's dict (a product is one call into
-a fresh dict).  A right-hand term with letters only, zero omega and no
-t, as every twist's terms are, gives each product the left term's own
-omega and t tuples, with no exponent sums.  No sum here runs over a
-group.  The canonical formatter reads each letter tuple's degree, sort
-part and names from the process-wide _letter_facts.
+a fresh dict, and a restriction to a fixed point one call per omega
+layer).  A right-hand term with letters only, zero omega and no t, as
+every twist's terms are, gives each product the left term's own omega
+and t tuples, with no exponent sums.  No sum here runs over a group.
+The canonical formatter reads each letter tuple's degree, sort part and
+names from the process-wide _letter_facts.
 """
 
 from __future__ import annotations
@@ -392,12 +394,13 @@ class RingElement:
     coefficient, each an int or a Fraction with denominator > 1.
     """
 
-    __slots__ = ("ctx", "_coeffs", "_groups")
+    __slots__ = ("ctx", "_coeffs", "_groups", "_layers")
 
     def __init__(self, ctx: RingContext, coeffs: dict):
         self.ctx = ctx
         self._coeffs = coeffs
         self._groups = None
+        self._layers = None
 
     def _grouped(self):
         """The terms grouped by mask class, then by letter tuple:
@@ -685,14 +688,22 @@ def omega_top_part(x: RingElement) -> RingElement:
     return RingElement(x.ctx, {m: c for m, c in x._coeffs.items() if sum(m[1]) == d})
 
 
-def omega_layers(x: RingElement) -> dict:
+def omega_layers(x: RingElement) -> MappingProxyType:
     """The terms of x split by omega vector: omega -> the omega-free
-    element of the terms carrying w^omega, so x = sum w^omega * layer."""
-    zero = (0,) * x.ctx.factors
-    layers = {}
-    for (letters, omega, t), c in x._coeffs.items():
-        layers.setdefault(omega, {})[(letters, zero, t)] = c
-    return {omega: RingElement(x.ctx, terms) for omega, terms in layers.items()}
+    element of the terms carrying w^omega, so x = sum w^omega * layer.
+
+    The split is made on the first call and kept with x, since elements
+    are immutable; every call returns a read-only view of it, so no
+    caller can change what the next one reads."""
+    layers = x._layers
+    if layers is None:
+        zero = (0,) * x.ctx.factors
+        split = {}
+        for (letters, omega, t), c in x._coeffs.items():
+            split.setdefault(omega, {})[(letters, zero, t)] = c
+        layers = x._layers = MappingProxyType(
+            {omega: RingElement(x.ctx, terms) for omega, terms in split.items()})
+    return layers
 
 
 def letter_monomials(ctx: RingContext, degree: int):

@@ -89,6 +89,37 @@ def test_field_errors_point_inside_their_group(rank, text, message):
     assert group < err.value.pos <= text.rindex(")")
 
 
+@pytest.mark.parametrize("text, group", [
+    ("%s * [one|one]", "coeff"), ("-1/%s * [one|one]", "coeff"),
+    ("[a%s|one]", "letter"), ("[one|one] w^(%s,0)", "w"),
+    ("[one|one] t^(1, %s)", "t"),
+])
+def test_number_past_the_digit_limit_reports_position(text, group):
+    # Python's int() refuses more than 4300 digits with a bare ValueError
+    ctx = RingContext(genus=1, factors=2, rank=2)
+    text = text % ("9" * 5000)
+    with pytest.raises(ParseError, match="number longer than") as err:
+        parse(ctx, text)
+    first = text.index("9")
+    if group == "coeff":
+        assert err.value.pos == 0
+    elif group == "letter":
+        assert err.value.pos == 1
+    else:
+        assert text.rindex("(") < err.value.pos <= first
+
+
+@pytest.mark.parametrize("text", ["[a\u0661|one]", "\u0661 * [one|one]",
+                                  "[one|one] w^(\u0661,0)",
+                                  "[one|one] t^(\uff11)", "\xa00",
+                                  "[one|\xa0one]"])
+def test_non_ascii_digits_and_spaces_rejected(text):
+    # "\u0661" is ARABIC-INDIC DIGIT ONE, "\uff11" FULLWIDTH DIGIT ONE and
+    # "\xa0" NO-BREAK SPACE
+    with pytest.raises(ParseError):
+        parse(RingContext(genus=1, factors=2, rank=2), text)
+
+
 def test_t_rejected_in_rank_zero():
     ctx = RingContext(genus=0, factors=1)
     with pytest.raises(ParseError):

@@ -7,11 +7,13 @@ import pytest
 
 from quotcells import localization
 from quotcells.cells import cell_class_equivariant
-from quotcells.localization import (degree_bound_check, omega_at_fixed_point,
+from quotcells.localization import (_omega_power, degree_bound_check,
+                                    omega_at_fixed_point,
                                     restrict_to_fixed_point, t_degree,
                                     top_term, top_term_product,
                                     top_term_residual, vanishing_check)
-from quotcells.ring import RingContext, RingElement, diagonal
+from quotcells.ring import (UNBOUNDED, RingContext, RingElement, diagonal,
+                            omega_layers)
 
 from conftest import assert_read_only, random_homogeneous
 
@@ -96,6 +98,87 @@ class TestGroupedRestriction:
             x = cell_class_equivariant(ctx, v)
             for w in points:
                 assert restrict_to_fixed_point(x, w) == restrict_term_by_term(x, w)
+
+
+def restrict_by_layers(x, w):
+    """Reference restriction, layer by layer: each omega layer times the
+    memoized powers of its omega images in turn, and one sum per layer."""
+    ctx = x.ctx
+    acc = ctx.zero()
+    for omega, part in omega_layers(x).items():
+        for i, e in enumerate(omega, start=1):
+            if e:
+                part = part * _omega_power(ctx, i, e, w)
+        acc = acc + part
+    return acc
+
+
+class TestLayerReference:
+    """The one-dict restriction against the layer-by-layer reference, on
+    every v and w of each grid.  The three-factor rank-4 grid keeps
+    co(v) <= 4 (the benchmark's grid goes to 3): its every v took 45 s."""
+
+    @pytest.mark.parametrize("g", [0, 1, 2])
+    @pytest.mark.parametrize("n,rank,degrees,max_co", [
+        (1, 2, (), None), (1, 3, (2, -1, 0), None), (1, 4, (), None),
+        (2, 2, (0, 3), None), (2, 3, (), None), (2, 4, (1, -1, 2, 0), None),
+        (3, 2, (), None), (3, 3, (1, 0, -2), None), (3, 4, (), 4),
+    ])
+    def test_every_cell_class_and_fixed_point(self, g, n, rank, degrees, max_co):
+        ctx = RingContext(genus=g, factors=n, rank=rank, degrees=degrees)
+        points = list(itertools.product(range(rank), repeat=n))
+        for v in points:
+            if max_co is not None and sum(v) > max_co:
+                continue
+            x = cell_class_equivariant(ctx, v)
+            for w in points:
+                assert restrict_to_fixed_point(x, w) == \
+                    restrict_by_layers(x, w), (v, w)
+
+    def test_unbounded_rank(self):
+        ctx = RingContext(genus=1, factors=2, rank=UNBOUNDED)
+        points = list(itertools.product(range(5), repeat=2))
+        for v in points:
+            x = cell_class_equivariant(ctx, v)
+            for w in points:
+                assert restrict_to_fixed_point(x, w) == \
+                    restrict_by_layers(x, w), (v, w)
+
+    def test_layers_that_cancel(self):
+        # w_1 w_2 minus its own image: the product layer and the
+        # omega-free layer cancel term by term
+        ctx = RingContext(genus=1, factors=2, rank=2, degrees=(1, 2))
+        for w in itertools.product(range(2), repeat=2):
+            image = (omega_at_fixed_point(ctx, 1, w)
+                     * omega_at_fixed_point(ctx, 2, w))
+            x = ctx.omega(1) * ctx.omega(2) - image
+            assert len(omega_layers(x)) == 2
+            assert restrict_to_fixed_point(x, w).is_zero()
+            assert restrict_by_layers(x, w).is_zero()
+
+    def test_one_element_at_every_fixed_point_in_turn(self):
+        ctx = RingContext(genus=1, factors=3, rank=3, degrees=(0, 2, -1))
+        x = cell_class_equivariant(ctx, (2, 0, 1)) * ctx.omega(2) + \
+            ctx.t_var(1) * cell_class_equivariant(ctx, (1, 1, 0))
+        layers = omega_layers(x)
+        for w in itertools.product(range(3), repeat=3):
+            assert restrict_to_fixed_point(x, w) == restrict_by_layers(x, w)
+            assert omega_layers(x) is layers
+
+    def test_layers_are_kept_and_read_only(self):
+        ctx = RingContext(genus=1, factors=2, rank=2)
+        x = cell_class_equivariant(ctx, (1, 1))
+        layers = omega_layers(x)
+        assert omega_layers(x) is layers
+        omega = next(iter(layers))
+        with pytest.raises(TypeError):
+            layers[omega] = ctx.zero()
+        with pytest.raises(TypeError):
+            del layers[omega]
+        with pytest.raises(TypeError):
+            layers[(9, 9)] = ctx.one()
+        assert omega_layers(x) is layers
+        assert restrict_to_fixed_point(x, (1, 0)) == restrict_by_layers(x, (1, 0))
 
 
 def restrict_by_descent(ctx, v, w, memo):
@@ -269,6 +352,39 @@ class TestTopTerm:
         x = cell_class_equivariant(ctx, (2,))
         restricted = restrict_to_fixed_point(x, (2,))
         assert top_term(restricted) == top_term_product(ctx, (2,), (2,))
+
+
+class TestTopTermProduct:
+    @staticmethod
+    def by_t_var(ctx, v, w):
+        acc = ctx.one()
+        for j in range(ctx.factors):
+            for i in range(v[j]):
+                acc = acc * (ctx.t_var(w[j]) - ctx.t_var(i))
+        return acc
+
+    @pytest.mark.parametrize("n,rank", [(1, 4), (2, 3), (2, 4), (3, 3), (3, 4)])
+    def test_matches_the_t_var_product(self, n, rank):
+        ctx = RingContext(genus=1, factors=n, rank=rank)
+        points = list(itertools.product(range(rank), repeat=n))
+        zeros = 0
+        for v in points:
+            for w in points:
+                got = top_term_product(ctx, v, w)
+                assert got == self.by_t_var(ctx, v, w), (v, w)
+                zeros += got.is_zero()
+        # a zero factor exactly when some v_j > w_j
+        assert zeros == sum(1 for v in points for w in points
+                            if not all(a <= b for a, b in zip(v, w)))
+
+    def test_unbounded_rank_and_rank_zero(self):
+        ctx = RingContext(genus=0, factors=2, rank=UNBOUNDED)
+        for v, w in [((3, 1), (5, 2)), ((2, 6), (1, 7)), ((0, 0), (4, 0))]:
+            assert top_term_product(ctx, v, w) == self.by_t_var(ctx, v, w)
+        flat = RingContext(genus=0, factors=2)
+        assert top_term_product(flat, (0, 0), (1, 1)) == flat.one()
+        with pytest.raises(ValueError, match="rank-0"):
+            top_term_product(flat, (0, 1), (1, 1))
 
 
 class TestLemmaChecks:
