@@ -2,11 +2,14 @@
 
 Two independent evaluations are provided, both sums over the orbit of
 the weight: of cell classes (the oracle) and of admissible row tuples;
-the two must agree exactly, and both enter through `_pullback`, so they
+the two must agree exactly, and both enter through `_pullbacks`, so they
 accept the same weights.  Each route, and the partial-flag pullback,
 walks its orbit with weights.orbit_walk, in at most n steps per orbit
-member and without listing a group; twist averages and invariant letter
-classes are orbit sums too.  The module also carries the
+member and without listing a group, and does so once per weight: the
+list of (member class, sigma) it builds is read by every twist of that
+weight (the spanning classes of a degree, the twists of one weight in
+the `verify` grids).  Twist averages and invariant letter classes are
+orbit sums too.  The module also carries the
 symmetry/rank machinery used to certify that the pullback image is the
 full invariant subring of ring.permute_factors, the permutation action
 that moves each factor's curve class together with its omega;
@@ -96,14 +99,21 @@ def _orbit_average(ctx: RingContext, v, a: RingElement) -> RingElement:
                              for mono, c in out.items() if c})
 
 
-def _pullback(ctx: RingContext, member, u, a: RingElement) -> RingElement:
-    """Both routes: u must be a decreasing weight vector of the context,
-    and a twist that is not St(u)-invariant is averaged over St(u) first."""
-    u = tuple(u)
-    _check_entries(ctx, u)
-    if not is_decreasing(u):
-        raise ValueError("u must be decreasing")
-    return _orbit_sum(ctx, member, orbit_walk(u), average_twist(ctx, u, a))
+def _pullbacks(ctx: RingContext, member, u, twists):
+    """Both routes, for one weight u and its twists, streamed: u must be
+    a decreasing weight vector of the context, and a twist that is not
+    St(u)-invariant is averaged over St(u) first.  u is checked, its
+    orbit walked and the list of (member class, sigma) built once, at
+    the first twist, so a weight without twists is never checked."""
+    members = None
+    for a in twists:
+        if members is None:
+            u = tuple(u)
+            _check_entries(ctx, u)
+            if not is_decreasing(u):
+                raise ValueError("u must be decreasing")
+            members = _orbit_members(ctx, member, orbit_walk(u))
+        yield _orbit_sum(ctx, members, average_twist(ctx, u, a))
 
 
 def quot_pullback(ctx: RingContext, u, a: RingElement = None) -> RingElement:
@@ -112,20 +122,25 @@ def quot_pullback(ctx: RingContext, u, a: RingElement = None) -> RingElement:
     sigma_v(u) = v, which is the symmetrization (1/|St(u)|) sum_sigma
     cell(sigma u) sigma(a) since a is St(u)-invariant.
     """
-    return _pullback(ctx, cell_class, u, a)
+    return next(_pullbacks(ctx, cell_class, u, (a,)))
 
 
-def _orbit_sum(ctx: RingContext, member, images: dict,
-               a: RingElement) -> RingElement:
-    """sum over w in the orbit of v of member(ctx, w) sigma_w(a), for
-    the images {w: sigma_w} of v that weights.orbit_walk lists,
-    sigma_w(v) = w; the two pullback routes differ only in `member`.
+def _orbit_members(ctx: RingContext, member, images: dict):
+    """The list of (member(ctx, w), sigma_w) over the images {w: sigma_w}
+    of v that weights.orbit_walk lists, sigma_w(v) = w: built once per
+    orbit walk and read by every twist summed over that orbit; the two
+    pullback routes differ only in `member`."""
+    return [(member(ctx, w), sigma) for w, sigma in images.items()]
+
+
+def _orbit_sum(ctx: RingContext, members, a: RingElement) -> RingElement:
+    """sum over the (x_w, sigma_w) of `_orbit_members` of x_w sigma_w(a).
     Each sigma_w(a) comes out of permute_factors already grouped, and
     grouping a itself is done once for the whole orbit; every product is
     added into one term dict."""
     out = {}
-    for w, sigma in images.items():
-        _add_product(out, member(ctx, w), permute_factors(sigma, a))
+    for x, sigma in members:
+        _add_product(out, x, permute_factors(sigma, a))
     return _settled(ctx, out)
 
 
@@ -162,7 +177,7 @@ def quot_pullback_combinatorial(ctx: RingContext, u,
     """
     if any(ctx.degrees):
         raise ValueError("the combinatorial formula requires trivial degrees")
-    return _pullback(ctx, _prefactor_sum, u, a)
+    return next(_pullbacks(ctx, _prefactor_sum, u, (a,)))
 
 
 def _prefactor_sum(ctx: RingContext, v) -> RingElement:
@@ -195,9 +210,10 @@ def partial_flag_pullback(ctx: RingContext, composition, v_star,
             raise ValueError("each block must be decreasing")
     v = tuple(x for b in blocks for x in b)
     labels = tuple(k for k, b in enumerate(blocks) for _ in b)
+    images = orbit_walk(v, labels)
     # the part of Y fixing v fixes each (block label, entry) pair
-    return _orbit_sum(ctx, cell_class, orbit_walk(v, labels),
-                      average_twist(ctx, tuple(zip(labels, v)), a))
+    a = average_twist(ctx, tuple(zip(labels, v)), a)
+    return _orbit_sum(ctx, _orbit_members(ctx, cell_class, images), a)
 
 
 # -- symmetry and rank certificates -------------------------------------------
@@ -272,10 +288,13 @@ def _letter_classes(ctx: RingContext, degree: int, labels):
 
 def quot_pullback_spanning_classes(ctx: RingContext, degree: int):
     """The pullback classes of degree `degree` built from all decreasing
-    weights u and a spanning set of St(u)-invariant twists."""
-    return [quot_pullback(ctx, u, a)
-            for u in decreasing_vectors(ctx.factors, None, degree // 2)
-            for a in _letter_classes(ctx, degree - 2 * sum(u), u)]
+    weights u and a spanning set of St(u)-invariant twists, in the order
+    of u and then of the twists: one orbit walk and one member list per
+    weight, read by all of its twists; a weight with no twist of its
+    degree is skipped before any check."""
+    return [x for u in decreasing_vectors(ctx.factors, None, degree // 2)
+            for x in _pullbacks(ctx, cell_class, u,
+                                _letter_classes(ctx, degree - 2 * sum(u), u))]
 
 
 def pullback_generators(ctx: RingContext):

@@ -4,12 +4,19 @@ formulas.
 
 Polynomials are plain lists of integer coefficients indexed by the
 t-exponent; two-variable series are lists (over the s-power) of such
-lists, truncated at explicit caps.
+lists, truncated at explicit caps.  The closed quot product formula is
+built in place, one factor at a time: a factor (1 + s t^k) adds row
+s - 1, shifted by k, into row s for s running down, and 1/(1 - s t^k)
+does the same for s running up, so every row s is read from row s - 1
+and no two-variable product is ever formed.  The stratum sums of
+`quot_poincare` keep the convolution `_bi_mul`, so `quot_series_check`
+compares two independent computations.
 """
 
 from __future__ import annotations
 
 from math import comb
+from operator import add
 
 
 def poly_trim(p):
@@ -106,20 +113,32 @@ def quot_poincare(g: int, r: int, length: int, max_t: int | None = None):
 def quot_series_product(g: int, r: int, max_s: int, max_t: int):
     """Coefficients of s^0..s^max_s of the closed product formula
     prod_{h<r} (1+s t^{2h+1})^{2g} / ((1-t^{2h} s)(1-t^{2h+2} s)),
-    each truncated at t^max_t."""
+    each truncated at t^max_t.
+
+    The rows start as the series 1 and take each factor in place: each
+    of the 2g factors (1 + s t^k), k = 2h+1, adds row s-1 shifted by k
+    into row s for s running down (so row s-1 is still the old one), and
+    1/(1 - s t^k), k = 2h and 2h+2, does so for s running up (so row s-1
+    already carries the factor: the new series is the old one plus
+    s t^k times itself).  A factor with k > max_t changes nothing below
+    the cap."""
     if g < 0:
         raise ValueError("g must be non-negative")
-    series = [[1]] + [[] for _ in range(max_s)]
+    width = max(max_t + 1, 0)
+    rows = [[0] * width for _ in range(max_s + 1)]
+    if width and rows:
+        rows[0][0] = 1
     for h in range(r):
-        # (1 + s t^{2h+1})^{2g}
-        factor = [[0] * (j * (2 * h + 1)) + [comb(2 * g, j)] if j * (2 * h + 1) <= max_t
-                  else [] for j in range(max_s + 1)]
-        series = _bi_mul(series, factor, max_s, max_t)
-        for k in (2 * h, 2 * h + 2):
-            geom = [[0] * (j * k) + [1] if j * k <= max_t else []
-                    for j in range(max_s + 1)]
-            series = _bi_mul(series, geom, max_s, max_t)
-    return series
+        for k, steps, order in ((2 * h + 1, 2 * g, range(max_s, 0, -1)),
+                                (2 * h, 1, range(1, max_s + 1)),
+                                (2 * h + 2, 1, range(1, max_s + 1))):
+            if k > max_t:
+                continue
+            for _ in range(steps):
+                for s in order:
+                    row, below = rows[s], rows[s - 1]
+                    row[k:] = map(add, row[k:], below[:width - k])
+    return [poly_trim(row) for row in rows]
 
 
 def _bi_mul(a, b, max_s, max_t):

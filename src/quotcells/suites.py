@@ -56,10 +56,14 @@ def _case(inputs, expected, got, ok, checked):
 def pullback_classes(ctx, us, degrees):
     """(u, a, psi(u; a)) for each u and each St(u)-invariant letter class
     a of the degrees, u serving as its own labels, streamed one class at
-    a time: checks given one grid share its pullbacks through list()."""
-    return ((u, a, pullback.quot_pullback(ctx, u, a))
-            for u in us for d in degrees
-            for a in pullback._letter_classes(ctx, d, u))
+    a time: checks given one grid share its pullbacks through list().
+    The twists of one (u, degree) share one orbit walk and member list."""
+    for u in us:
+        for d in degrees:
+            twists = pullback._letter_classes(ctx, d, u)
+            for a, x in zip(twists, pullback._pullbacks(ctx, cells.cell_class,
+                                                        u, twists)):
+                yield u, a, x
 
 
 def check_pullback_routes(label, ctx, classes):

@@ -1,11 +1,13 @@
 import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from quotcells.cells import _require_letters_only, cell_class
 from quotcells.ring import (UNIT, RingContext, RingElement, letter_degree,
                             permute_factors)
+from quotcells.series import _bi_mul
 from quotcells.weights import apply_perm, is_decreasing
 
 
@@ -120,6 +122,26 @@ def orbit(v, group):
     for sigma in group:
         images.setdefault(apply_perm(sigma, v), sigma)
     return images
+
+
+def reference_quot_series_product(g: int, r: int, max_s: int, max_t: int):
+    """The closed quot product formula as a product of two-variable
+    truncated series, one factor at a time by series._bi_mul: the
+    convolution reference that series.quot_series_product, built in
+    place, is checked against."""
+    if g < 0:
+        raise ValueError("g must be non-negative")
+    series = [[1]] + [[] for _ in range(max_s)]
+    for h in range(r):
+        # (1 + s t^{2h+1})^{2g}
+        factor = [[0] * (j * (2 * h + 1)) + [comb(2 * g, j)] if j * (2 * h + 1) <= max_t
+                  else [] for j in range(max_s + 1)]
+        series = _bi_mul(series, factor, max_s, max_t)
+        for k in (2 * h, 2 * h + 2):
+            geom = [[0] * (j * k) + [1] if j * k <= max_t else []
+                    for j in range(max_s + 1)]
+            series = _bi_mul(series, geom, max_s, max_t)
+    return series
 
 
 def symmetrized_cell_class(ctx: RingContext, v, a: RingElement) -> RingElement:

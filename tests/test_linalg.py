@@ -84,6 +84,39 @@ def test_column_keys_need_only_be_hashable():
     assert exact_rank([{"x": 1, 1: 2}, {1: 4, "x": 2}, {(0, "y"): 0}]) == 1
 
 
+def test_integer_rows_needing_a_multiplier():
+    # the pivot's leading 2 against 3: the row is rescaled by 2
+    rows = [{"x": 2, "y": 1, "z": 4}, {"x": 3, "y": 5, "z": 6},
+            {"x": 7, "y": 11, "z": 14}]
+    assert exact_rank(rows) == reference_rank(rows) == 2
+    rows[2]["z"] = 15
+    assert exact_rank(rows) == reference_rank(rows) == 3
+
+
+def test_integer_rows_with_multiplier_one():
+    # every pivot leads with 1, so no reduction step rescales its row
+    rows = [{"x": 1, "y": 2, "z": 3}, {"y": 1, "z": 2},
+            {"x": 2, "y": 5, "z": 8}, {"x": 3, "y": 7, "z": 11}]
+    assert exact_rank(rows) == reference_rank(rows) == 2
+    rows.append({"x": -2, "z": 1})
+    assert exact_rank(rows) == reference_rank(rows) == 3
+
+
+def test_rows_of_integral_fractions():
+    rows = [{"x": Fraction(2), "y": Fraction(-4)},
+            {"x": Fraction(3, 1), "y": Fraction(-6, 1)},
+            {"y": Fraction(5), "z": Fraction(0)}]
+    assert exact_rank(rows) == reference_rank(rows) == 2
+
+
+def test_row_mixing_ints_and_fractions():
+    rows = [{"x": 1, "y": Fraction(1, 2)}, {"x": Fraction(4), "y": 2},
+            {"x": 3, "y": Fraction(3, 2), "z": 0}]
+    assert exact_rank(rows) == reference_rank(rows) == 1
+    rows.append({"x": Fraction(1, 3), "z": 5})
+    assert exact_rank(rows) == reference_rank(rows) == 2
+
+
 BIG = 10 ** 40
 SCALARS = st.one_of(st.integers(-BIG, BIG),
                     st.builds(Fraction, st.integers(-BIG, BIG),

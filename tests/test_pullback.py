@@ -11,7 +11,8 @@ import pytest
 from quotcells import suites, weights
 from quotcells.cells import cell_class, complete_homogeneous
 from quotcells.grammar import parse
-from quotcells.pullback import (average_twist, combinatorial_prefactor,
+from quotcells.pullback import (_letter_classes, average_twist,
+                                combinatorial_prefactor,
                                 generator_span_check, invariant_dimension,
                                 invariant_letter_classes, is_invariant,
                                 partial_flag_pullback, quot_pullback,
@@ -353,6 +354,29 @@ def test_no_library_path_lists_a_group(monkeypatch):
     for degree in range(7):
         assert span_rank(quot_pullback_spanning_classes(ctx, degree), degree) \
             == invariant_dimension(ctx, degree)
+
+
+def test_spanning_classes_are_the_per_class_pullbacks():
+    """One orbit walk per weight gives the classes one pullback per
+    (u, twist) gives, element by element and in order."""
+    for g in range(3):
+        for n in range(1, 5):
+            ctx = RingContext(genus=g, factors=n)
+            for d in range(7):
+                assert quot_pullback_spanning_classes(ctx, d) == [
+                    quot_pullback(ctx, u, a)
+                    for u in decreasing_vectors(n, None, d // 2)
+                    for a in _letter_classes(ctx, d - 2 * sum(u), u)], (g, n, d)
+
+
+def test_spanning_classes_check_only_weights_with_twists():
+    """A weight out of range raises once it has a twist of the degree; a
+    weight with none is skipped before any check."""
+    ctx = RingContext(genus=0, factors=2, rank=2)
+    for degree in (4, 6):
+        with pytest.raises(ValueError, match="entry 2 out of range for rank 2"):
+            quot_pullback_spanning_classes(ctx, degree)
+    assert quot_pullback_spanning_classes(ctx, 5) == []
 
 
 def test_route_check_reads_a_stream_once():

@@ -9,10 +9,12 @@ from quotcells.series import (filt_poincare, filt_presentation_check,
                               infinite_limits_check, infinite_quot_series,
                               poly_add, poly_coeff, poly_mul, poly_trim,
                               quot_poincare, quot_series_check,
+                              quot_series_product,
                               symmetric_product_poincare, tensor_model_series)
 from quotcells.weights import decreasing_vectors, stabilizer
 
-from conftest import permutations, weights_to_decomposition
+from conftest import (permutations, reference_quot_series_product,
+                      weights_to_decomposition)
 
 
 def decomposition_dimension_check(ctx, r, max_degree):
@@ -100,6 +102,21 @@ class TestQuot:
     def test_product_formula(self, g, r):
         residuals = quot_series_check(g, r, 4, 10)
         assert all(not p for p in residuals), (g, r, residuals)
+
+    def test_product_built_in_place_matches_convolutions(self):
+        for g in range(5):
+            for r in range(6):
+                for max_s in range(7):
+                    for max_t in range(13):
+                        args = (g, r, max_s, max_t)
+                        assert quot_series_product(*args) \
+                            == reference_quot_series_product(*args), args
+        assert quot_series_product(3, 11, 20, 20) \
+            == reference_quot_series_product(3, 11, 20, 20)
+
+    def test_product_rejects_negative_genus(self):
+        with pytest.raises(ValueError, match="g must be non-negative"):
+            quot_series_product(-1, 2, 3, 4)
 
 
 class TestFilt:
