@@ -23,8 +23,9 @@ import sys
 from fractions import Fraction
 from operator import itemgetter
 
-from .ring import (POINT, UNIT, RingContext, RingElement, _letter_facts,
-                   _trim, element_from_terms, monomial_sort_key)
+from .ring import (POINT, UNIT, RingContext, RingElement, _exponent_facts,
+                   _letter_facts, _trim, element_from_terms,
+                   monomial_sort_key)
 
 
 class ParseError(ValueError):
@@ -137,15 +138,15 @@ def format_element(x: RingElement) -> str:
     coeffs = x.coeffs
     if not coeffs:
         return "0"
-    rows = [(monomial_sort_key(mono), _letter_facts(mono[0])[2], mono, c)
-            for mono, c in coeffs.items()]
+    rows = [(monomial_sort_key(mono), mono, c) for mono, c in coeffs.items()]
     rows.sort(key=itemgetter(0))
     parts = []
-    for _key, names, (_letters, omega, t), c in rows:
-        piece = "%s * [%s]" % (c, names)
-        if any(omega):
-            piece += " w^(%s)" % ",".join([str(e) for e in omega])
+    for _key, (letters, omega, t), c in rows:
+        piece = "%s * [%s]" % (c, _letter_facts(letters)[2])
+        omega_sum, _omega_key, omega_text = _exponent_facts(omega)
+        if omega_sum:
+            piece += " w^(%s)" % omega_text
         if t:
-            piece += " t^(%s)" % ",".join([str(e) for e in t])
+            piece += " t^(%s)" % _exponent_facts(t)[2]
         parts.append(piece)
     return " + ".join(parts)

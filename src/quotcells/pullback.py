@@ -5,11 +5,14 @@ the weight: of cell classes (the oracle) and of admissible row tuples;
 the two must agree exactly, and both enter through `_pullbacks`, so they
 accept the same weights.  Each route, and the partial-flag pullback,
 walks its orbit with weights.orbit_walk, in at most n steps per orbit
-member and without listing a group, and does so once per weight: the
-list of (member class, sigma) it builds is read by every twist of that
-weight (the spanning classes of a degree, the twists of one weight in
-the `verify` grids).  Twist averages and invariant letter classes are
-orbit sums too.  The module also carries the
+member and without listing a group, and does so once per weight and
+context: the list of (member class, sigma) it builds is kept in the
+context's memo, keyed by the route's member function, the weight and
+the labels, and read by every later twist of that weight (the spanning
+classes of a degree, the twists of one weight in the `verify` grids and
+every later call).  The two routes never read each other's list.  Twist
+averages and invariant letter classes are orbit sums too.  The module
+also carries the
 symmetry/rank machinery used to certify that the pullback image is the
 full invariant subring of ring.permute_factors, the permutation action
 that moves each factor's curve class together with its omega;
@@ -102,9 +105,10 @@ def _orbit_average(ctx: RingContext, v, a: RingElement) -> RingElement:
 def _pullbacks(ctx: RingContext, member, u, twists):
     """Both routes, for one weight u and its twists, streamed: u must be
     a decreasing weight vector of the context, and a twist that is not
-    St(u)-invariant is averaged over St(u) first.  u is checked, its
-    orbit walked and the list of (member class, sigma) built once, at
-    the first twist, so a weight without twists is never checked."""
+    St(u)-invariant is averaged over St(u) first.  u is checked at the
+    first twist, so a weight without twists is never checked, and the
+    list of (member class, sigma) is read from the context's memo, built
+    by the first call of the route for u on the context."""
     members = None
     for a in twists:
         if members is None:
@@ -112,7 +116,7 @@ def _pullbacks(ctx: RingContext, member, u, twists):
             _check_entries(ctx, u)
             if not is_decreasing(u):
                 raise ValueError("u must be decreasing")
-            members = _orbit_members(ctx, member, orbit_walk(u))
+            members = _orbit_members(ctx, member, u)
         yield _orbit_sum(ctx, members, average_twist(ctx, u, a))
 
 
@@ -125,12 +129,20 @@ def quot_pullback(ctx: RingContext, u, a: RingElement = None) -> RingElement:
     return next(_pullbacks(ctx, cell_class, u, (a,)))
 
 
-def _orbit_members(ctx: RingContext, member, images: dict):
-    """The list of (member(ctx, w), sigma_w) over the images {w: sigma_w}
-    of v that weights.orbit_walk lists, sigma_w(v) = w: built once per
-    orbit walk and read by every twist summed over that orbit; the two
-    pullback routes differ only in `member`."""
-    return [(member(ctx, w), sigma) for w, sigma in images.items()]
+def _orbit_members(ctx: RingContext, member, v, labels=None):
+    """The tuple of (member(ctx, w), sigma_w) over the images {w: sigma_w}
+    of v that weights.orbit_walk(v, labels) lists, sigma_w(v) = w: kept
+    in ctx._memo under (member, v, labels), so the orbit is walked once
+    per context and route and read by every twist summed over it.  The
+    two pullback routes differ only in `member`, so neither reads the
+    other's list, and the labels keep apart partial flags whose blocks
+    concatenate to one v."""
+    key = ("members", member, v, labels)
+    got = ctx._memo.get(key)
+    if got is None:
+        got = ctx._memo[key] = tuple(
+            (member(ctx, w), sigma) for w, sigma in orbit_walk(v, labels).items())
+    return got
 
 
 def _orbit_sum(ctx: RingContext, members, a: RingElement) -> RingElement:
@@ -210,10 +222,9 @@ def partial_flag_pullback(ctx: RingContext, composition, v_star,
             raise ValueError("each block must be decreasing")
     v = tuple(x for b in blocks for x in b)
     labels = tuple(k for k, b in enumerate(blocks) for _ in b)
-    images = orbit_walk(v, labels)
     # the part of Y fixing v fixes each (block label, entry) pair
     a = average_twist(ctx, tuple(zip(labels, v)), a)
-    return _orbit_sum(ctx, _orbit_members(ctx, cell_class, images), a)
+    return _orbit_sum(ctx, _orbit_members(ctx, cell_class, v, labels), a)
 
 
 # -- symmetry and rank certificates -------------------------------------------

@@ -51,7 +51,9 @@ layer).  A right-hand term with letters only, zero omega and no t, as
 every twist's terms are, gives each product the left term's own omega
 and t tuples, with no exponent sums.  No sum here runs over a group.
 The canonical formatter reads each letter tuple's degree, sort part and
-names from the process-wide _letter_facts.
+names from the process-wide _letter_facts, and each omega or t tuple's
+sum, sort part and text from _exponent_facts, at most one entry per
+exponent tuple the process writes or sorts.
 """
 
 from __future__ import annotations
@@ -236,16 +238,23 @@ def _letter_facts(letters):
             "|".join([letter_name(c) for c in letters]))
 
 
+@cache
+def _exponent_facts(e):
+    """(sum, negated entries, ","-joined text) of an omega or t tuple."""
+    return sum(e), tuple([-x for x in e]), ",".join([str(x) for x in e])
+
+
 def monomial_sort_key(mono):
     """Canonical total order: degree, then t, omega (graded lex, high first),
     then letters factor-by-factor (high degree first)."""
     letters, omega, t = mono
     degree, letters_key, _names = _letter_facts(letters)
-    omega_sum, t_sum = sum(omega), sum(t)
+    omega_sum, omega_key, _text = _exponent_facts(omega)
+    t_sum, t_key, _text = _exponent_facts(t)
     return (
         degree + 2 * (omega_sum + t_sum),
-        (-t_sum, tuple([-e for e in t])),
-        (-omega_sum, tuple([-e for e in omega])),
+        (-t_sum, t_key),
+        (-omega_sum, omega_key),
         letters_key,
     )
 

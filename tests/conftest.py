@@ -1,12 +1,13 @@
 import itertools
 from fractions import Fraction
 from math import comb
+from operator import itemgetter
 
 import pytest
 
 from quotcells.cells import _require_letters_only, cell_class
-from quotcells.ring import (UNIT, RingContext, RingElement, letter_degree,
-                            permute_factors)
+from quotcells.ring import (UNIT, RingContext, RingElement, _letter_facts,
+                            letter_degree, monomial_sort_key, permute_factors)
 from quotcells.series import _bi_mul
 from quotcells.weights import apply_perm, is_decreasing
 
@@ -91,6 +92,26 @@ def assert_read_only(x):
         del x.coeffs[mono]
     with pytest.raises(AttributeError):
         x.coeffs = {}
+
+
+def reference_format_element(x: RingElement) -> str:
+    """The canonical text written term by term: each term's sort key from
+    monomial_sort_key and its exponent strings built anew."""
+    coeffs = x.coeffs
+    if not coeffs:
+        return "0"
+    rows = [(monomial_sort_key(mono), _letter_facts(mono[0])[2], mono, c)
+            for mono, c in coeffs.items()]
+    rows.sort(key=itemgetter(0))
+    parts = []
+    for _key, names, (_letters, omega, t), c in rows:
+        piece = "%s * [%s]" % (c, names)
+        if any(omega):
+            piece += " w^(%s)" % ",".join([str(e) for e in omega])
+        if t:
+            piece += " t^(%s)" % ",".join([str(e) for e in t])
+        parts.append(piece)
+    return " + ".join(parts)
 
 
 def permutations(n: int):

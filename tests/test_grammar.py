@@ -2,13 +2,17 @@
 
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
 from quotcells.grammar import ParseError, format_element, parse
-from quotcells.ring import RingContext, alpha
+from quotcells.pullback import (average_twist, quot_pullback,
+                                quot_pullback_combinatorial)
+from quotcells.ring import (POINT, UNBOUNDED, RingContext, _trim, alpha,
+                            element_from_terms)
 
-from conftest import random_homogeneous
+from conftest import random_homogeneous, reference_format_element
 
 
 def test_basic_term():
@@ -167,3 +171,42 @@ def test_whitespace_between_tokens_round_trips():
                     text = "".join(rng.choice(("", " ", "\t", " \t ")) + tok
                                    for tok in tokens) + rng.choice(("", "\t"))
                     assert parse(ctx, text) == x, text
+
+
+def random_element(ctx, rng, terms):
+    """Random terms of any letters, omega and t the context allows, with
+    integral, fractional and negative coefficients."""
+    basis = ctx.curve_basis()
+    max_t = 3 if ctx.rank is UNBOUNDED else ctx.rank
+    out = []
+    for _ in range(terms):
+        letters = tuple(rng.choice(basis) for _ in range(ctx.factors))
+        omega = tuple(rng.choice((0, 0, 1, 2, 11)) for _ in range(ctx.factors))
+        t = tuple(rng.choice((0, 1, 3)) for _ in range(rng.randint(0, max_t)))
+        coeff = Fraction(rng.randint(-7, 7), rng.choice((1, 1, 2, 3, 12)))
+        out.append(((letters, omega, _trim(t)), coeff))
+    return element_from_terms(ctx, out)
+
+
+def test_format_matches_reference_on_random_elements():
+    rng = random.Random(41)
+    for genus in range(4):
+        for rank in (0, 2, UNBOUNDED):
+            for factors in range(4):
+                ctx = RingContext(genus=genus, factors=factors, rank=rank)
+                for terms in (0, 1, 2, 5, 12):
+                    for _ in range(4):
+                        x = random_element(ctx, rng, terms)
+                        if rank != 0:
+                            x = x * (ctx.t_var(1) + ctx.one())
+                        assert format_element(x) == reference_format_element(x)
+
+
+def test_format_matches_reference_at_1010_factors():
+    """The class psi --u 0,...,0 prints at 1010 factors, from both routes,
+    and a point class averaged over its 1010-member orbit."""
+    ctx = RingContext(genus=0, factors=1010)
+    u = (0,) * 1010
+    for x in (quot_pullback(ctx, u), quot_pullback_combinatorial(ctx, u),
+              average_twist(ctx, u, ctx.letter_at(1, POINT))):
+        assert format_element(x) == reference_format_element(x)

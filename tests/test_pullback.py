@@ -2,13 +2,14 @@
 symmetry and rank certificates."""
 
 import itertools
+import random
 import sys
 from fractions import Fraction
 from math import factorial, prod
 
 import pytest
 
-from quotcells import suites, weights
+from quotcells import pullback, suites, weights
 from quotcells.cells import cell_class, complete_homogeneous
 from quotcells.grammar import parse
 from quotcells.pullback import (_letter_classes, average_twist,
@@ -22,7 +23,7 @@ from quotcells.ring import (POINT, RingContext, RingElement, UNIT, alpha,
                             diagonal, letter_monomials, permute_factors,
                             small_diagonal)
 from quotcells.weights import (admissible_row_tuples, apply_perm,
-                               decreasing_vectors, stabilizer)
+                               decreasing_vectors, orbit_walk, stabilizer)
 
 from conftest import (assert_read_only, compositions, invert,
                       monomials_of_degree, permutations, project_invariant,
@@ -402,6 +403,95 @@ def test_route_check_reads_a_stream_once():
     assert not streamed["pass"]
     assert streamed["checked"] == streamed["inputs"]["classes"] == len(triples)
     assert streamed["got"].startswith("u=%s a=" % list(u))
+
+
+class TestMemberLists:
+    """Each route keeps its orbit's member list in the context's memo,
+    keyed by the route, the weight and the labels."""
+
+    @staticmethod
+    def without_member_lists(warm):
+        """A new context equal to warm, holding warm's cell classes and
+        memo entries but none of its member lists."""
+        fresh = RingContext(genus=warm.genus, factors=warm.factors)
+        fresh._cell_cache.update(warm._cell_cache)
+        fresh._memo.update((key, value) for key, value in warm._memo.items()
+                           if key[0] != "members")
+        return fresh
+
+    def test_shared_context_matches_fresh_contexts(self):
+        """Both routes on one context, in shuffled order, give what a
+        context with no member list gives at each call; the cell classes
+        and prefactor sums of the latter come from a warm context, so
+        that each call walks its orbit and builds its list anew."""
+        routes = (quot_pullback, quot_pullback_combinatorial)
+        rng = random.Random(23)
+        for g in range(3):
+            for n in range(1, 5):
+                ctx = RingContext(genus=g, factors=n)
+                calls = [(route, u, a) for u in decreasing_vectors(n, None, 3)
+                         for d in range(5) for a in _letter_classes(ctx, d, u)
+                         for route in routes]
+                warm = RingContext(genus=g, factors=n)
+                for route, u, a in calls:
+                    route(warm, u, a)
+                rng.shuffle(calls)
+                for route, u, a in calls:
+                    fresh = self.without_member_lists(warm)
+                    assert route(ctx, u, a) == route(fresh, u, a), (g, route, u, a)
+                lists = [key for key in ctx._memo if key[0] == "members"]
+                assert len(lists) == len({(route, u) for route, u, _ in calls})
+
+    def test_routes_keep_their_own_lists(self, monkeypatch):
+        """A route's first call for a weight builds its own member list,
+        whatever the other route has kept: every orbit member's class is
+        made once, by the route's own member function."""
+        made = []
+
+        def counted(member):
+            def wrapper(ctx, v):
+                made.append((member.__name__, v))
+                return member(ctx, v)
+            return wrapper
+
+        monkeypatch.setattr(pullback, "_prefactor_sum",
+                            counted(pullback._prefactor_sum))
+        monkeypatch.setattr(pullback, "cell_class", counted(cell_class))
+        for first, second in ((quot_pullback, quot_pullback_combinatorial),
+                              (quot_pullback_combinatorial, quot_pullback)):
+            ctx = RingContext(genus=1, factors=3)
+            u = (2, 1, 0)
+            orbit = list(orbit_walk(u))
+            for route in (first, second):
+                name = ("cell_class" if route is quot_pullback
+                        else "_prefactor_sum")
+                del made[:]
+                for a in (None, ctx.letter_at(1, POINT) + ctx.letter_at(2, POINT)
+                          + ctx.letter_at(3, POINT)):
+                    route(ctx, u, a)
+                assert made == [(name, w) for w in orbit], route
+
+    def test_partial_flag_lists_are_keyed_by_labels(self):
+        """Compositions (2, 1) and (1, 2) over one concatenated v keep
+        apart on one context, in either order."""
+        differ = False
+        for g in (0, 1):
+            ctx = RingContext(genus=g, factors=3)
+            twists = (None, ctx.letter_at(1, POINT), ctx.letter_at(3, POINT))
+            for v in ((1, 0, 0), (1, 1, 0), (2, 1, 0), (2, 1, 1), (0, 0, 0)):
+                splits = (((2, 1), (v[:2], v[2:])), ((1, 2), (v[:1], v[1:])))
+                for order in (splits, splits[::-1]):
+                    shared = RingContext(genus=g, factors=3)
+                    for composition, blocks in order:
+                        for a in twists:
+                            got = partial_flag_pullback(shared, composition,
+                                                        blocks, a)
+                            fresh = RingContext(genus=g, factors=3)
+                            assert got == partial_flag_pullback(
+                                fresh, composition, blocks, a), (v, composition, a)
+                differ = differ or (partial_flag_pullback(ctx, *splits[0])
+                                    != partial_flag_pullback(ctx, *splits[1]))
+        assert differ
 
 
 def projector_trace(ctx: RingContext, basis) -> int:

@@ -12,7 +12,8 @@ term's omega and t.  Products that are summed (the pullback orbit sums)
 are added into one term dict by ring._add_product, and the invariant
 letter classes, built from letter orbits, are checked against sums over
 the whole group.  format_element reads each letter tuple's part of the
-canonical text from ring._letter_facts.  Every such table is a function of its own key,
+canonical text from ring._letter_facts and each omega or t tuple's from
+ring._exponent_facts.  Every such table is a function of its own key,
 memoized once per process, so a fresh context starts with the tables
 that earlier contexts filled; the tests below also check that the
 tables are keyed by all they depend on.
@@ -479,7 +480,7 @@ def test_permutation_check_runs_for_every_length():
 
 
 KERNEL_TABLES = (ring._mask_class, ring._koszul_parity, weights.mover,
-                 ring._reversed_parity, ring._letter_facts)
+                 ring._reversed_parity, ring._letter_facts, ring._exponent_facts)
 
 
 def _immutable(value):
@@ -502,7 +503,9 @@ def test_kernel_tables_are_cached_functions_of_immutable_values():
             + [((0,), 1), ((), 0)],
             ring._reversed_parity: [(sigma, odd) for sigma in permutations(3)
                                     for odd in range(8)],
-            ring._letter_facts: letters}
+            ring._letter_facts: letters,
+            ring._exponent_facts: [(mono[1],) for mono in x.coeffs]
+            + [((),), ((0, 2),)]}
     assert set(keys) == set(KERNEL_TABLES)
     for table in KERNEL_TABLES:
         assert table.cache_parameters() == {"maxsize": None, "typed": False}
