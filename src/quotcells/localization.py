@@ -59,8 +59,8 @@ def restrict_to_fixed_point(x: RingElement, w) -> RingElement:
     last = ctx._memo.get("last_restriction")
     if last is not None and last[0] is x and last[1] == w:
         return last[2]
-    # One multiply-accumulate per omega layer into one term dict: the
-    # layer times the product of its omega powers' images.
+    # One multiply-accumulate per omega layer with nonzero omega into one
+    # term dict: the layer times the product of its omega powers' images.
     out = {}
     for omega, part in omega_layers(x).items():
         image = None

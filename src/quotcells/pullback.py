@@ -2,7 +2,7 @@
 
 Two independent evaluations are provided, both sums over the orbit of
 the weight: of cell classes (the oracle) and of admissible row tuples;
-the two must agree exactly, and both enter through `_pullbacks`, so they
+the two must agree exactly, and both enter through `_pullback`, so they
 accept the same weights.  Each route, and the partial-flag pullback,
 walks its orbit with weights.orbit_walk, in at most n steps per orbit
 member and without listing a group, and does so once per weight and
@@ -10,9 +10,10 @@ context: the list of (member class, sigma) it builds is kept in the
 context's memo, keyed by the route's member function, the weight and
 the labels, and read by every later twist of that weight (the spanning
 classes of a degree, the twists of one weight in the `verify` grids and
-every later call).  The two routes never read each other's list.  Twist
-averages and invariant letter classes are orbit sums too.  The module
-also carries the
+every later call).  A weight is checked when its list is built, so a
+list in the memo always belongs to a checked weight.  The two routes
+never read each other's list.  Twist averages and invariant letter
+classes are orbit sums too.  The module also carries the
 symmetry/rank machinery used to certify that the pullback image is the
 full invariant subring of ring.permute_factors, the permutation action
 that moves each factor's curve class together with its omega;
@@ -102,22 +103,20 @@ def _orbit_average(ctx: RingContext, v, a: RingElement) -> RingElement:
                              for mono, c in out.items() if c})
 
 
-def _pullbacks(ctx: RingContext, member, u, twists):
-    """Both routes, for one weight u and its twists, streamed: u must be
-    a decreasing weight vector of the context, and a twist that is not
-    St(u)-invariant is averaged over St(u) first.  u is checked at the
-    first twist, so a weight without twists is never checked, and the
-    list of (member class, sigma) is read from the context's memo, built
-    by the first call of the route for u on the context."""
-    members = None
-    for a in twists:
-        if members is None:
-            u = tuple(u)
-            _check_entries(ctx, u)
-            if not is_decreasing(u):
-                raise ValueError("u must be decreasing")
-            members = _orbit_members(ctx, member, u)
-        yield _orbit_sum(ctx, members, average_twist(ctx, u, a))
+def _pullback(ctx: RingContext, member, u, a: RingElement) -> RingElement:
+    """One route's orbit sum for the weight u and the twist a: u must be a
+    decreasing weight vector of the context, and a twist that is not
+    St(u)-invariant is averaged over St(u) first.  u is checked only when
+    the route has no member list for it on the context, and the list
+    built then enters the memo once u has passed."""
+    u = tuple(u)
+    members = ctx._memo.get(("members", member, u, None))
+    if members is None:
+        _check_entries(ctx, u)
+        if not is_decreasing(u):
+            raise ValueError("u must be decreasing")
+        members = _orbit_members(ctx, member, u)
+    return _orbit_sum(ctx, members, average_twist(ctx, u, a))
 
 
 def quot_pullback(ctx: RingContext, u, a: RingElement = None) -> RingElement:
@@ -126,7 +125,7 @@ def quot_pullback(ctx: RingContext, u, a: RingElement = None) -> RingElement:
     sigma_v(u) = v, which is the symmetrization (1/|St(u)|) sum_sigma
     cell(sigma u) sigma(a) since a is St(u)-invariant.
     """
-    return next(_pullbacks(ctx, cell_class, u, (a,)))
+    return _pullback(ctx, cell_class, u, a)
 
 
 def _orbit_members(ctx: RingContext, member, v, labels=None):
@@ -189,18 +188,14 @@ def quot_pullback_combinatorial(ctx: RingContext, u,
     """
     if any(ctx.degrees):
         raise ValueError("the combinatorial formula requires trivial degrees")
-    return next(_pullbacks(ctx, _prefactor_sum, u, (a,)))
+    return _pullback(ctx, _prefactor_sum, u, a)
 
 
 def _prefactor_sum(ctx: RingContext, v) -> RingElement:
-    """Sum of the prefactors of the admissible row tuples of v, memoized."""
-    key = ("prefactor", tuple(v))
-    got = ctx._memo.get(key)
-    if got is None:
-        got = ctx.zero()
-        for rows in admissible_row_tuples(v):
-            got = got + combinatorial_prefactor(ctx, rows)
-        ctx._memo[key] = got
+    """Sum of the prefactors of the admissible row tuples of v."""
+    got = ctx.zero()
+    for rows in admissible_row_tuples(v):
+        got = got + combinatorial_prefactor(ctx, rows)
     return got
 
 
@@ -300,12 +295,12 @@ def _letter_classes(ctx: RingContext, degree: int, labels):
 def quot_pullback_spanning_classes(ctx: RingContext, degree: int):
     """The pullback classes of degree `degree` built from all decreasing
     weights u and a spanning set of St(u)-invariant twists, in the order
-    of u and then of the twists: one orbit walk and one member list per
-    weight, read by all of its twists; a weight with no twist of its
-    degree is skipped before any check."""
-    return [x for u in decreasing_vectors(ctx.factors, None, degree // 2)
-            for x in _pullbacks(ctx, cell_class, u,
-                                _letter_classes(ctx, degree - 2 * sum(u), u))]
+    of u and then of the twists: the twists of one weight read its one
+    member list, and a weight with no twist of its degree is never
+    checked."""
+    return [quot_pullback(ctx, u, a)
+            for u in decreasing_vectors(ctx.factors, None, degree // 2)
+            for a in _letter_classes(ctx, degree - 2 * sum(u), u)]
 
 
 def pullback_generators(ctx: RingContext):

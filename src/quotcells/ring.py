@@ -47,7 +47,8 @@ building sigma(x), and stops at the first term that differs.
 Sums of products go into one term dict: the multiply-accumulate
 _add_product adds x * y into a caller's dict (a product is one call into
 a fresh dict, and a restriction to a fixed point one call per omega
-layer).  A right-hand term with letters only, zero omega and no t, as
+layer with nonzero omega; its omega-free layer is added term by
+term).  A right-hand term with letters only, zero omega and no t, as
 every twist's terms are, gives each product the left term's own omega
 and t tuples, with no exponent sums.  No sum here runs over a group.
 The canonical formatter reads each letter tuple's degree, sort part and

@@ -57,13 +57,11 @@ def pullback_classes(ctx, us, degrees):
     """(u, a, psi(u; a)) for each u and each St(u)-invariant letter class
     a of the degrees, u serving as its own labels, streamed one class at
     a time: checks given one grid share its pullbacks through list().
-    The twists of one (u, degree) share one orbit walk and member list."""
+    All twists of one u share u's member list on the context."""
     for u in us:
         for d in degrees:
-            twists = pullback._letter_classes(ctx, d, u)
-            for a, x in zip(twists, pullback._pullbacks(ctx, cells.cell_class,
-                                                        u, twists)):
-                yield u, a, x
+            for a in pullback._letter_classes(ctx, d, u):
+                yield u, a, pullback.quot_pullback(ctx, u, a)
 
 
 def check_pullback_routes(label, ctx, classes):

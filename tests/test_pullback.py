@@ -419,7 +419,17 @@ class TestMemberLists:
                            if key[0] != "members")
         return fresh
 
-    def test_shared_context_matches_fresh_contexts(self):
+    @staticmethod
+    def warm_prefactor_sums(warm):
+        """A stand-in for pullback._prefactor_sum that reads the sums kept
+        in warm's combinatorial member lists."""
+        sums = {apply_perm(sigma, key[2]): x
+                for key, members in warm._memo.items()
+                if key[:2] == ("members", pullback._prefactor_sum)
+                for x, sigma in members}
+        return lambda ctx, v: sums[v]
+
+    def test_shared_context_matches_fresh_contexts(self, monkeypatch):
         """Both routes on one context, in shuffled order, give what a
         context with no member list gives at each call; the cell classes
         and prefactor sums of the latter come from a warm context, so
@@ -435,12 +445,40 @@ class TestMemberLists:
                 warm = RingContext(genus=g, factors=n)
                 for route, u, a in calls:
                     route(warm, u, a)
+                warm_sums = self.warm_prefactor_sums(warm)
                 rng.shuffle(calls)
                 for route, u, a in calls:
+                    expected = route(ctx, u, a)
                     fresh = self.without_member_lists(warm)
-                    assert route(ctx, u, a) == route(fresh, u, a), (g, route, u, a)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(pullback, "_prefactor_sum", warm_sums)
+                        assert expected == route(fresh, u, a), (g, route, u, a)
                 lists = [key for key in ctx._memo if key[0] == "members"]
                 assert len(lists) == len({(route, u) for route, u, _ in calls})
+
+    @pytest.mark.parametrize("route", [quot_pullback, quot_pullback_combinatorial])
+    def test_weights_enter_the_memo_once_checked(self, route, monkeypatch):
+        """A weight that fails its check raises at every call and leaves
+        no member list behind; a list-typed copy of a checked weight reads
+        the list its first call built."""
+        ctx = RingContext(genus=1, factors=2, rank=2)
+        for u, message in (((0, 1), "u must be decreasing"),
+                           ((2, 0), "entry 2 out of range for rank 2")):
+            for _ in range(2):
+                with pytest.raises(ValueError, match=message):
+                    route(ctx, u)
+        assert [key for key in ctx._memo if key[0] == "members"] == []
+        x = route(ctx, (1, 0))
+        [key] = [key for key in ctx._memo if key[0] == "members"]
+        members = ctx._memo[key]
+
+        def refuse(*args):
+            raise AssertionError("orbit walked again")
+
+        monkeypatch.setattr(pullback, "orbit_walk", refuse)
+        assert route(ctx, [1, 0]) == x
+        assert [key for key in ctx._memo if key[0] == "members"] == [key]
+        assert ctx._memo[key] is members
 
     def test_routes_keep_their_own_lists(self, monkeypatch):
         """A route's first call for a weight builds its own member list,
@@ -680,13 +718,18 @@ class TestGeneratorSpan:
 
 
 def test_memoized_prefactor_cannot_be_poisoned():
-    from quotcells.pullback import _prefactor_sum
+    """The combinatorial route keeps its prefactor sums in its member
+    list: each is read-only, a second call reads the same list, and the
+    list equals a fresh context's."""
     ctx = RingContext(genus=1, factors=2)
-    u, sigma = (1, 0), (0, 1)
-    v = apply_perm(sigma, u)
-    prefactor = _prefactor_sum(ctx, v)
-    assert_read_only(prefactor)
-    assert _prefactor_sum(ctx, v) is prefactor
-    fresh = RingContext(genus=1, factors=2)
-    assert prefactor == _prefactor_sum(fresh, v)
+    u = (1, 0)
+    key = ("members", pullback._prefactor_sum, u, None)
     assert quot_pullback_combinatorial(ctx, u) == quot_pullback(ctx, u)
+    members = ctx._memo[key]
+    for prefactor, _sigma in members:
+        assert_read_only(prefactor)
+    quot_pullback_combinatorial(ctx, u)
+    assert ctx._memo[key] is members
+    fresh = RingContext(genus=1, factors=2)
+    quot_pullback_combinatorial(fresh, u)
+    assert fresh._memo[key] == members
