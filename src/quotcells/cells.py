@@ -34,9 +34,11 @@ def _check_length(ctx: RingContext, v):
 
 def _check_entries(ctx: RingContext, v):
     _check_length(ctx, v)
-    if any(e < 0 for e in v):
-        raise ValueError("weight entries must be non-negative")
-    if ctx.rank not in (0, UNBOUNDED):
+    bounded = ctx.rank not in (0, UNBOUNDED)
+    if v and (min(v) < 0 or bounded and max(v) >= ctx.rank):
+        # the loops below only name the first bad entry
+        if any(e < 0 for e in v):
+            raise ValueError("weight entries must be non-negative")
         for e in v:
             if e >= ctx.rank:
                 raise ValueError("entry %d out of range for rank %d" % (e, ctx.rank))

@@ -24,8 +24,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .ring import (POINT, UNIT, RingContext, RingElement, _exponent_facts,
-                   _letter_facts, _trim, element_from_terms,
-                   monomial_sort_key)
+                   _letter_facts, _trim, element_from_terms)
 
 
 class ParseError(ValueError):
@@ -138,15 +137,19 @@ def format_element(x: RingElement) -> str:
     coeffs = x.coeffs
     if not coeffs:
         return "0"
-    rows = [(monomial_sort_key(mono), mono, c) for mono, c in coeffs.items()]
-    rows.sort(key=itemgetter(0))
-    parts = []
-    for _key, (letters, omega, t), c in rows:
-        piece = "%s * [%s]" % (c, _letter_facts(letters)[2])
-        omega_sum, _omega_key, omega_text = _exponent_facts(omega)
+    # one read of each term's facts gives both its text and its key in
+    # the order of monomial_sort_key
+    rows = []
+    for (letters, omega, t), c in coeffs.items():
+        degree, letters_key, names = _letter_facts(letters)
+        omega_sum, omega_key, omega_text = _exponent_facts(omega)
+        t_sum, t_key, t_text = _exponent_facts(t)
+        piece = "%s * [%s]" % (c, names)
         if omega_sum:
             piece += " w^(%s)" % omega_text
         if t:
-            piece += " t^(%s)" % _exponent_facts(t)[2]
-        parts.append(piece)
-    return " + ".join(parts)
+            piece += " t^(%s)" % t_text
+        rows.append(((degree + 2 * (omega_sum + t_sum), -t_sum, t_key,
+                      -omega_sum, omega_key, letters_key), piece))
+    rows.sort(key=itemgetter(0))
+    return " + ".join([piece for _key, piece in rows])

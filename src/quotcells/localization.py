@@ -7,12 +7,24 @@ Restriction to the fixed point of weight w substitutes each omega_i by
 and fixes letters and t-variables, which makes it a ring homomorphism on
 representatives.  The lemma checks below exercise the top-term product
 formula, the vanishing criterion and the t-degree bound.
+
+A restriction reads one memo entry per (context, w): per factor i a
+row, row[e] = omega_i|_w ** e, filled on demand with references to
+the powers memoized per (i, e, w_i, positions k < i with w_k = w_i), so
+a row holds no element of its own and is never handed out.  Each omega
+layer is multiplied by the product of its powers into one term dict.
+Where omega_i|_w is the one term t_{w_i}, as at every w with distinct
+entries and trivial degrees, that product is an exponent shift in the
+ring kernel (ring._add_product), not a product over terms.
+top_term_product expands prod (t_{w_j} - t_i) as a polynomial in t and
+wraps it once, so the expected side of the top-term lemma does not go
+through the kernel it checks.
 """
 
 from __future__ import annotations
 
 from .ring import (UNIT, RingContext, RingElement, _add_product, _settled,
-                   diagonal, omega_layers)
+                   _trim, diagonal, omega_layers)
 from .cells import _check_entries, cell_class_equivariant
 from .weights import componentwise_leq
 
@@ -56,17 +68,29 @@ def restrict_to_fixed_point(x: RingElement, w) -> RingElement:
     if ctx.rank == 0:
         raise ValueError("restriction needs an equivariant context")
     _check_entries(ctx, w)
-    last = ctx._memo.get("last_restriction")
+    memo = ctx._memo
+    last = memo.get("last_restriction")
     if last is not None and last[0] is x and last[1] == w:
         return last[2]
+    # One row per factor i at w, row[e] = omega_i|_w ** e, filled on
+    # demand with references to the pattern-keyed powers (None where no
+    # layer has asked for that exponent yet).
+    rows = memo.get(("omega_rows", w))
+    if rows is None:
+        rows = memo["omega_rows", w] = [[] for _ in w]
     # One multiply-accumulate per omega layer with nonzero omega into one
     # term dict: the layer times the product of its omega powers' images.
     out = {}
     for omega, part in omega_layers(x).items():
         image = None
-        for i, e in enumerate(omega, start=1):
+        for i, e in enumerate(omega):
             if e:
-                power = _omega_power(ctx, i, e, w)
+                row = rows[i]
+                if e >= len(row):
+                    row += [None] * (e + 1 - len(row))
+                power = row[e]
+                if power is None:
+                    power = row[e] = _omega_power(ctx, i + 1, e, w)
                 image = power if image is None else image * power
         if image is None:  # the omega-free layer is its own image
             for mono, c in part._coeffs.items():
@@ -78,7 +102,7 @@ def restrict_to_fixed_point(x: RingElement, w) -> RingElement:
         else:
             _add_product(out, part, image)
     acc = _settled(ctx, out)
-    ctx._memo["last_restriction"] = (x, w, acc)
+    memo["last_restriction"] = (x, w, acc)
     return acc
 
 
@@ -103,21 +127,34 @@ def _require_trivial_degrees(ctx: RingContext):
 
 def top_term_product(ctx: RingContext, v, w) -> RingElement:
     """Product formula for the top term over all factors j:
-    product over 0 <= i < v_j of (t_{w_j} - t_i)."""
+    product over 0 <= i < v_j of (t_{w_j} - t_i), expanded as a
+    polynomial in t and wrapped as an element once."""
     _check_entries(ctx, v)
     _check_entries(ctx, w)
-    if any(v):
-        ctx._check_t_length(1)  # a rank-0 context has no t-variables
-    letters, zero = (UNIT,) * ctx.factors, (0,) * ctx.factors
-    acc = ctx.one()
-    for j in range(ctx.factors):
-        top = (0,) * w[j] + (1,)
+    if not any(v):
+        return ctx.one()
+    ctx._check_t_length(1)  # a rank-0 context has no t-variables
+    if any(a > b for a, b in zip(v, w)):  # the factor t_{w_j} - t_{w_j}
+        return ctx.zero()
+    size = max(w) + 1
+    poly = {(0,) * size: 1}  # t-exponent tuple -> coefficient
+    for j, top in enumerate(w):
         for i in range(v[j]):
-            if i == w[j]:  # the factor t_{w_j} - t_{w_j}
-                return ctx.zero()
-            acc = acc * RingElement(ctx, {(letters, zero, top): 1,
-                                          (letters, zero, (0,) * i + (1,)): -1})
-    return acc
+            expanded = {}
+            for t, c in poly.items():
+                for k, d in ((top, c), (i, -c)):
+                    bumped = list(t)
+                    bumped[k] += 1
+                    bumped = tuple(bumped)
+                    s = expanded.get(bumped, 0) + d
+                    if s:
+                        expanded[bumped] = s
+                    else:
+                        del expanded[bumped]
+            poly = expanded
+    letters, zero = (UNIT,) * ctx.factors, (0,) * ctx.factors
+    return RingElement(ctx, {(letters, zero, _trim(t)): c
+                             for t, c in poly.items()})
 
 
 def top_term_residual(ctx: RingContext, v, w) -> RingElement:

@@ -48,13 +48,20 @@ Sums of products go into one term dict: the multiply-accumulate
 _add_product adds x * y into a caller's dict (a product is one call into
 a fresh dict, and a restriction to a fixed point one call per omega
 layer with nonzero omega; its omega-free layer is added term by
-term).  A right-hand term with letters only, zero omega and no t, as
-every twist's terms are, gives each product the left term's own omega
-and t tuples, with no exponent sums.  No sum here runs over a group.
+term).  A right operand of one term whose letters are all UNIT, a
+scalar times w^o t^e, is an exponent shift: each left term keeps its
+letters, adds o and e and multiplies its coefficient into the dict,
+with no grouping and no class pair.  The powers of omega_i at a fixed
+point w with no equal entry before w_i and degree 0 are such terms,
+t_{w_i}^e.  A right-hand term with letters only, zero omega and no t,
+as every twist's terms are, gives each product the left term's own
+omega and t tuples, with no exponent sums.  No sum here runs over a
+group.
 The canonical formatter reads each letter tuple's degree, sort part and
 names from the process-wide _letter_facts, and each omega or t tuple's
 sum, sort part and text from _exponent_facts, at most one entry per
-exponent tuple the process writes or sorts.
+exponent tuple the process writes or sorts; it reads each term's facts
+once, for its text and for its flat monomial_sort_key.
 """
 
 from __future__ import annotations
@@ -247,17 +254,14 @@ def _exponent_facts(e):
 
 def monomial_sort_key(mono):
     """Canonical total order: degree, then t, omega (graded lex, high first),
-    then letters factor-by-factor (high degree first)."""
+    then letters factor-by-factor (high degree first), as the flat tuple
+    (degree, -t_sum, t_key, -omega_sum, omega_key, letters_key)."""
     letters, omega, t = mono
     degree, letters_key, _names = _letter_facts(letters)
     omega_sum, omega_key, _text = _exponent_facts(omega)
     t_sum, t_key, _text = _exponent_facts(t)
-    return (
-        degree + 2 * (omega_sum + t_sum),
-        (-t_sum, t_key),
-        (-omega_sum, omega_key),
-        letters_key,
-    )
+    return (degree + 2 * (omega_sum + t_sum), -t_sum, t_key,
+            -omega_sum, omega_key, letters_key)
 
 
 @cache
@@ -349,6 +353,27 @@ def _add_product(out, x, y):
     which a sum that cancels is dropped and a coefficient may be left a
     Fraction of denominator 1 (_settled makes it an int)."""
     _require_ctx(x.ctx, y)
+    if len(y._coeffs) == 1:
+        ((ly, oy, ty), cy), = y._coeffs.items()
+        if not any(ly):
+            # every letter UNIT (code 0): y = cy w^oy t^ty shifts each
+            # term's exponents, with no letter product and no sign
+            shift = any(oy)
+            for (lx, ox, tx), cx in x._coeffs.items():
+                if shift:
+                    ox = tuple(map(add, ox, oy))
+                if tx and ty:
+                    ta, tb = (tx, ty) if len(tx) >= len(ty) else (ty, tx)
+                    tx = tuple(map(add, ta, tb)) + ta[len(tb):]
+                else:
+                    tx = tx or ty
+                mono = (lx, ox, tx)
+                s = out.get(mono, 0) + cx * cy
+                if s:
+                    out[mono] = s
+                else:
+                    del out[mono]
+            return
     # Whether a pair of letter tuples survives and with which sign is
     # settled per pair of mask classes where the classes decide it; only
     # exponent sums and coefficient products run per term pair.

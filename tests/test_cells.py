@@ -12,8 +12,8 @@ from quotcells.cells import (cell_class, cell_class_equivariant,
                              complete_homogeneous,
                              lower_index_step_residual,
                              module_recursion_residual, to_cell_basis)
-from quotcells.ring import (RingContext, alpha, cohomological_degree,
-                            diagonal, omega_top_part)
+from quotcells.ring import (UNBOUNDED, RingContext, alpha,
+                            cohomological_degree, diagonal, omega_top_part)
 
 from conftest import (assert_read_only, embed, from_cell_basis, permutations,
                       project_invariant, random_homogeneous,
@@ -33,6 +33,23 @@ class TestCellCacheIsReadOnly:
         assert cell(ctx, (0, 2)) is x
         assert x == cell(RingContext(genus=1, factors=2, rank=rank), (0, 2))
         assert x
+
+
+@pytest.mark.parametrize("rank, v, message", [
+    (3, (1, 5, 4), "entry 5 out of range for rank 3"),
+    (3, (3, 0, -1), "weight entries must be non-negative"),
+    (3, (-2, 7, 0), "weight entries must be non-negative"),
+    (UNBOUNDED, (9, -1, 0), "weight entries must be non-negative"),
+    (0, (0, -3, 0), "weight entries must be non-negative"),
+])
+def test_entry_check_names_the_first_bad_entry(rank, v, message):
+    # one min/max test decides; the message is the per-entry loops'
+    ctx = RingContext(genus=0, factors=3, rank=rank)
+    with pytest.raises(ValueError, match="^%s$" % message):
+        cell_class(ctx, v)
+    cell_class(ctx, (0, 2, 1))
+    if rank is UNBOUNDED:
+        cell_class(ctx, (9, 0, 4))
 
 
 class TestCellClass:

@@ -100,6 +100,29 @@ class TestGroupedRestriction:
                 assert restrict_to_fixed_point(x, w) == restrict_term_by_term(x, w)
 
 
+class TestOneTermImages:
+    """At a w with distinct entries and trivial degrees every omega_i|_w
+    is the one term t_{w_i}, so every layer product of the restriction
+    is an exponent shift in the ring kernel; checked against the
+    term-by-term reference at genus 0 to 3."""
+
+    @pytest.mark.parametrize("g", [0, 1, 2, 3])
+    def test_matches_term_by_term(self, g):
+        ctx = RingContext(genus=g, factors=3, rank=4)
+        points = list(itertools.product(range(4), repeat=3))
+        distinct = [w for w in points if len(set(w)) == 3]
+        for w in distinct:
+            for i in range(1, 4):
+                assert len(omega_at_fixed_point(ctx, i, w).coeffs) == 1
+        for v in points:
+            if sum(v) > 3:
+                continue
+            x = cell_class_equivariant(ctx, v)
+            for w in distinct:
+                assert restrict_to_fixed_point(x, w) == \
+                    restrict_term_by_term(x, w), (v, w)
+
+
 def restrict_by_layers(x, w):
     """Reference restriction, layer by layer: each omega layer times the
     memoized powers of its omega images in turn, and one sum per layer."""
@@ -283,6 +306,35 @@ class TestRestrictionCacheSafety:
         restrict_to_fixed_point(self.x, self.w)
         for w in [(2, 1, 2), (3, 3, 3), (1, 0, 2), self.w]:
             assert restrict_to_fixed_point(self.x, w) == self.expected(self.v, w)
+
+    def test_power_rows_match_fresh_contexts(self):
+        # every cell class of co(v) <= 3 at every w, in shuffled order on
+        # one context, against a fresh context per call
+        ctx = self.ctx
+        points = list(itertools.product(range(4), repeat=3))
+        cases = [(v, w) for v in points if sum(v) <= 3 for w in points]
+        random.Random(26).shuffle(cases)
+        results = []
+        for v, w in cases:
+            got = restrict_to_fixed_point(cell_class_equivariant(ctx, v), w)
+            assert got == self.expected(v, w), (v, w)
+            if got:
+                assert_read_only(got)
+            results.append(got)
+        rows = {key[1]: value for key, value in ctx._memo.items()
+                if key[0] == "omega_rows"}
+        assert sorted(rows) == points
+        # each row entry is the pattern-keyed power itself, and none is
+        # ever handed to a caller
+        powers = set()
+        for w, factor_rows in rows.items():
+            for i, row in enumerate(factor_rows, start=1):
+                for e, power in enumerate(row):
+                    if power is not None:
+                        assert power is _omega_power(ctx, i, e, w)
+                        powers.add(id(power))
+        assert powers
+        assert not any(id(got) in powers for got in results)
 
     def test_lemma_checks_reuse_the_callers_restriction(self, monkeypatch):
         # the lemma checks restrict the cached class the caller has just

@@ -8,7 +8,8 @@ the one memoized action of a permutation on tuples, reads the
 odd-letter sign per (sigma, odd mask), once per class, and builds its
 image grouped; ring._fixed_by tests sigma(x) == x term by term.  A
 right-hand term with letters only, as every twist's is, keeps the left
-term's omega and t.  Products that are summed (the pullback orbit sums)
+term's omega and t, and a right operand of one term with unit letters
+shifts each left term's exponents without grouping the left operand.  Products that are summed (the pullback orbit sums)
 are added into one term dict by ring._add_product, and the invariant
 letter classes, built from letter orbits, are checked against sums over
 the whole group.  format_element reads each letter tuple's part of the
@@ -142,6 +143,17 @@ def element_pairs(draw):
     return draw(elements(ctx)), draw(elements(ctx))
 
 
+@st.composite
+def unbounded_monomials(draw, n=3, genus=2):
+    """A monomial (letters, omega, trimmed t) of a context of rank
+    UNBOUNDED, with n factors and the given genus."""
+    basis = RingContext(genus=genus, factors=n).curve_basis()
+    letters = draw(st.lists(st.sampled_from(basis), min_size=n, max_size=n))
+    omega = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    t = draw(st.lists(st.integers(0, 2), max_size=4))
+    return tuple(letters), tuple(omega), ring._trim(tuple(t))
+
+
 @settings(max_examples=300, deadline=None)
 @given(element_pairs())
 def test_product_matches_reference(pair):
@@ -175,7 +187,18 @@ def test_format_matches_all_fraction_element(pair):
 
 def reference_sort_key(mono):
     """The canonical order as documented: degree, then t and omega (total,
-    then entrywise, high first), then letters (high degree first)."""
+    then entrywise, high first), then letters (high degree first), as
+    one flat tuple."""
+    letters, omega, t = mono
+    degree = sum(letter_degree(c) for c in letters) + 2 * sum(omega) + 2 * sum(t)
+    return (degree, -sum(t), tuple(-e for e in t),
+            -sum(omega), tuple(-e for e in omega),
+            tuple((-letter_degree(c), c) for c in letters))
+
+
+def nested_sort_key(mono):
+    """The same order in its former nested shape: (degree, t part, omega
+    part, letters part)."""
     letters, omega, t = mono
     degree = sum(letter_degree(c) for c in letters) + 2 * sum(omega) + 2 * sum(t)
     return (degree, (-sum(t), tuple(-e for e in t)),
@@ -190,6 +213,14 @@ def test_sort_key_matches_reference(pair):
     for z in (x, y, x * y):
         for mono in z.coeffs:
             assert monomial_sort_key(mono) == reference_sort_key(mono)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(unbounded_monomials(), max_size=12), st.randoms())
+def test_flat_sort_key_keeps_the_nested_order(monos, rng):
+    rng.shuffle(monos)
+    assert sorted(monos, key=monomial_sort_key) == \
+        sorted(monos, key=nested_sort_key)
 
 
 @settings(max_examples=100, deadline=None)
@@ -580,6 +611,52 @@ def test_letters_only_right_operand(pair, cancel):
     own = {id(part) for mono in x.coeffs for part in mono[1:]}
     assert all(id(mono[1]) in own and (not mono[2] or id(mono[2]) in own)
                for mono in out)
+
+
+@st.composite
+def unit_letter_products(draw):
+    """(x, y) with y one term whose letters are all UNIT, a scalar times
+    w^omega t^e carrying omega only, t only, both or neither, at genus
+    0 to 3."""
+    ctx = RingContext(genus=draw(st.integers(0, 3)),
+                      factors=draw(st.integers(1, 4)),
+                      rank=draw(st.sampled_from([2, UNBOUNDED])))
+    n = ctx.factors
+    shape = draw(st.sampled_from(["omega", "t", "both", "neither"]))
+    omega, t = None, ()
+    if shape in ("omega", "both"):
+        omega = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)
+                     .filter(any))
+    if shape in ("t", "both"):
+        t = draw(st.lists(st.integers(0, 2), min_size=1, max_size=2)
+                 .filter(any))
+    y = ctx.monomial(omega=omega, t=t, coeff=draw(coefficients))
+    return draw(elements(ctx)), y, draw(elements(ctx)), draw(elements(ctx))
+
+
+@settings(max_examples=100, deadline=None)
+@given(unit_letter_products(), st.booleans())
+def test_unit_letter_right_operand(case, cancel):
+    x, y, z, u = case
+    # a general product first, so the shifts add into a filled dict;
+    # x * -y then x * y cancels every term the first of them put in
+    pairs = [(z, u), (x, y)] + ([(x, -y), (x, y)] if cancel else [])
+    out = {}
+    for left, right in pairs:
+        ring._add_product(out, left, right)
+    total = ring._settled(x.ctx, out)
+    assert dict(total.coeffs) == _summed(reference_product(a, b) for a, b in pairs)
+    assert_normal(total)
+    out = {}
+    ring._add_product(out, x, -y)
+    ring._add_product(out, x, y)
+    assert out == {}
+    # an exponent shift reads the left operand's terms, not its grouping
+    left = RingElement(x.ctx, dict(x.coeffs))
+    product = left * y
+    assert left._groups is None
+    assert dict(product.coeffs) == reference_product(x, y)
+    assert_normal(product)
 
 
 @settings(max_examples=100, deadline=None)
