@@ -13,7 +13,14 @@ start of a term that _TERM does not match, or inside the group of a
 term that fails its own check, a number past Python's int digit limit
 included.  The canonical form produced by format_element always writes
 the coefficient (as a reduced fraction, possibly negative) and omits
-all-zero w/t parts; terms are listed in the canonical monomial order.
+all-zero w/t parts, and lists the terms in the canonical monomial order,
+which is defined here alone: ascending in the flat key
+
+    (degree, -t_sum, -t, -omega_sum, -omega, letters)
+
+where degree counts each letter's degree and twice each omega and t
+exponent, -t and -omega negate each entry, and letters holds
+(-letter degree, letter code) per factor: pt, then a1, b1, a2, ..., one.
 """
 
 from __future__ import annotations
@@ -21,10 +28,11 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 from operator import itemgetter
 
-from .ring import (POINT, UNIT, RingContext, RingElement, _exponent_facts,
-                   _letter_facts, _trim, element_from_terms)
+from .ring import (POINT, UNIT, RingContext, RingElement, _trim, alpha, beta,
+                   element_from_terms, letter_degree, letter_name)
 
 
 class ParseError(ValueError):
@@ -67,8 +75,8 @@ def _letter_codes(ctx: RingContext, m) -> tuple:
         name, k = lm.group(1, 2)
         if k is None:
             letters.append(UNIT if name == "one" else POINT)
-        elif 1 <= _int(k, pos) <= ctx.genus:
-            letters.append(2 * int(k) + (name[0] == "b"))
+        elif 1 <= (k := _int(k, pos)) <= ctx.genus:
+            letters.append(alpha(k) if name[0] == "a" else beta(k))
         else:
             raise ParseError("letter %s out of range for genus %d" % (name, ctx.genus), pos)
         pos += len(piece) + 1
@@ -133,12 +141,27 @@ def parse(ctx: RingContext, text: str) -> RingElement:
     return element_from_terms(ctx, terms)
 
 
+@cache
+def _letter_facts(letters):
+    """(letter degree, letters part of the sort key, "|"-joined names) of
+    a letter tuple."""
+    degrees = [letter_degree(c) for c in letters]
+    return (sum(degrees), tuple([(-d, c) for d, c in zip(degrees, letters)]),
+            "|".join([letter_name(c) for c in letters]))
+
+
+@cache
+def _exponent_facts(e):
+    """(sum, negated entries, ","-joined text) of an omega or t tuple."""
+    return sum(e), tuple([-x for x in e]), ",".join([str(x) for x in e])
+
+
 def format_element(x: RingElement) -> str:
     coeffs = x.coeffs
     if not coeffs:
         return "0"
     # one read of each term's facts gives both its text and its key in
-    # the order of monomial_sort_key
+    # the canonical order
     rows = []
     for (letters, omega, t), c in coeffs.items():
         degree, letters_key, names = _letter_facts(letters)

@@ -57,11 +57,6 @@ t_{w_i}^e.  A right-hand term with letters only, zero omega and no t,
 as every twist's terms are, gives each product the left term's own
 omega and t tuples, with no exponent sums.  No sum here runs over a
 group.
-The canonical formatter reads each letter tuple's degree, sort part and
-names from the process-wide _letter_facts, and each omega or t tuple's
-sum, sort part and text from _exponent_facts, at most one entry per
-exponent tuple the process writes or sorts; it reads each term's facts
-once, for its text and for its flat monomial_sort_key.
 """
 
 from __future__ import annotations
@@ -235,33 +230,6 @@ class RingContext:
             raise ValueError("t-variables are not available in a rank-0 context")
         if self.rank is not UNBOUNDED and length > self.rank:
             raise ValueError("t index %d out of range for rank %d" % (length - 1, self.rank))
-
-
-@cache
-def _letter_facts(letters):
-    """(letter degree, letters part of the sort key, "|"-joined names) of
-    a letter tuple."""
-    degrees = [letter_degree(c) for c in letters]
-    return (sum(degrees), tuple([(-d, c) for d, c in zip(degrees, letters)]),
-            "|".join([letter_name(c) for c in letters]))
-
-
-@cache
-def _exponent_facts(e):
-    """(sum, negated entries, ","-joined text) of an omega or t tuple."""
-    return sum(e), tuple([-x for x in e]), ",".join([str(x) for x in e])
-
-
-def monomial_sort_key(mono):
-    """Canonical total order: degree, then t, omega (graded lex, high first),
-    then letters factor-by-factor (high degree first), as the flat tuple
-    (degree, -t_sum, t_key, -omega_sum, omega_key, letters_key)."""
-    letters, omega, t = mono
-    degree, letters_key, _names = _letter_facts(letters)
-    omega_sum, omega_key, _text = _exponent_facts(omega)
-    t_sum, t_key, _text = _exponent_facts(t)
-    return (degree + 2 * (omega_sum + t_sum), -t_sum, t_key,
-            -omega_sum, omega_key, letters_key)
 
 
 @cache

@@ -189,6 +189,15 @@ def test_verify_zero_coverage_fails(capsys, argv):
     assert "result: FAILED" in out
 
 
+@pytest.mark.parametrize("suite", ["localization", "ranks"])
+def test_verify_suite_left_with_no_cases_fails(capsys, suite):
+    # both suites check genus <= 1 only and fall back to no other genus
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--genus", "2")
+    assert code == 1
+    assert "result: FAILED" in out
+    assert "genus=0" not in out
+
+
 @pytest.mark.parametrize("argv", [
     ("poincare", "quot", "--length", "-1"),
     ("poincare", "limits"),

@@ -10,7 +10,7 @@ from quotcells.grammar import ParseError, format_element, parse
 from quotcells.pullback import (average_twist, quot_pullback,
                                 quot_pullback_combinatorial)
 from quotcells.ring import (POINT, UNBOUNDED, RingContext, _trim, alpha,
-                            element_from_terms)
+                            beta, element_from_terms)
 
 from conftest import random_homogeneous, reference_format_element
 
@@ -137,6 +137,15 @@ def test_canonical_order_matches_pinned_output():
     assert text == ("1 * [one|one] w^(0,2) + 1 * [pt|one] w^(1,0) "
                     "+ 1 * [one|pt] w^(1,0) + 1 * [pt|one] w^(0,1) "
                     "+ 1 * [one|pt] w^(0,1)")
+
+
+@pytest.mark.parametrize("name, code", [("a10", alpha(10)), ("b10", beta(10)),
+                                        ("b12", beta(12))])
+def test_two_digit_letters_read_and_write_back(name, code):
+    ctx = RingContext(genus=12, factors=1)
+    x = ctx.letter_at(1, code)
+    assert parse(ctx, "[%s]" % name) == x
+    assert format_element(x) == "1 * [%s]" % name
 
 
 def test_round_trips():

@@ -13,11 +13,11 @@ shifts each left term's exponents without grouping the left operand.  Products t
 are added into one term dict by ring._add_product, and the invariant
 letter classes, built from letter orbits, are checked against sums over
 the whole group.  format_element reads each letter tuple's part of the
-canonical text from ring._letter_facts and each omega or t tuple's from
-ring._exponent_facts.  Every such table is a function of its own key,
-memoized once per process, so a fresh context starts with the tables
-that earlier contexts filled; the tests below also check that the
-tables are keyed by all they depend on.
+canonical text from grammar._letter_facts and each omega or t tuple's
+from grammar._exponent_facts.  Every such table is a function of its
+own key, memoized once per process, so a fresh context starts with the
+tables that earlier contexts filled; the tests below also check that
+the tables are keyed by all they depend on.
 The references below are the plain loops over every pair of terms (and
 every term), written from the product table and the Koszul rule alone.
 The tests also pin the coefficient invariant: every coefficient is an
@@ -32,16 +32,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quotcells import ring, weights
+from quotcells import grammar, ring, weights
 from quotcells.grammar import format_element, parse
 from quotcells.pullback import (_letter_classes, average_twist,
                                 invariant_letter_classes)
 from quotcells.ring import (POINT, UNBOUNDED, UNIT, RingContext, RingElement,
                             alpha, beta, letter_degree, letter_monomials,
-                            monomial_sort_key, omega_layers, permute_factors)
+                            omega_layers, permute_factors)
 from quotcells.weights import apply_perm, stabilizer, transposition
 
-from conftest import assert_read_only, permutations
+from conftest import assert_read_only, permutations, reference_sort_key
 
 
 def _letter_product(a, b):
@@ -185,17 +185,6 @@ def test_format_matches_all_fraction_element(pair):
         assert format_element(z) == format_element(as_fractions)
 
 
-def reference_sort_key(mono):
-    """The canonical order as documented: degree, then t and omega (total,
-    then entrywise, high first), then letters (high degree first), as
-    one flat tuple."""
-    letters, omega, t = mono
-    degree = sum(letter_degree(c) for c in letters) + 2 * sum(omega) + 2 * sum(t)
-    return (degree, -sum(t), tuple(-e for e in t),
-            -sum(omega), tuple(-e for e in omega),
-            tuple((-letter_degree(c), c) for c in letters))
-
-
 def nested_sort_key(mono):
     """The same order in its former nested shape: (degree, t part, omega
     part, letters part)."""
@@ -207,19 +196,10 @@ def nested_sort_key(mono):
 
 
 @settings(max_examples=100, deadline=None)
-@given(element_pairs())
-def test_sort_key_matches_reference(pair):
-    x, y = pair
-    for z in (x, y, x * y):
-        for mono in z.coeffs:
-            assert monomial_sort_key(mono) == reference_sort_key(mono)
-
-
-@settings(max_examples=100, deadline=None)
 @given(st.lists(unbounded_monomials(), max_size=12), st.randoms())
 def test_flat_sort_key_keeps_the_nested_order(monos, rng):
     rng.shuffle(monos)
-    assert sorted(monos, key=monomial_sort_key) == \
+    assert sorted(monos, key=reference_sort_key) == \
         sorted(monos, key=nested_sort_key)
 
 
@@ -511,7 +491,7 @@ def test_permutation_check_runs_for_every_length():
 
 
 KERNEL_TABLES = (ring._mask_class, ring._koszul_parity, weights.mover,
-                 ring._reversed_parity, ring._letter_facts, ring._exponent_facts)
+                 ring._reversed_parity, grammar._letter_facts, grammar._exponent_facts)
 
 
 def _immutable(value):
@@ -534,8 +514,8 @@ def test_kernel_tables_are_cached_functions_of_immutable_values():
             + [((0,), 1), ((), 0)],
             ring._reversed_parity: [(sigma, odd) for sigma in permutations(3)
                                     for odd in range(8)],
-            ring._letter_facts: letters,
-            ring._exponent_facts: [(mono[1],) for mono in x.coeffs]
+            grammar._letter_facts: letters,
+            grammar._exponent_facts: [(mono[1],) for mono in x.coeffs]
             + [((),), ((0, 2),)]}
     assert set(keys) == set(KERNEL_TABLES)
     for table in KERNEL_TABLES:
