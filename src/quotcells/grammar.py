@@ -110,15 +110,19 @@ def _exponents(ctx: RingContext, m, group: str) -> tuple:
 
 
 def _term(ctx: RingContext, m):
-    coeff = Fraction(1)
+    """One term's monomial and coefficient, an int unless the text has a
+    denominator."""
+    coeff = 1
     if m["coeff"]:
         pos = m.start("coeff")
         numerator, _, denominator = m["coeff"].partition("/")
-        try:
-            coeff = Fraction(_int(numerator, pos),
-                             _int(denominator, pos) if denominator else 1)
-        except ZeroDivisionError:
-            raise ParseError("zero denominator in %s" % m["coeff"], pos) from None
+        coeff = _int(numerator, pos)
+        if denominator:
+            try:
+                coeff = Fraction(coeff, _int(denominator, pos))
+            except ZeroDivisionError:
+                raise ParseError("zero denominator in %s" % m["coeff"],
+                                 pos) from None
     letters = _letter_codes(ctx, m)
     omega = _exponents(ctx, m, "w") if m["w"] is not None else (0,) * ctx.factors
     t = _exponents(ctx, m, "t") if m["t"] is not None else ()

@@ -12,8 +12,13 @@ the labels, and read by every later twist of that weight (the spanning
 classes of a degree, the twists of one weight in the `verify` grids and
 every later call).  A weight is checked when its list is built, so a
 list in the memo always belongs to a checked weight.  The two routes
-never read each other's list.  Twist averages and invariant letter
-classes are orbit sums too.  The module also carries the
+never read each other's list.  The combinatorial route's member class
+is the sum over the admissible row tuples of each tuple's omega monomial
+times the diagonal classes of its incidence components, which one
+weights.mask_components pass per tuple finds with their b1; the products
+go into one term dict, each shifted by its omega monomial
+(ring._add_product), and the dict is settled once.  Twist averages and
+invariant letter classes are orbit sums too.  The module also carries the
 symmetry/rank machinery used to certify that the pullback image is the
 full invariant subring of ring.permute_factors, the permutation action
 that moves each factor's curve class together with its omega;
@@ -29,15 +34,15 @@ from math import factorial, prod
 from .cells import (_check_entries, _check_length, _require_letters_only,
                     cell_class)
 from .linalg import exact_rank
-from .ring import (POINT, RingContext, RingElement, _add_product, _fixed_by,
-                   _normal, _require_ctx, _settled, cohomological_degree,
-                   letter_monomials, permute_factors, point_class,
-                   small_diagonal)
+from .ring import (POINT, UNIT, RingContext, RingElement, _add_product,
+                   _fixed_by, _normal, _require_ctx, _settled,
+                   cohomological_degree, letter_monomials, permute_factors,
+                   point_class, small_diagonal)
 from .series import poly_coeff, quot_series_product
 from .weights import (admissible_row_tuples, apply_perm, betti_b1,
-                      connected_components, decreasing_vectors,
-                      incidence_tuple, is_decreasing, orbit_walk,
-                      row_exponent, transposition, tuple_support)
+                      decreasing_vectors, incidence_masks, is_decreasing,
+                      mask_components, orbit_walk, transposition,
+                      tuple_support)
 
 
 def _fixed_by_stabilizer(v, x: RingElement) -> bool:
@@ -159,8 +164,10 @@ def diagonal_class(ctx: RingContext, sets) -> RingElement:
     """The product of the small diagonals of a connected subset tuple: the
     small diagonal of its support when b1 = 0, (2-2g) times the point
     class of its support when b1 = 1, and zero otherwise."""
-    b1 = betti_b1(sets)
-    members = tuple_support(sets)
+    return _component_class(ctx, tuple_support(sets), betti_b1(sets))
+
+
+def _component_class(ctx: RingContext, members, b1: int) -> RingElement:
     if b1 == 0:
         return small_diagonal(ctx, members)
     if b1 == 1:
@@ -168,13 +175,28 @@ def diagonal_class(ctx: RingContext, sets) -> RingElement:
     return ctx.zero()
 
 
+def _prefactor_parts(ctx: RingContext, rows):
+    """The omega exponents of one admissible row tuple and the product of
+    the diagonal classes of its incidence components, None when each
+    component is a single factor (class 1): one mask_components pass
+    gives every component's support and b1."""
+    masks = incidence_masks(rows)
+    omega = tuple(sum(row) - m.bit_count() + 1 for row, m in zip(rows, masks))
+    product = None
+    for _members, union, b1 in mask_components(masks):
+        if b1 == 0 and not union & (union - 1):
+            continue
+        factors = [i for i in range(1, ctx.factors + 1) if union >> i & 1]
+        x = _component_class(ctx, factors, b1)
+        product = x if product is None else product * x
+    return omega, product
+
+
 def combinatorial_prefactor(ctx: RingContext, rows) -> RingElement:
     """omega / diagonal / point part attached to one admissible row tuple."""
-    exps = [row_exponent(row, j + 1) for j, row in enumerate(rows)]
-    acc = ctx.monomial(omega=exps)
-    for comp in connected_components(incidence_tuple(rows)):
-        acc = acc * diagonal_class(ctx, comp)
-    return acc
+    omega, product = _prefactor_parts(ctx, rows)
+    w = ctx.monomial(omega=omega)
+    return w if product is None else product * w
 
 
 def quot_pullback_combinatorial(ctx: RingContext, u,
@@ -192,11 +214,15 @@ def quot_pullback_combinatorial(ctx: RingContext, u,
 
 
 def _prefactor_sum(ctx: RingContext, v) -> RingElement:
-    """Sum of the prefactors of the admissible row tuples of v."""
-    got = ctx.zero()
+    """Sum of the prefactors of the admissible row tuples of v, added into
+    one term dict: each tuple's component product times its omega
+    monomial, an exponent shift in ring._add_product."""
+    one, units, out = ctx.one(), (UNIT,) * ctx.factors, {}
     for rows in admissible_row_tuples(v):
-        got = got + combinatorial_prefactor(ctx, rows)
-    return got
+        omega, product = _prefactor_parts(ctx, rows)
+        _add_product(out, one if product is None else product,
+                     RingElement(ctx, {(units, omega, ()): 1}))
+    return _settled(ctx, out)
 
 
 def partial_flag_pullback(ctx: RingContext, composition, v_star,

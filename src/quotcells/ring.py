@@ -652,9 +652,10 @@ def diagonal(ctx: RingContext, i: int, j: int) -> RingElement:
 def small_diagonal(ctx: RingContext, subset) -> RingElement:
     """Class of the small diagonal over a subset of factors.
 
-    Computed as the product of pairwise diagonals along the sorted chain;
-    any spanning tree of pairwise diagonals gives the same class.  Memoized
-    per context; the factors are checked on every call.
+    Computed as the product of pairwise diagonals along the sorted chain,
+    which starts at the first pair; any spanning tree of pairwise
+    diagonals gives the same class.  Memoized per context; the factors
+    are checked on every call.
     """
     members = tuple(sorted(set(subset)))
     for i in members:
@@ -662,19 +663,23 @@ def small_diagonal(ctx: RingContext, subset) -> RingElement:
     key = ("small_diagonal", members)
     got = ctx._memo.get(key)
     if got is None:
-        got = ctx.one()
-        for a, b in zip(members, members[1:]):
-            got = got * diagonal(ctx, a, b)
+        if len(members) < 2:
+            got = ctx.one()
+        else:
+            got = diagonal(ctx, members[0], members[1])
+            for a, b in zip(members[1:], members[2:]):
+                got = got * diagonal(ctx, a, b)
         ctx._memo[key] = got
     return got
 
 
 def point_class(ctx: RingContext, subset) -> RingElement:
-    """Product of point classes over a subset of factors."""
-    acc = ctx.one()
-    for i in sorted(set(subset)):
-        acc = acc * ctx.pt(i)
-    return acc
+    """Product of point classes over a subset of factors: one monomial."""
+    letters = [UNIT] * ctx.factors
+    for i in set(subset):
+        ctx._check_factor(i)
+        letters[i - 1] = POINT
+    return RingElement(ctx, {(tuple(letters), (0,) * ctx.factors, ()): 1})
 
 
 def omega_degree(x: RingElement):

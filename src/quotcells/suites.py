@@ -440,7 +440,10 @@ def run_suites(names, overrides=None, stats=None) -> dict:
         if name not in SUITES:
             raise ValueError("unknown suite %r" % name)
         started = time.perf_counter()
-        cases = SUITES[name](params)
+        # a suite left with no cases checks nothing and fails, as one
+        # failed case that names the empty grid
+        cases = SUITES[name](params) or [
+            _case({"check": "non-empty-grid"}, "at least one case", None, False, 0)]
         if stats is not None:
             ends = [c["finished"] for c in cases]
             stats.append({
@@ -459,7 +462,5 @@ def run_suites(names, overrides=None, stats=None) -> dict:
         })
     return {
         "reports": reports,
-        # a suite left with no cases checks nothing and fails
-        "ok": all(r["summary"]["total"] and not r["summary"]["failed"]
-                  for r in reports),
+        "ok": not any(r["summary"]["failed"] for r in reports),
     }

@@ -6,6 +6,12 @@ sum(v).  Permutations are tuples sigma with sigma[i] = image of 0-based
 position i; the action on tuples, sigma(v)[sigma[i]] = v[i], is written
 once, as mover(sigma, n).  A Young subgroup is the stabilizer of a
 block-label vector, (0, 0, 1) for the blocks of sizes (2, 1).
+
+Subset tuples are read as bitmasks, bit i for the element i: the
+incidence components of a tuple and their first Betti numbers come from
+one routine, mask_components, which the row-tuple filter and the
+combinatorial prefactor call on the hat masks of a row tuple and which
+connected_components and betti_b1 wrap for tuples of sets.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from functools import cache
-from operator import itemgetter
+from operator import itemgetter, sub
 
 
 # -- permutations ------------------------------------------------------------
@@ -156,34 +162,62 @@ def decreasing_vectors(n: int, r=None, max_co: int | None = None):
 
 # -- subset tuples and their incidence combinatorics -------------------------
 
+def mask_components(masks):
+    """The connected components of a tuple of non-empty sets, each given
+    as a bitmask, under the chain-intersection relation: a list of
+    (members, union, b1), members the bitmask of the positions of its
+    sets, union the bitmask of its ground elements and b1 the first Betti
+    number of its incidence graph, edges (the sum of the set sizes) minus
+    vertices (sets plus ground elements) plus one.
+
+    One pass over the tuple: a set that meets no earlier set opens a
+    component at once, and one that does merges the components it
+    meets, so tuples of disjoint sets cost one step per set.  Components
+    are listed in the order in which they were last extended."""
+    comps, seen = [], 0     # comps: (members, union, edges); seen: their union
+    for i, m in enumerate(masks):
+        if not m:
+            raise ValueError("empty subsets are not allowed")
+        members, union, edges = 1 << i, m, m.bit_count()
+        if m & seen:
+            kept = []
+            for comp in comps:
+                if comp[1] & m:
+                    members |= comp[0]
+                    union |= comp[1]
+                    edges += comp[2]
+                else:
+                    kept.append(comp)
+            comps = kept
+        comps.append((members, union, edges))
+        seen |= m
+    return [(members, union, edges - members.bit_count() - union.bit_count() + 1)
+            for members, union, edges in comps]
+
+
+def _set_masks(sets):
+    """The sets as frozensets and as bitmasks, each ground element given
+    the next bit at its first appearance."""
+    sets = [frozenset(s) for s in sets]
+    bits = {}
+    masks = []
+    for s in sets:
+        m = 0
+        for element in s:
+            m |= 1 << bits.setdefault(element, len(bits))
+        masks.append(m)
+    return sets, masks
+
+
 def connected_components(sets):
     """Partition a tuple of non-empty subsets by the chain-intersection
-    relation; each component keeps its sets in tuple order."""
-    sets = [frozenset(s) for s in sets]
-    if any(not s for s in sets):
-        raise ValueError("empty subsets are not allowed")
-    parent = list(range(len(sets)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    owner = {}
-    for idx, s in enumerate(sets):
-        for element in s:
-            if element in owner:
-                ra, rb = find(owner[element]), find(idx)
-                if ra != rb:
-                    parent[rb] = ra
-            else:
-                owner[element] = idx
-    groups = {}
-    for idx in range(len(sets)):
-        groups.setdefault(find(idx), []).append(idx)
-    return [tuple(sets[i] for i in idxs)
-            for idxs in sorted(groups.values(), key=lambda g: g[0])]
+    relation (mask_components); each component keeps its sets in tuple
+    order, and the components come in the order of their first sets."""
+    sets, masks = _set_masks(sets)
+    comps = sorted((members for members, _union, _b1 in mask_components(masks)),
+                   key=lambda members: members & -members)
+    return [tuple(s for i, s in enumerate(sets) if members >> i & 1)
+            for members in comps]
 
 
 def tuple_support(sets):
@@ -194,15 +228,12 @@ def tuple_support(sets):
 
 
 def betti_b1(sets) -> int:
-    """First Betti number of the incidence graph of a connected tuple:
-    edges (sum of set sizes) minus vertices (sets plus ground elements)
-    plus one."""
-    sets = [frozenset(s) for s in sets]
-    if len(connected_components(sets)) != 1:
+    """First Betti number of the incidence graph of a connected tuple
+    (mask_components)."""
+    comps = mask_components(_set_masks(sets)[1])
+    if len(comps) != 1:
         raise ValueError("tuple is not connected")
-    edges = sum(len(s) for s in sets)
-    vertices = len(sets) + len(tuple_support(sets))
-    return edges - vertices + 1
+    return comps[0][2]
 
 
 # -- admissible row tuples ---------------------------------------------------
@@ -214,6 +245,18 @@ def row_support_hat(row, j: int):
 
 def incidence_tuple(rows):
     return tuple(row_support_hat(row, j + 1) for j, row in enumerate(rows))
+
+
+def incidence_masks(rows):
+    """incidence_tuple(rows) as bitmasks, bit i for the element i."""
+    masks = []
+    for j, row in enumerate(rows, 1):
+        m = 1 << j
+        for i, value in enumerate(row, 1):
+            if value:
+                m |= 1 << i
+        masks.append(m)
+    return masks
 
 
 def row_exponent(row, j: int) -> int:
@@ -234,14 +277,15 @@ def admissible_row_tuples(v):
 
     Deterministic: rows are filled from index n downwards, candidate
     entries in lexicographic order.  The search keeps an explicit stack of
-    per-row candidate iterators, so no depth limit applies.
+    per-row candidate iterators, so no depth limit applies.  Each
+    admitted row keeps its hat as a bitmask, so condition (ii) is one
+    mask_components pass over the finished tuple.
     """
     target = tuple(v)
     n = len(target)
 
-    def admissible(row, j, rem_before, rem_after):
-        hat = row_support_hat(row, j)
-        for p, q in itertools.combinations(sorted(hat), 2):
+    def admissible(hat, rem_before, rem_after):
+        for p, q in itertools.combinations(hat, 2):
             a, b = rem_before[p - 1], rem_before[q - 1]
             if a == b:
                 return False
@@ -251,25 +295,26 @@ def admissible_row_tuples(v):
         return True
 
     def candidates(j, rem):
-        """The admissible rows l_j, each with the remainder it leaves."""
+        """The admissible rows l_j, each with the remainder it leaves and
+        its hat as a bitmask."""
         need = rem[j - 1]
         for prefix in itertools.product(*(range(rem[i] + 1) for i in range(j - 1))):
-            row = prefix + (need,)
-            rem_after = tuple(a - b for a, b in zip(rem, row + (0,) * (len(rem) - j)))
-            if admissible(row, j, rem, rem_after):
-                yield row, rem_after
+            hat = [i for i, value in enumerate(prefix, 1) if value] + [j]
+            rem_after = tuple(map(sub, rem[:j - 1], prefix)) + (0,) + rem[j:]
+            if admissible(hat, rem, rem_after):
+                mask = 0
+                for i in hat:
+                    mask |= 1 << i
+                yield prefix + (need,), rem_after, mask
 
-    rows = [None] * n
+    rows, masks = [None] * n, [0] * n
     stack = []               # stack[k]: the untried candidates for row n - k
     j, rem = n, target
     while True:
         if j:
             stack.append(candidates(j, rem))
-        else:
-            L = tuple(rows)
-            comps = connected_components(incidence_tuple(L))
-            if all(betti_b1(c) <= 1 for c in comps):
-                yield L
+        elif all(b1 <= 1 for _members, _union, b1 in mask_components(masks)):
+            yield tuple(rows)
         while stack:
             step = next(stack[-1], None)
             if step is not None:
@@ -278,4 +323,4 @@ def admissible_row_tuples(v):
         else:
             return
         j = n - len(stack)   # the top fills row j + 1; row j comes next
-        rows[j], rem = step
+        rows[j], rem, masks[j] = step

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quotcells import cli
+from quotcells import cli, suites
 from quotcells.cli import main
 from quotcells.grammar import parse
 from quotcells.ring import RingContext
@@ -196,6 +196,22 @@ def test_verify_suite_left_with_no_cases_fails(capsys, suite):
     assert code == 1
     assert "result: FAILED" in out
     assert "genus=0" not in out
+
+
+@pytest.mark.parametrize("suite", ["localization", "ranks"])
+def test_verify_json_marks_a_suite_left_with_no_cases_failed(capsys, suite):
+    # the JSON report alone says the suite failed and why
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--genus", "2",
+                       "--format", "json")
+    assert code == 1
+    report = json.loads(out)
+    assert report["summary"] == {"total": 1, "passed": 0, "failed": 1}
+    [case] = report["cases"]
+    assert case["pass"] is False and case["got"] == "no cases checked"
+    # and so does a report of several suites, next to a suite that passed
+    result = suites.run_suites([suite, "series"], {"genus_values": (2,)})
+    assert result["ok"] is False
+    assert [r["summary"]["failed"] for r in result["reports"]] == [1, 0]
 
 
 @pytest.mark.parametrize("argv", [

@@ -175,6 +175,27 @@ class TestCombinatorialRoute:
                         mismatch += 1
         assert mismatch > 0
 
+    def test_prefactor_sum_matches_the_tuple_by_tuple_sum(self):
+        """_prefactor_sum, one term dict filled from the mask components,
+        against the sum grown tuple by tuple with + from the frozenset
+        incidence components, over every orbit member for genus 0-2,
+        n = 1-4 and co <= 3; combinatorial_prefactor against each term."""
+        members = 0
+        for g in (0, 1, 2):
+            for n in (1, 2, 3, 4):
+                ctx = RingContext(genus=g, factors=n)
+                for u in decreasing_vectors(n, None, max_co=3):
+                    for v in orbit_walk(u):
+                        members += 1
+                        expected = ctx.zero()
+                        for rows in admissible_row_tuples(v):
+                            term = reference_prefactor(ctx, rows)
+                            assert combinatorial_prefactor(ctx, rows) == term
+                            expected = expected + term
+                        assert pullback._prefactor_sum(ctx, v) == expected, (g, v)
+        assert members == 3 * sum(len(orbit_walk(u)) for n in (1, 2, 3, 4)
+                                  for u in decreasing_vectors(n, None, max_co=3))
+
     def test_requires_decreasing(self):
         ctx = RingContext(genus=0, factors=2)
         with pytest.raises(ValueError):
@@ -184,6 +205,28 @@ class TestCombinatorialRoute:
         ctx = RingContext(genus=0, factors=2, rank=2, degrees=(1, 0))
         with pytest.raises(ValueError):
             quot_pullback_combinatorial(ctx, (1, 0))
+
+
+def reference_prefactor(ctx, rows):
+    """The prefactor of one row tuple from the frozenset incidence tuple:
+    the omega monomial of the row exponents times, per component, the
+    chain of pairwise diagonals from 1 (b1 = 0), (2-2g) times the product
+    of point classes (b1 = 1) or zero."""
+    acc = ctx.monomial(omega=[weights.row_exponent(row, j)
+                              for j, row in enumerate(rows, 1)])
+    for comp in weights.connected_components(weights.incidence_tuple(rows)):
+        support = sorted(weights.tuple_support(comp))
+        b1 = weights.betti_b1(comp)
+        factor = ctx.one() if b1 <= 1 else ctx.zero()
+        if b1 == 0:
+            for i, j in zip(support, support[1:]):
+                factor = factor * diagonal(ctx, i, j)
+        elif b1 == 1:
+            for i in support:
+                factor = factor * ctx.pt(i)
+            factor = factor * (2 - 2 * ctx.genus)
+        acc = acc * factor
+    return acc
 
 
 def unreduced_prefactors(ctx, u, reading=lambda sigma: sigma):

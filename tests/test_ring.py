@@ -1,6 +1,7 @@
 """Ring arithmetic: product table, Koszul signs, diagonal calculus,
 permutation actions."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -90,6 +91,23 @@ class TestDiagonal:
         assert small_diagonal(ctx, (3,)) == ctx.one()
         assert small_diagonal(ctx, ()) == ctx.one()
         assert small_diagonal(ctx, (1, 2)) == diagonal(ctx, 1, 2)
+
+    @pytest.mark.parametrize("g", [0, 1, 2])
+    def test_small_diagonal_and_point_class_of_every_subset(self, g):
+        """The chain from the first pairwise diagonal equals the chain from
+        1, and the one-monomial point class the product of point classes,
+        on every subset of 0-4 factors."""
+        for size in range(5):
+            for subset in itertools.combinations(range(1, 5), size):
+                ctx = RingContext(genus=g, factors=4)
+                chain = ctx.one()
+                for a, b in zip(subset, subset[1:]):
+                    chain = chain * diagonal(ctx, a, b)
+                assert small_diagonal(ctx, subset) == chain
+                points = ctx.one()
+                for i in subset:
+                    points = points * ctx.pt(i)
+                assert point_class(ctx, subset) == points
 
     def test_small_diagonal_memo(self):
         ctx = RingContext(genus=1, factors=3)

@@ -8,9 +8,10 @@ import pytest
 
 from quotcells.weights import (admissible_row_tuples, apply_perm, betti_b1,
                                componentwise_leq, connected_components,
-                               decreasing_vectors, incidence_tuple,
-                               orbit_walk, row_exponent, row_support_hat,
-                               stabilizer, tuple_support)
+                               decreasing_vectors, incidence_masks,
+                               incidence_tuple, mask_components, orbit_walk,
+                               row_exponent, row_support_hat, stabilizer,
+                               tuple_support)
 
 from conftest import (compose, compositions, invert, orbit, permutations,
                       weights_to_decomposition)
@@ -127,33 +128,6 @@ class TestSubsetTuples:
             connected_components(({1}, set()))
 
     def test_betti_against_graph_oracle(self):
-        # independent route: build the bipartite incidence graph and use
-        # edges - vertices + components
-        def graph_b1(sets):
-            nodes = [("s", i) for i in range(len(sets))]
-            nodes += [("g", x) for x in tuple_support(sets)]
-            adjacency = {node: [] for node in nodes}
-            edges = 0
-            for i, s in enumerate(sets):
-                for x in s:
-                    adjacency[("s", i)].append(("g", x))
-                    adjacency[("g", x)].append(("s", i))
-                    edges += 1
-            seen = set()
-            components = 0
-            for node in nodes:
-                if node in seen:
-                    continue
-                components += 1
-                stack = [node]
-                while stack:
-                    current = stack.pop()
-                    if current in seen:
-                        continue
-                    seen.add(current)
-                    stack.extend(adjacency[current])
-            return edges - len(nodes) + components
-
         ground = [1, 2, 3, 4]
         subsets = [frozenset(s) for size in (1, 2, 3, 4)
                    for s in itertools.combinations(ground, size)]
@@ -163,7 +137,35 @@ class TestSubsetTuples:
                 for count in (1, 2, 3) for _ in range(120)]
         for sets in pool:
             for comp in connected_components(sets):
-                assert betti_b1(comp) == graph_b1(comp)
+                assert betti_b1(comp) == graph_components(comp)[0][1]
+
+
+def graph_components(sets):
+    """An independent route to the components of a subset tuple and their
+    first Betti numbers: depth-first search of the bipartite incidence
+    graph, b1 = edges - vertices + 1 per component.  [(set positions,
+    b1)], in the order of the first set of each component."""
+    adjacency = {}
+    for i, s in enumerate(sets):
+        adjacency.setdefault(("s", i), [])
+        for x in s:
+            adjacency[("s", i)].append(("g", x))
+            adjacency.setdefault(("g", x), []).append(("s", i))
+    seen, out = set(), []
+    for i in range(len(sets)):
+        if ("s", i) in seen:
+            continue
+        nodes, stack = [], [("s", i)]
+        while stack:
+            current = stack.pop()
+            if current not in seen:
+                seen.add(current)
+                nodes.append(current)
+                stack.extend(adjacency[current])
+        positions = sorted(k for kind, k in nodes if kind == "s")
+        edges = sum(len(sets[k]) for k in positions)
+        out.append((tuple(positions), edges - len(nodes) + 1))
+    return out
 
 
 class TestRowTuples:
@@ -211,6 +213,38 @@ class TestRowTuples:
         assert row_exponent((2,), 1) == 2
         assert row_exponent((1, 0), 2) == 0
         assert row_exponent((1, 1), 2) == 1
+
+    def test_mask_components_of_every_admissible_tuple(self):
+        """mask_components over the hat masks of every admissible row
+        tuple with n <= 5 and co <= 4 gives the components and b1 of
+        connected_components and betti_b1, and of the graph search."""
+        tuples = 0
+        for n in range(1, 6):
+            for u in decreasing_vectors(n, None, max_co=4):
+                for v in orbit_walk(u):
+                    for rows in admissible_row_tuples(v):
+                        tuples += 1
+                        sets = incidence_tuple(rows)
+                        masks = incidence_masks(rows)
+                        assert masks == [sum(1 << i for i in s) for s in sets]
+                        got = sorted(mask_components(masks),
+                                     key=lambda comp: comp[0] & -comp[0])
+                        reference = graph_components(sets)
+                        assert [(tuple(i for i in range(n) if members >> i & 1), b1)
+                                for members, _union, b1 in got] == reference
+                        assert [sum(1 << i for i in tuple_support(c))
+                                for c in connected_components(sets)] == \
+                            [union for _members, union, _b1 in got]
+                        assert [betti_b1(c) for c in connected_components(sets)] \
+                            == [b1 for _positions, b1 in reference]
+        assert tuples > 1000
+
+    def test_zero_weight_hats_are_disjoint_components(self):
+        """The 1010 one-element hats of the zero weight are 1010 components
+        of b1 = 0, listed in tuple order."""
+        rows = [(0,) * j for j in range(1, 1011)]
+        comps = mask_components(incidence_masks(rows))
+        assert comps == [(1 << i, 1 << (i + 1), 0) for i in range(1010)]
 
 
 class TestYoung:
