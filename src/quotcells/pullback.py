@@ -14,15 +14,16 @@ every later call).  A weight is checked when its list is built, so a
 list in the memo always belongs to a checked weight.  The two routes
 never read each other's list.  The combinatorial route's member class
 is the sum over the admissible row tuples of each tuple's omega monomial
-times the diagonal classes of its incidence components, which one
-weights.mask_components pass per tuple finds with their b1; the products
-go into one term dict, each shifted by its omega monomial
-(ring._add_product), and the dict is settled once.  Twist averages and
-invariant letter classes are orbit sums too.  The module also carries the
-symmetry/rank machinery used to certify that the pullback image is the
-full invariant subring of ring.permute_factors, the permutation action
-that moves each factor's curve class together with its omega;
-invariance is tested term by term (ring._fixed_by).
+times the diagonal classes of its incidence components (diagonal_class,
+one per component), which one weights.mask_components pass over the
+tuple's hat masks finds with their b1; the products go into one term
+dict, each shifted by its omega monomial (ring._add_product), and the
+dict is settled once.  Twist averages and invariant letter classes are
+orbit sums too.  The module also carries the symmetry/rank machinery
+used to certify that the pullback image is the full invariant subring of
+ring.permute_factors, the permutation action that moves each factor's
+curve class together with its omega; invariance is tested term by term
+(ring._fixed_by).
 """
 
 from __future__ import annotations
@@ -39,10 +40,9 @@ from .ring import (POINT, UNIT, RingContext, RingElement, _add_product,
                    cohomological_degree, letter_monomials, permute_factors,
                    point_class, small_diagonal)
 from .series import poly_coeff, quot_series_product
-from .weights import (admissible_row_tuples, apply_perm, betti_b1,
-                      decreasing_vectors, incidence_masks, is_decreasing,
-                      mask_components, orbit_walk, transposition,
-                      tuple_support)
+from .weights import (admissible_row_tuples, apply_perm, decreasing_vectors,
+                      incidence_masks, is_decreasing, mask_components,
+                      orbit_walk, transposition)
 
 
 def _fixed_by_stabilizer(v, x: RingElement) -> bool:
@@ -160,14 +160,11 @@ def _orbit_sum(ctx: RingContext, members, a: RingElement) -> RingElement:
     return _settled(ctx, out)
 
 
-def diagonal_class(ctx: RingContext, sets) -> RingElement:
-    """The product of the small diagonals of a connected subset tuple: the
-    small diagonal of its support when b1 = 0, (2-2g) times the point
-    class of its support when b1 = 1, and zero otherwise."""
-    return _component_class(ctx, tuple_support(sets), betti_b1(sets))
-
-
-def _component_class(ctx: RingContext, members, b1: int) -> RingElement:
+def diagonal_class(ctx: RingContext, members, b1: int) -> RingElement:
+    """The product of the small diagonals of one incidence component with
+    support `members` (factors) and first Betti number b1: the small
+    diagonal of the support when b1 = 0, (2-2g) times its point class
+    when b1 = 1, and zero otherwise."""
     if b1 == 0:
         return small_diagonal(ctx, members)
     if b1 == 1:
@@ -187,16 +184,9 @@ def _prefactor_parts(ctx: RingContext, rows):
         if b1 == 0 and not union & (union - 1):
             continue
         factors = [i for i in range(1, ctx.factors + 1) if union >> i & 1]
-        x = _component_class(ctx, factors, b1)
+        x = diagonal_class(ctx, factors, b1)
         product = x if product is None else product * x
     return omega, product
-
-
-def combinatorial_prefactor(ctx: RingContext, rows) -> RingElement:
-    """omega / diagonal / point part attached to one admissible row tuple."""
-    omega, product = _prefactor_parts(ctx, rows)
-    w = ctx.monomial(omega=omega)
-    return w if product is None else product * w
 
 
 def quot_pullback_combinatorial(ctx: RingContext, u,

@@ -17,12 +17,13 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from math import prod
 
 from . import cells, localization, pullback, series
 from .grammar import format_element
 from .ring import (RingContext, cohomological_degree, omega_top_part,
                    small_diagonal)
-from .weights import betti_b1, connected_components, decreasing_vectors
+from .weights import decreasing_vectors, mask_components
 
 DEFAULTS = {
     "n_values": (2, 3),
@@ -114,36 +115,46 @@ def check_generator_span(label, ctx, max_degree):
 
 # -- diagonals ------------------------------------------------------------------
 
+def _elements(mask):
+    """The elements of a bitmask, bit i for the element i, in order."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def check_incidence_betti(figures):
-    """First Betti number of each (sets, expected) incidence figure."""
-    return [_case({"check": "incidence-betti", "sets": [sorted(s) for s in sets]},
-                  expected, betti_b1(sets), betti_b1(sets) == expected, 1)
-            for sets, expected in figures]
+    """First Betti number of each (masks, expected) incidence figure, a
+    connected subset tuple, read from its one component."""
+    cases = []
+    for masks, expected in figures:
+        [(_members, _union, b1)] = mask_components(masks)
+        cases.append(_case({"check": "incidence-betti",
+                            "sets": list(map(_elements, masks))},
+                           expected, b1, b1 == expected, 1))
+    return cases
 
 
 def connected_subset_tuples(ground, max_sets):
     """The connected tuples of 1 to max_sets non-empty subsets of
-    {1, ..., ground}: the grid of the diagonal-product check."""
-    subsets = [frozenset(s) for size in range(1, ground + 1)
+    {1, ..., ground} as bitmasks: the grid of the diagonal-product check."""
+    subsets = [sum(1 << i for i in s) for size in range(1, ground + 1)
                for s in itertools.combinations(range(1, ground + 1), size)]
-    return [sets for count in range(1, max_sets + 1)
-            for sets in itertools.product(subsets, repeat=count)
-            if len(connected_components(sets)) == 1]
+    return [masks for count in range(1, max_sets + 1)
+            for masks in itertools.product(subsets, repeat=count)
+            if len(mask_components(masks)) == 1]
 
 
 def check_diagonal_products(label, ctx, tuples):
-    """Diagonal products over connected subset tuples against
-    pullback.diagonal_class, the classification by b1 that the
+    """Diagonal products over connected subset tuples of bitmasks against
+    pullback.diagonal_class of their one component, the function that the
     combinatorial pullback route applies to each incidence component."""
     bad = None
-    for sets in tuples:
-        product = ctx.one()
-        for s in sets:
-            product = product * small_diagonal(ctx, s)
-        expected = pullback.diagonal_class(ctx, sets)
+    for masks in tuples:
+        product = prod((small_diagonal(ctx, _elements(m)) for m in masks),
+                       start=ctx.one())
+        [(_members, union, b1)] = mask_components(masks)
+        expected = pullback.diagonal_class(ctx, _elements(union), b1)
         if product != expected and bad is None:
             bad = "sets=%s residual=%s" % (
-                [sorted(s) for s in sets], format_element(product - expected))
+                list(map(_elements, masks)), format_element(product - expected))
     return [_case({"check": "diagonal-product-classification", **label,
                    "tuples": len(tuples)},
                   "0", bad or "0", bad is None, len(tuples))]
@@ -313,9 +324,9 @@ def suite_pullback(params):
                 range(params["max_twist_degree"] + 1))
             cases += check_pullback_routes(
                 {"genus": g, "factors": n, "max_co": params["max_co"]}, ctx, classes)
-    cases += check_incidence_betti([(({1, 2}, {2, 3}), 0),
-                                    (({1, 2}, {2, 3}, {1, 3}), 1),
-                                    (({1, 2}, {2, 3}, {1, 2, 3}), 2)])
+    cases += check_incidence_betti([((0b0110, 0b1100), 0),  # {1, 2}, {2, 3}
+                                    ((0b0110, 0b1100, 0b1010), 1),  # and {1, 3}
+                                    ((0b0110, 0b1100, 0b1110), 2)])  # and {1, 2, 3}
     ground = 4
     tuples = connected_subset_tuples(ground, 3)
     for g in params["genus_values"]:

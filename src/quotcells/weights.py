@@ -7,11 +7,11 @@ position i; the action on tuples, sigma(v)[sigma[i]] = v[i], is written
 once, as mover(sigma, n).  A Young subgroup is the stabilizer of a
 block-label vector, (0, 0, 1) for the blocks of sizes (2, 1).
 
-Subset tuples are read as bitmasks, bit i for the element i: the
-incidence components of a tuple and their first Betti numbers come from
-one routine, mask_components, which the row-tuple filter and the
-combinatorial prefactor call on the hat masks of a row tuple and which
-connected_components and betti_b1 wrap for tuples of sets.
+Subset tuples are tuples of bitmasks, bit i for the element i, and have
+no other form: their incidence components and first Betti numbers come
+from one routine, mask_components, which the row-tuple filter and the
+combinatorial prefactor call on the hat masks of a row tuple and the
+diagonal check of `verify` on the tuples of its grid.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from functools import cache
-from operator import itemgetter, sub
+from operator import itemgetter
 
 
 # -- permutations ------------------------------------------------------------
@@ -195,60 +195,10 @@ def mask_components(masks):
             for members, union, edges in comps]
 
 
-def _set_masks(sets):
-    """The sets as frozensets and as bitmasks, each ground element given
-    the next bit at its first appearance."""
-    sets = [frozenset(s) for s in sets]
-    bits = {}
-    masks = []
-    for s in sets:
-        m = 0
-        for element in s:
-            m |= 1 << bits.setdefault(element, len(bits))
-        masks.append(m)
-    return sets, masks
-
-
-def connected_components(sets):
-    """Partition a tuple of non-empty subsets by the chain-intersection
-    relation (mask_components); each component keeps its sets in tuple
-    order, and the components come in the order of their first sets."""
-    sets, masks = _set_masks(sets)
-    comps = sorted((members for members, _union, _b1 in mask_components(masks)),
-                   key=lambda members: members & -members)
-    return [tuple(s for i, s in enumerate(sets) if members >> i & 1)
-            for members in comps]
-
-
-def tuple_support(sets):
-    out = frozenset()
-    for s in sets:
-        out |= frozenset(s)
-    return out
-
-
-def betti_b1(sets) -> int:
-    """First Betti number of the incidence graph of a connected tuple
-    (mask_components)."""
-    comps = mask_components(_set_masks(sets)[1])
-    if len(comps) != 1:
-        raise ValueError("tuple is not connected")
-    return comps[0][2]
-
-
 # -- admissible row tuples ---------------------------------------------------
 
-def row_support_hat(row, j: int):
-    """Support of a row extended by its own index (1-based sets)."""
-    return frozenset(i + 1 for i, value in enumerate(row) if value) | {j}
-
-
-def incidence_tuple(rows):
-    return tuple(row_support_hat(row, j + 1) for j, row in enumerate(rows))
-
-
 def incidence_masks(rows):
-    """incidence_tuple(rows) as bitmasks, bit i for the element i."""
+    """The hat of each row j, its 1-based support and j, as a bitmask."""
     masks = []
     for j, row in enumerate(rows, 1):
         m = 1 << j
@@ -257,11 +207,6 @@ def incidence_masks(rows):
                 m |= 1 << i
         masks.append(m)
     return masks
-
-
-def row_exponent(row, j: int) -> int:
-    """omega-exponent carried by row j: |row| - |hat suppport| + 1."""
-    return sum(row) - len(row_support_hat(row, j)) + 1
 
 
 def admissible_row_tuples(v):
@@ -287,25 +232,27 @@ def admissible_row_tuples(v):
     def admissible(hat, rem_before, rem_after):
         for p, q in itertools.combinations(hat, 2):
             a, b = rem_before[p - 1], rem_before[q - 1]
-            if a == b:
-                return False
-            hi_pos = q if a < b else p
-            if min(a, b) > rem_after[hi_pos - 1]:
+            if a == b or min(a, b) > rem_after[(q if a < b else p) - 1]:
                 return False
         return True
 
     def candidates(j, rem):
         """The admissible rows l_j, each with the remainder it leaves and
-        its hat as a bitmask."""
-        need = rem[j - 1]
-        for prefix in itertools.product(*(range(rem[i] + 1) for i in range(j - 1))):
-            hat = [i for i, value in enumerate(prefix, 1) if value] + [j]
-            rem_after = tuple(map(sub, rem[:j - 1], prefix)) + (0,) + rem[j:]
+        its hat as a bitmask.  A row takes nothing where nothing remains,
+        so the product runs over the live positions only, in the
+        lexicographic order of the whole row."""
+        live = [i for i in range(j - 1) if rem[i]]
+        for picks in itertools.product(*(range(rem[i] + 1) for i in live)):
+            row, rem_after, hat, mask = [0] * j, list(rem), [j], 1 << j
+            for i, value in zip(live, picks):
+                if value:
+                    row[i] = value
+                    rem_after[i] -= value
+                    hat.append(i + 1)
+                    mask |= 1 << (i + 1)
+            row[j - 1], rem_after[j - 1] = rem[j - 1], 0
             if admissible(hat, rem, rem_after):
-                mask = 0
-                for i in hat:
-                    mask |= 1 << i
-                yield prefix + (need,), rem_after, mask
+                yield tuple(row), tuple(rem_after), mask
 
     rows, masks = [None] * n, [0] * n
     stack = []               # stack[k]: the untried candidates for row n - k

@@ -218,3 +218,38 @@ def embed(x: RingElement, target: RingContext) -> RingElement:
 def specialize_t_zero(x: RingElement) -> RingElement:
     """Set every equivariant parameter t_a to zero."""
     return RingElement(x.ctx, {m: c for m, c in x.coeffs.items() if not m[2]})
+
+
+def graph_components(sets):
+    """An independent route to the components of a subset tuple and their
+    first Betti numbers: depth-first search of the bipartite incidence
+    graph, b1 = edges - vertices + 1 per component.  [(set positions,
+    b1)], in the order of the first set of each component."""
+    adjacency = {}
+    for i, s in enumerate(sets):
+        adjacency.setdefault(("s", i), [])
+        for x in s:
+            adjacency[("s", i)].append(("g", x))
+            adjacency.setdefault(("g", x), []).append(("s", i))
+    seen, out = set(), []
+    for i in range(len(sets)):
+        if ("s", i) in seen:
+            continue
+        nodes, stack = [], [("s", i)]
+        while stack:
+            current = stack.pop()
+            if current not in seen:
+                seen.add(current)
+                nodes.append(current)
+                stack.extend(adjacency[current])
+        positions = sorted(k for kind, k in nodes if kind == "s")
+        edges = sum(len(sets[k]) for k in positions)
+        out.append((tuple(positions), edges - len(nodes) + 1))
+    return out
+
+
+def hat_sets(rows):
+    """The incidence tuple of a row tuple as sets: the support (1-based)
+    of each row j together with j itself."""
+    return tuple(frozenset(i for i, value in enumerate(row, 1) if value) | {j}
+                 for j, row in enumerate(rows, 1))

@@ -88,9 +88,9 @@ def test_a3_cross_index_identity():
 def test_a4_diagonal_calculus():
     started = time.time()
     cases = suites.check_incidence_betti(
-        [(({1, 2}, {2, 3}), 0),
-         (({1, 2}, {2, 3}, {1, 3}), 1),
-         (({1, 2}, {2, 3}, {1, 2, 3}), 2)])
+        [((0b0110, 0b1100), 0),             # {1, 2}, {2, 3}
+         ((0b0110, 0b1100, 0b1010), 1),     # {1, 2}, {2, 3}, {1, 3}
+         ((0b0110, 0b1100, 0b1110), 2)])    # {1, 2}, {2, 3}, {1, 2, 3}
     ground = 4
     tuples = suites.connected_subset_tuples(ground, 3)
     for g in (0, 1, 2):

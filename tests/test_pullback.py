@@ -13,7 +13,6 @@ from quotcells import pullback, suites, weights
 from quotcells.cells import cell_class, complete_homogeneous
 from quotcells.grammar import parse
 from quotcells.pullback import (_letter_classes, average_twist,
-                                combinatorial_prefactor,
                                 generator_span_check, invariant_dimension,
                                 invariant_letter_classes, is_invariant,
                                 partial_flag_pullback, quot_pullback,
@@ -25,9 +24,9 @@ from quotcells.ring import (POINT, RingContext, RingElement, UNIT, alpha,
 from quotcells.weights import (admissible_row_tuples, apply_perm,
                                decreasing_vectors, orbit_walk, stabilizer)
 
-from conftest import (assert_read_only, compositions, invert,
-                      monomials_of_degree, permutations, project_invariant,
-                      symmetrized_cell_class)
+from conftest import (assert_read_only, compositions, graph_components,
+                      hat_sets, invert, monomials_of_degree, permutations,
+                      project_invariant, symmetrized_cell_class)
 from test_series import decomposition_dimension_check
 
 
@@ -177,9 +176,9 @@ class TestCombinatorialRoute:
 
     def test_prefactor_sum_matches_the_tuple_by_tuple_sum(self):
         """_prefactor_sum, one term dict filled from the mask components,
-        against the sum grown tuple by tuple with + from the frozenset
-        incidence components, over every orbit member for genus 0-2,
-        n = 1-4 and co <= 3; combinatorial_prefactor against each term."""
+        against the sum grown tuple by tuple with + from the incidence
+        components of the graph search, over every orbit member for genus
+        0-2, n = 1-4 and co <= 3."""
         members = 0
         for g in (0, 1, 2):
             for n in (1, 2, 3, 4):
@@ -189,12 +188,17 @@ class TestCombinatorialRoute:
                         members += 1
                         expected = ctx.zero()
                         for rows in admissible_row_tuples(v):
-                            term = reference_prefactor(ctx, rows)
-                            assert combinatorial_prefactor(ctx, rows) == term
-                            expected = expected + term
+                            expected = expected + reference_prefactor(ctx, rows)
                         assert pullback._prefactor_sum(ctx, v) == expected, (g, v)
         assert members == 3 * sum(len(orbit_walk(u)) for n in (1, 2, 3, 4)
                                   for u in decreasing_vectors(n, None, max_co=3))
+
+    def test_omega_exponents_of_rows(self):
+        """Row j carries omega^(|l_j| - |hat_j| + 1), hat_j its support
+        together with j."""
+        ctx = RingContext(genus=0, factors=2)
+        assert pullback._prefactor_parts(ctx, ((0,), (1, 0)))[0] == (0, 0)
+        assert pullback._prefactor_parts(ctx, ((2,), (1, 1)))[0] == (2, 1)
 
     def test_requires_decreasing(self):
         ctx = RingContext(genus=0, factors=2)
@@ -208,15 +212,16 @@ class TestCombinatorialRoute:
 
 
 def reference_prefactor(ctx, rows):
-    """The prefactor of one row tuple from the frozenset incidence tuple:
-    the omega monomial of the row exponents times, per component, the
-    chain of pairwise diagonals from 1 (b1 = 0), (2-2g) times the product
-    of point classes (b1 = 1) or zero."""
-    acc = ctx.monomial(omega=[weights.row_exponent(row, j)
-                              for j, row in enumerate(rows, 1)])
-    for comp in weights.connected_components(weights.incidence_tuple(rows)):
-        support = sorted(weights.tuple_support(comp))
-        b1 = weights.betti_b1(comp)
+    """The prefactor of one row tuple from its incidence tuple as sets and
+    the graph search's components: the omega monomial of the row
+    exponents |l_j| - |hat_j| + 1 times, per component, the chain of
+    pairwise diagonals from 1 (b1 = 0), (2-2g) times the product of point
+    classes (b1 = 1) or zero."""
+    hats = hat_sets(rows)
+    acc = ctx.monomial(omega=[sum(row) - len(hat) + 1
+                              for row, hat in zip(rows, hats)])
+    for positions, b1 in graph_components(hats):
+        support = sorted(frozenset().union(*(hats[k] for k in positions)))
         factor = ctx.one() if b1 <= 1 else ctx.zero()
         if b1 == 0:
             for i, j in zip(support, support[1:]):
@@ -236,7 +241,7 @@ def unreduced_prefactors(ctx, u, reading=lambda sigma: sigma):
     for sigma in permutations(ctx.factors):
         pref = ctx.zero()
         for rows in admissible_row_tuples(apply_perm(reading(sigma), u)):
-            pref = pref + combinatorial_prefactor(ctx, rows)
+            pref = pref + reference_prefactor(ctx, rows)
         out[sigma] = pref
     return out
 

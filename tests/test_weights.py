@@ -2,19 +2,24 @@
 admissible row tuples."""
 
 import itertools
+import random
 import sys
 
 import pytest
 
-from quotcells.weights import (admissible_row_tuples, apply_perm, betti_b1,
-                               componentwise_leq, connected_components,
-                               decreasing_vectors, incidence_masks,
-                               incidence_tuple, mask_components, orbit_walk,
-                               row_exponent, row_support_hat, stabilizer,
-                               tuple_support)
+from quotcells.suites import check_incidence_betti
+from quotcells.weights import (admissible_row_tuples, apply_perm,
+                               componentwise_leq, decreasing_vectors,
+                               incidence_masks, mask_components, orbit_walk,
+                               stabilizer)
 
-from conftest import (compose, compositions, invert, orbit, permutations,
-                      weights_to_decomposition)
+from conftest import (compose, compositions, graph_components, hat_sets,
+                      invert, orbit, permutations, weights_to_decomposition)
+
+
+def masks_of(sets):
+    """A tuple of sets as bitmasks, bit i for the element i."""
+    return tuple(sum(1 << i for i in s) for s in sets)
 
 
 def decomposition_to_weights(rows):
@@ -105,10 +110,13 @@ class TestDecompositions:
 
 
 class TestSubsetTuples:
+    """mask_components against the figures and the graph search."""
+
     def test_component_example(self):
-        comps = connected_components(({1, 2}, {2, 3}, {4}))
-        assert comps == [(frozenset({1, 2}), frozenset({2, 3})),
-                         (frozenset({4}),)]
+        sets = ({1, 2}, {2, 3}, {4})
+        assert mask_components(masks_of(sets)) == [(0b011, 0b01110, 0),
+                                                     (0b100, 0b10000, 0)]
+        assert graph_components(sets) == [((0, 1), 0), ((2,), 0)]
 
     @pytest.mark.parametrize("sets,expected", [
         (({1, 2}, {2, 3}), 0),
@@ -117,55 +125,78 @@ class TestSubsetTuples:
         (({5},), 0),
     ])
     def test_betti_figures(self, sets, expected):
-        assert betti_b1(sets) == expected
+        [(_members, _union, b1)] = mask_components(masks_of(sets))
+        assert b1 == expected
+        assert graph_components(sets) == [(tuple(range(len(sets))), expected)]
 
-    def test_betti_requires_connected(self):
+    def test_disconnected_tuple_has_no_single_b1(self):
+        """A disconnected tuple is two components, each with its own b1,
+        and the incidence-Betti check refuses it as a figure."""
+        assert mask_components(masks_of(({1}, {2}))) == [(0b01, 0b010, 0),
+                                                        (0b10, 0b100, 0)]
         with pytest.raises(ValueError):
-            betti_b1(({1}, {2}))
+            check_incidence_betti([(masks_of(({1}, {2})), 0)])
 
     def test_empty_sets_rejected(self):
         with pytest.raises(ValueError):
-            connected_components(({1}, set()))
+            mask_components(masks_of(({1}, set())))
 
     def test_betti_against_graph_oracle(self):
         ground = [1, 2, 3, 4]
         subsets = [frozenset(s) for size in (1, 2, 3, 4)
                    for s in itertools.combinations(ground, size)]
-        import random
         rng = random.Random(23)
         pool = [tuple(rng.choice(subsets) for _ in range(count))
                 for count in (1, 2, 3) for _ in range(120)]
         for sets in pool:
-            for comp in connected_components(sets):
-                assert betti_b1(comp) == graph_components(comp)[0][1]
+            assert components_by_first_set(masks_of(sets)) == graph_components(sets)
 
 
-def graph_components(sets):
-    """An independent route to the components of a subset tuple and their
-    first Betti numbers: depth-first search of the bipartite incidence
-    graph, b1 = edges - vertices + 1 per component.  [(set positions,
-    b1)], in the order of the first set of each component."""
-    adjacency = {}
-    for i, s in enumerate(sets):
-        adjacency.setdefault(("s", i), [])
-        for x in s:
-            adjacency[("s", i)].append(("g", x))
-            adjacency.setdefault(("g", x), []).append(("s", i))
-    seen, out = set(), []
-    for i in range(len(sets)):
-        if ("s", i) in seen:
-            continue
-        nodes, stack = [], [("s", i)]
-        while stack:
-            current = stack.pop()
-            if current not in seen:
-                seen.add(current)
-                nodes.append(current)
-                stack.extend(adjacency[current])
-        positions = sorted(k for kind, k in nodes if kind == "s")
-        edges = sum(len(sets[k]) for k in positions)
-        out.append((tuple(positions), edges - len(nodes) + 1))
-    return out
+def components_by_first_set(masks):
+    """mask_components in the form of graph_components: (set positions,
+    b1) in the order of the first set of each component."""
+    got = sorted(mask_components(masks), key=lambda comp: comp[0] & -comp[0])
+    return [(tuple(i for i in range(len(masks)) if members >> i & 1), b1)
+            for members, _union, b1 in got]
+
+
+def meets_conditions(rows, v):
+    """Whether a row tuple, row j of length j, meets the defining
+    conditions at v, checked without the library: (i) the padded rows sum
+    to v; (ii) every component of the incidence tuple has b1 <= 1 (graph
+    search); (iii) at each row h the partial sums are pairwise distinct
+    on its hat, and the smaller of a pair is at most the previous partial
+    sum at the other position."""
+    n = len(v)
+    padded = [row + (0,) * (n - len(row)) for row in rows]
+    if tuple(sum(col) for col in zip(*padded)) != tuple(v):
+        return False
+    hats = hat_sets(rows)
+    if any(b1 > 1 for _positions, b1 in graph_components(hats)):
+        return False
+    for h in range(1, n + 1):
+        partial = [sum(padded[j][i] for j in range(h)) for i in range(n)]
+        previous = [sum(padded[j][i] for j in range(h - 1)) for i in range(n)]
+        for p, q in itertools.combinations(sorted(hats[h - 1]), 2):
+            a, b = partial[p - 1], partial[q - 1]
+            if a == b or min(a, b) > previous[(q if a < b else p) - 1]:
+                return False
+    return True
+
+
+def every_row_tuple(v):
+    """Every row tuple whose rows, filled from n downwards, each take
+    what remains at their own index and any part of it at the earlier
+    ones, in that order and lexicographically per row: no condition
+    beyond (i) is applied."""
+    n = len(v)
+    level = [((), tuple(v))]
+    for j in range(n, 0, -1):
+        level = [((prefix + (rem[j - 1],),) + later,
+                  tuple(r - x for r, x in zip(rem, prefix)))
+                 for later, rem in level
+                 for prefix in itertools.product(*(range(r + 1) for r in rem[:j - 1]))]
+    return [rows for rows, _rem in level]
 
 
 class TestRowTuples:
@@ -189,54 +220,44 @@ class TestRowTuples:
                 second = list(admissible_row_tuples(apply_perm(sigma, u)))
                 assert first == second
                 for rows in first:
-                    # re-check the three defining conditions independently
-                    padded = [row + (0,) * (3 - len(row)) for row in rows]
-                    total = tuple(sum(col) for col in zip(*padded))
-                    assert total == apply_perm(sigma, u)
-                    comps = connected_components(incidence_tuple(rows))
-                    assert all(betti_b1(c) <= 1 for c in comps)
-                    for h in range(1, 4):
-                        partial = tuple(sum(padded[j][i] for j in range(h))
-                                        for i in range(3))
-                        previous = tuple(sum(padded[j][i] for j in range(h - 1))
-                                         for i in range(3))
-                        hat = sorted(row_support_hat(rows[h - 1], h))
-                        for p, q in itertools.combinations(hat, 2):
-                            assert partial[p - 1] != partial[q - 1]
-                            if partial[p - 1] < partial[q - 1]:
-                                assert partial[p - 1] <= previous[q - 1]
-                            else:
-                                assert partial[q - 1] <= previous[p - 1]
+                    assert meets_conditions(rows, apply_perm(sigma, u))
 
-    def test_row_exponent(self):
-        assert row_exponent((0,), 1) == 0
-        assert row_exponent((2,), 1) == 2
-        assert row_exponent((1, 0), 2) == 0
-        assert row_exponent((1, 1), 2) == 1
+    def test_complete_against_brute_force(self):
+        """No admissible tuple is missed and none is added: every row tuple
+        filtered by the three conditions, in the search order, for each
+        orbit member with n <= 4 and co <= 4."""
+        members = 0
+        for n in range(1, 5):
+            for u in decreasing_vectors(n, None, max_co=4):
+                for v in orbit_walk(u):
+                    members += 1
+                    expected = [rows for rows in every_row_tuple(v)
+                                if meets_conditions(rows, v)]
+                    assert list(admissible_row_tuples(v)) == expected, v
+        assert members == sum(len(orbit_walk(u)) for n in range(1, 5)
+                              for u in decreasing_vectors(n, None, max_co=4))
 
     def test_mask_components_of_every_admissible_tuple(self):
         """mask_components over the hat masks of every admissible row
-        tuple with n <= 5 and co <= 4 gives the components and b1 of
-        connected_components and betti_b1, and of the graph search."""
+        tuple with n <= 5 and co <= 4 gives the components and b1 of the
+        graph search, and the union of each component's hats."""
         tuples = 0
         for n in range(1, 6):
             for u in decreasing_vectors(n, None, max_co=4):
                 for v in orbit_walk(u):
                     for rows in admissible_row_tuples(v):
                         tuples += 1
-                        sets = incidence_tuple(rows)
+                        sets = hat_sets(rows)
                         masks = incidence_masks(rows)
-                        assert masks == [sum(1 << i for i in s) for s in sets]
+                        assert masks == list(masks_of(sets))
+                        reference = graph_components(sets)
+                        assert components_by_first_set(masks) == reference
                         got = sorted(mask_components(masks),
                                      key=lambda comp: comp[0] & -comp[0])
-                        reference = graph_components(sets)
-                        assert [(tuple(i for i in range(n) if members >> i & 1), b1)
-                                for members, _union, b1 in got] == reference
-                        assert [sum(1 << i for i in tuple_support(c))
-                                for c in connected_components(sets)] == \
-                            [union for _members, union, _b1 in got]
-                        assert [betti_b1(c) for c in connected_components(sets)] \
-                            == [b1 for _positions, b1 in reference]
+                        assert [union for _members, union, _b1 in got] == \
+                            [sum(1 << i for i in frozenset().union(
+                                *(sets[k] for k in positions)))
+                             for positions, _b1 in reference]
         assert tuples > 1000
 
     def test_zero_weight_hats_are_disjoint_components(self):
