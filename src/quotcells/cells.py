@@ -24,7 +24,7 @@ import itertools
 from .ring import (RingContext, RingElement, UNBOUNDED, diagonal,
                    omega_layers, omega_top_part, permute_factors,
                    small_diagonal)
-from .weights import apply_perm, transposition
+from .weights import swap_entries, transposition
 
 
 def _check_length(ctx: RingContext, v):
@@ -71,7 +71,7 @@ def _descent(v):
     if j == 0:
         return 0, None, []
     u = v[:j - 1] + (v[j - 1] - 1,) + v[j:]
-    swaps = [(k, apply_perm(transposition(len(v), k, j), u))
+    swaps = [(k, swap_entries(u, k, j))
              for k in range(1, j) if u[k - 1] <= u[j - 1]]
     return j, u, swaps
 
@@ -178,12 +178,10 @@ def lower_index_step_residual(ctx: RingContext, v, m: int,
     rhs = cell(ctx, bumped)
     for k in range(1, m):
         if v[k - 1] <= v[m - 1]:
-            swapped = apply_perm(transposition(n, k, m), v)
-            rhs = rhs - diagonal(ctx, k, m) * cell(ctx, swapped)
+            rhs = rhs - diagonal(ctx, k, m) * cell(ctx, swap_entries(v, k, m))
     for k in range(m + 1, n + 1):
         if v[m - 1] < v[k - 1]:
-            swapped = apply_perm(transposition(n, m, k), v)
-            rhs = rhs + diagonal(ctx, m, k) * cell(ctx, swapped)
+            rhs = rhs + diagonal(ctx, m, k) * cell(ctx, swap_entries(v, m, k))
     return lhs - rhs
 
 
@@ -205,10 +203,9 @@ def module_recursion_residual(ctx: RingContext, u, l: int, a: RingElement) -> Ri
     rhs = ctx.omega(n) * cell_class(ctx, w) * a
     for k in range(1, n):
         if u[k - 1] <= l - 1:
-            tau = transposition(n, k, n)
             rhs = rhs + (diagonal(ctx, k, n)
-                         * cell_class(ctx, apply_perm(tau, w))
-                         * permute_factors(tau, a))
+                         * cell_class(ctx, swap_entries(w, k, n))
+                         * permute_factors(transposition(n, k, n), a))
     return lhs - rhs
 
 

@@ -15,15 +15,16 @@ list in the memo always belongs to a checked weight.  The two routes
 never read each other's list.  The combinatorial route's member class
 is the sum over the admissible row tuples of each tuple's omega monomial
 times the diagonal classes of its incidence components (diagonal_class,
-one per component), which one weights.mask_components pass over the
-tuple's hat masks finds with their b1; the products go into one term
-dict, each shifted by its omega monomial (ring._add_product), and the
-dict is settled once.  Twist averages and invariant letter classes are
-orbit sums too.  The module also carries the symmetry/rank machinery
-used to certify that the pullback image is the full invariant subring of
-ring.permute_factors, the permutation action that moves each factor's
-curve class together with its omega; invariance is tested term by term
-(ring._fixed_by).
+one per component): the row-tuple search yields both, the components
+with their b1 from the one weights.mask_components pass that admitted
+the tuple.  The products go into one term dict, each shifted by its
+omega monomial (ring._add_product), and the dict is settled once.  Twist
+averages and invariant letter classes are orbit sums too.  The module
+also carries the symmetry/rank machinery used to certify that the
+pullback image is the full invariant subring of ring.permute_factors,
+the permutation action that moves each factor's curve class together
+with its omega; invariance is tested term by term, one transposition of
+two factors at a time (ring._fixed_by_swap).
 """
 
 from __future__ import annotations
@@ -36,13 +37,12 @@ from .cells import (_check_entries, _check_length, _require_letters_only,
                     cell_class)
 from .linalg import exact_rank
 from .ring import (POINT, UNIT, RingContext, RingElement, _add_product,
-                   _fixed_by, _normal, _require_ctx, _settled,
+                   _fixed_by_swap, _normal, _require_ctx, _settled,
                    cohomological_degree, letter_monomials, permute_factors,
                    point_class, small_diagonal)
 from .series import poly_coeff, quot_series_product
 from .weights import (admissible_row_tuples, apply_perm, decreasing_vectors,
-                      incidence_masks, is_decreasing, mask_components,
-                      orbit_walk, transposition)
+                      is_decreasing, mask_elements, orbit_walk)
 
 
 def _fixed_by_stabilizer(v, x: RingElement) -> bool:
@@ -52,10 +52,8 @@ def _fixed_by_stabilizer(v, x: RingElement) -> bool:
     each term by term."""
     last = {}
     for i, value in enumerate(v):
-        if value in last:
-            tau = transposition(len(v), last[value] + 1, i + 1)
-            if not _fixed_by(tau, x):
-                return False
+        if value in last and not _fixed_by_swap(x, last[value], i):
+            return False
         last[value] = i
     return True
 
@@ -172,23 +170,6 @@ def diagonal_class(ctx: RingContext, members, b1: int) -> RingElement:
     return ctx.zero()
 
 
-def _prefactor_parts(ctx: RingContext, rows):
-    """The omega exponents of one admissible row tuple and the product of
-    the diagonal classes of its incidence components, None when each
-    component is a single factor (class 1): one mask_components pass
-    gives every component's support and b1."""
-    masks = incidence_masks(rows)
-    omega = tuple(sum(row) - m.bit_count() + 1 for row, m in zip(rows, masks))
-    product = None
-    for _members, union, b1 in mask_components(masks):
-        if b1 == 0 and not union & (union - 1):
-            continue
-        factors = [i for i in range(1, ctx.factors + 1) if union >> i & 1]
-        x = diagonal_class(ctx, factors, b1)
-        product = x if product is None else product * x
-    return omega, product
-
-
 def quot_pullback_combinatorial(ctx: RingContext, u,
                                 a: RingElement = None) -> RingElement:
     """The same pullback evaluated by the combinatorial formula:
@@ -205,11 +186,16 @@ def quot_pullback_combinatorial(ctx: RingContext, u,
 
 def _prefactor_sum(ctx: RingContext, v) -> RingElement:
     """Sum of the prefactors of the admissible row tuples of v, added into
-    one term dict: each tuple's component product times its omega
+    one term dict: the product of the diagonal classes of each tuple's
+    components (1 for a single factor with b1 = 0) times its omega
     monomial, an exponent shift in ring._add_product."""
     one, units, out = ctx.one(), (UNIT,) * ctx.factors, {}
-    for rows in admissible_row_tuples(v):
-        omega, product = _prefactor_parts(ctx, rows)
+    for _rows, omega, components in admissible_row_tuples(v):
+        product = None
+        for _members, union, b1 in components:
+            if b1 or union & (union - 1):
+                x = diagonal_class(ctx, mask_elements(union), b1)
+                product = x if product is None else product * x
         _add_product(out, one if product is None else product,
                      RingElement(ctx, {(units, omega, ()): 1}))
     return _settled(ctx, out)

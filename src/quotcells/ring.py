@@ -32,17 +32,19 @@ rank or the degrees, so each is a function of its own key, memoized once
 per process: the class of every letter tuple (at most (2g+2)^n per
 (g, n)), the Koszul parity per pair of odd masks (at most 4^n per n)
 and the sign of a permutation sigma per odd mask (at most n! * 2^n per
-n); tuples move by weights.mover.  The tables grow only with what the
-process meets, and a fresh context starts warm.  Each element keeps
-its terms grouped by class once it has been multiplied or permuted,
-and its omega layers (omega_layers) from the first split on.
+n); permute_factors moves tuples by weights.mover.  The tables grow
+only with what the process meets, and a fresh context starts warm.
+Each element keeps its terms grouped by class once it has been
+multiplied or permuted, and its omega layers (omega_layers) from the
+first split on.
 
 A permutation reads its operand grouped, too: one sign lookup per mask
 class and one moved tuple per letter tuple.  permute_factors builds its
 image straight into the grouped form, which the image keeps, so a twist
 permuted along an orbit is grouped once and each of its images is ready
-for the product.  _fixed_by tests sigma(x) == x term by term, without
-building sigma(x), and stops at the first term that differs.
+for the product.  _fixed_by_swap tests whether swapping two factors
+fixes x term by term, without building the image, and stops at the
+first term that differs; it adds no entry to any table.
 
 Sums of products go into one term dict: the multiply-accumulate
 _add_product adds x * y into a caller's dict (a product is one call into
@@ -64,7 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from operator import add, or_
+from operator import add, itemgetter, or_
 from types import MappingProxyType
 
 from .weights import mover
@@ -600,16 +602,21 @@ def permute_factors(sigma, x: RingElement) -> RingElement:
     return image
 
 
-def _fixed_by(sigma, x: RingElement) -> bool:
-    """Whether sigma(x) == x, tested term by term: the test ends at the
-    first term whose image is missing from x or carries another signed
-    coefficient.  sigma is a bijection on monomials, so no image is
-    built."""
-    sigma = tuple(sigma)
-    move = mover(sigma, x.ctx.factors)
+def _fixed_by_swap(x: RingElement, i: int, j: int) -> bool:
+    """Whether the transposition of the 0-based factors i < j fixes x,
+    tested term by term up to the first term whose image is missing from
+    x or carries another signed coefficient.  Tuples move by an
+    itemgetter of this call's own.  The sign of a class is odd when odd
+    letters sit at both factors (each odd letter between them is passed
+    twice), or at one of them and an odd number of odd letters between."""
+    order = list(range(x.ctx.factors))
+    order[i], order[j] = j, i
+    move = itemgetter(*order)
+    both, between = 1 << i | 1 << j, (1 << j) - (2 << i)
     coeffs = x._coeffs
     for (_support, odd, _points), entries in x._grouped():
-        negate = odd & (odd - 1) and _reversed_parity(sigma, odd)
+        ends = odd & both
+        negate = ends == both or ends and (odd & between).bit_count() & 1
         for letters, terms in entries:
             moved = move(letters)
             for omega, t, c in terms:

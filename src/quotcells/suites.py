@@ -23,7 +23,7 @@ from . import cells, localization, pullback, series
 from .grammar import format_element
 from .ring import (RingContext, cohomological_degree, omega_top_part,
                    small_diagonal)
-from .weights import decreasing_vectors, mask_components
+from .weights import decreasing_vectors, mask_components, mask_elements
 
 DEFAULTS = {
     "n_values": (2, 3),
@@ -115,11 +115,6 @@ def check_generator_span(label, ctx, max_degree):
 
 # -- diagonals ------------------------------------------------------------------
 
-def _elements(mask):
-    """The elements of a bitmask, bit i for the element i, in order."""
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
-
-
 def check_incidence_betti(figures):
     """First Betti number of each (masks, expected) incidence figure, a
     connected subset tuple, read from its one component."""
@@ -127,7 +122,7 @@ def check_incidence_betti(figures):
     for masks, expected in figures:
         [(_members, _union, b1)] = mask_components(masks)
         cases.append(_case({"check": "incidence-betti",
-                            "sets": list(map(_elements, masks))},
+                            "sets": list(map(mask_elements, masks))},
                            expected, b1, b1 == expected, 1))
     return cases
 
@@ -148,13 +143,13 @@ def check_diagonal_products(label, ctx, tuples):
     combinatorial pullback route applies to each incidence component."""
     bad = None
     for masks in tuples:
-        product = prod((small_diagonal(ctx, _elements(m)) for m in masks),
+        product = prod((small_diagonal(ctx, mask_elements(m)) for m in masks),
                        start=ctx.one())
         [(_members, union, b1)] = mask_components(masks)
-        expected = pullback.diagonal_class(ctx, _elements(union), b1)
+        expected = pullback.diagonal_class(ctx, mask_elements(union), b1)
         if product != expected and bad is None:
-            bad = "sets=%s residual=%s" % (
-                list(map(_elements, masks)), format_element(product - expected))
+            bad = "sets=%s residual=%s" % (list(map(mask_elements, masks)),
+                                           format_element(product - expected))
     return [_case({"check": "diagonal-product-classification", **label,
                    "tuples": len(tuples)},
                   "0", bad or "0", bad is None, len(tuples))]

@@ -9,9 +9,9 @@ block-label vector, (0, 0, 1) for the blocks of sizes (2, 1).
 
 Subset tuples are tuples of bitmasks, bit i for the element i, and have
 no other form: their incidence components and first Betti numbers come
-from one routine, mask_components, which the row-tuple filter and the
-combinatorial prefactor call on the hat masks of a row tuple and the
-diagonal check of `verify` on the tuples of its grid.
+from one routine, mask_components, which the row-tuple search runs once
+on the hats of each finished tuple (and yields with it) and the diagonal
+check of `verify` on the tuples of its grid.
 """
 
 from __future__ import annotations
@@ -24,11 +24,16 @@ from operator import itemgetter
 
 # -- permutations ------------------------------------------------------------
 
+def swap_entries(v, i: int, j: int):
+    """v with its entries at the 1-based positions i and j exchanged."""
+    w = list(v)
+    w[i - 1], w[j - 1] = w[j - 1], w[i - 1]
+    return tuple(w)
+
+
 def transposition(n: int, i: int, j: int):
     """Transposition of 1-based positions i and j inside S_n."""
-    sigma = list(range(n))
-    sigma[i - 1], sigma[j - 1] = sigma[j - 1], sigma[i - 1]
-    return tuple(sigma)
+    return swap_entries(range(n), i, j)
 
 
 @cache
@@ -195,19 +200,12 @@ def mask_components(masks):
             for members, union, edges in comps]
 
 
+def mask_elements(mask):
+    """The elements of a bitmask, bit i for the element i, in order."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 # -- admissible row tuples ---------------------------------------------------
-
-def incidence_masks(rows):
-    """The hat of each row j, its 1-based support and j, as a bitmask."""
-    masks = []
-    for j, row in enumerate(rows, 1):
-        m = 1 << j
-        for i, value in enumerate(row, 1):
-            if value:
-                m |= 1 << i
-        masks.append(m)
-    return masks
-
 
 def admissible_row_tuples(v):
     """Row tuples L = (l_1, ..., l_n), l_j of length j, entering the
@@ -219,6 +217,11 @@ def admissible_row_tuples(v):
     distinct entries on the extended support of l_j, and the smaller entry
     of any pair is bounded by the previous partial sum at the larger
     position.
+
+    Yields (rows, omega, components) per admitted tuple: omega[j - 1] =
+    |l_j| - |hat_j| + 1 is row j's omega exponent, hat_j the support of
+    l_j together with j, and components is the mask_components list of
+    the hats that decided condition (ii).
 
     Deterministic: rows are filled from index n downwards, candidate
     entries in lexicographic order.  The search keeps an explicit stack of
@@ -237,31 +240,35 @@ def admissible_row_tuples(v):
         return True
 
     def candidates(j, rem):
-        """The admissible rows l_j, each with the remainder it leaves and
-        its hat as a bitmask.  A row takes nothing where nothing remains,
-        so the product runs over the live positions only, in the
-        lexicographic order of the whole row."""
+        """The admissible rows l_j, each with the remainder it leaves, its
+        hat as a bitmask and its omega exponent.  A row takes nothing
+        where nothing remains, so the product runs over the live
+        positions only, in the lexicographic order of the whole row."""
         live = [i for i in range(j - 1) if rem[i]]
         for picks in itertools.product(*(range(rem[i] + 1) for i in live)):
             row, rem_after, hat, mask = [0] * j, list(rem), [j], 1 << j
+            omega = rem[j - 1]     # |l_j| - |hat_j| + 1, hat_j = {j} so far
             for i, value in zip(live, picks):
                 if value:
                     row[i] = value
                     rem_after[i] -= value
                     hat.append(i + 1)
                     mask |= 1 << (i + 1)
+                    omega += value - 1
             row[j - 1], rem_after[j - 1] = rem[j - 1], 0
             if admissible(hat, rem, rem_after):
-                yield tuple(row), tuple(rem_after), mask
+                yield tuple(row), tuple(rem_after), mask, omega
 
-    rows, masks = [None] * n, [0] * n
+    rows, masks, omegas = [None] * n, [0] * n, [0] * n
     stack = []               # stack[k]: the untried candidates for row n - k
     j, rem = n, target
     while True:
         if j:
             stack.append(candidates(j, rem))
-        elif all(b1 <= 1 for _members, _union, b1 in mask_components(masks)):
-            yield tuple(rows)
+        else:
+            components = mask_components(masks)
+            if all(b1 <= 1 for _members, _union, b1 in components):
+                yield tuple(rows), tuple(omegas), components
         while stack:
             step = next(stack[-1], None)
             if step is not None:
@@ -270,4 +277,4 @@ def admissible_row_tuples(v):
         else:
             return
         j = n - len(stack)   # the top fills row j + 1; row j comes next
-        rows[j], rem, masks[j] = step
+        rows[j], rem, masks[j], omegas[j] = step

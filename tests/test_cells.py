@@ -14,6 +14,7 @@ from quotcells.cells import (cell_class, cell_class_equivariant,
                              module_recursion_residual, to_cell_basis)
 from quotcells.ring import (UNBOUNDED, RingContext, alpha,
                             cohomological_degree, diagonal, omega_top_part)
+from quotcells.weights import mover
 
 from conftest import (assert_read_only, embed, from_cell_basis, permutations,
                       project_invariant, random_homogeneous,
@@ -68,6 +69,18 @@ class TestCellClass:
         assert cell_class(ctx, (0, 1)) == w2 + D
         assert cell_class(ctx, (1, 1)) == w1 * w2
         assert cell_class(ctx, (0, 2)) == w2 * w2 + D * (w1 + w2)
+
+    def test_long_unit_weight_adds_no_mover_entries(self):
+        """The descent swaps weight entries directly: the class of
+        (0,)*300 + (1,), omega_n plus the diagonals of n with each earlier
+        factor, grows weights.mover by at most one entry."""
+        n = 301
+        ctx = RingContext(genus=1, factors=n)
+        size = mover.cache_info().currsize
+        got = cell_class(ctx, (0,) * (n - 1) + (1,))
+        assert mover.cache_info().currsize <= size + 1
+        assert got == sum((diagonal(ctx, k, n) for k in range(1, n)),
+                          ctx.omega(n))
 
     def test_trailing_zero_matches_embedding(self):
         small = RingContext(genus=1, factors=2)

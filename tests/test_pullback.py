@@ -108,6 +108,17 @@ class TestAverageTwist:
             for a, average in zip(twists, expected):
                 assert average_twist(ctx, v, a) == average, (v, a)
 
+    def test_long_zero_weight_adds_no_mover_entries(self):
+        """The stabilizer test of 1010 zeros swaps factors with an
+        itemgetter of its own: weights.mover grows by at most one entry,
+        not by one n-tuple mover per generator."""
+        ctx = RingContext(genus=1, factors=1010)
+        size = weights.mover.cache_info().currsize
+        assert average_twist(ctx, (0,) * 1010) == ctx.one()
+        a = ctx.letter_at(1, alpha(1)) * ctx.letter_at(1010, alpha(1))
+        assert not is_invariant(a)
+        assert weights.mover.cache_info().currsize <= size + 1
+
     def test_rejects_omega_twist(self):
         ctx = RingContext(genus=0, factors=2)
         with pytest.raises(ValueError):
@@ -187,7 +198,7 @@ class TestCombinatorialRoute:
                     for v in orbit_walk(u):
                         members += 1
                         expected = ctx.zero()
-                        for rows in admissible_row_tuples(v):
+                        for rows, _omega, _comps in admissible_row_tuples(v):
                             expected = expected + reference_prefactor(ctx, rows)
                         assert pullback._prefactor_sum(ctx, v) == expected, (g, v)
         assert members == 3 * sum(len(orbit_walk(u)) for n in (1, 2, 3, 4)
@@ -195,10 +206,12 @@ class TestCombinatorialRoute:
 
     def test_omega_exponents_of_rows(self):
         """Row j carries omega^(|l_j| - |hat_j| + 1), hat_j its support
-        together with j."""
-        ctx = RingContext(genus=0, factors=2)
-        assert pullback._prefactor_parts(ctx, ((0,), (1, 0)))[0] == (0, 0)
-        assert pullback._prefactor_parts(ctx, ((2,), (1, 1)))[0] == (2, 1)
+        together with j: the exponents the search yields with its rows."""
+        def omega_of(v, rows):
+            return {got: omega for got, omega, _comps
+                    in admissible_row_tuples(v)}[rows]
+        assert omega_of((1, 0), ((0,), (1, 0))) == (0, 0)
+        assert omega_of((3, 1), ((2,), (1, 1))) == (2, 1)
 
     def test_requires_decreasing(self):
         ctx = RingContext(genus=0, factors=2)
@@ -240,7 +253,8 @@ def unreduced_prefactors(ctx, u, reading=lambda sigma: sigma):
     out = {}
     for sigma in permutations(ctx.factors):
         pref = ctx.zero()
-        for rows in admissible_row_tuples(apply_perm(reading(sigma), u)):
+        for rows, _omega, _comps in admissible_row_tuples(
+                apply_perm(reading(sigma), u)):
             pref = pref + reference_prefactor(ctx, rows)
         out[sigma] = pref
     return out

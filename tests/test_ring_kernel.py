@@ -6,7 +6,9 @@ on the element, and settles point collisions and the Koszul sign once
 per pair of classes; permute_factors moves tuples with weights.mover,
 the one memoized action of a permutation on tuples, reads the
 odd-letter sign per (sigma, odd mask), once per class, and builds its
-image grouped; ring._fixed_by tests sigma(x) == x term by term.  A
+image grouped; ring._fixed_by_swap tests whether a transposition fixes
+x term by term, with its own itemgetter and the sign read off each
+class's odd mask.  A
 right-hand term with letters only, as every twist's is, keeps the left
 term's omega and t, and a right operand of one term with unit letters
 shifts each left term's exponents without grouping the left operand.  Products that are summed (the pullback orbit sums)
@@ -25,6 +27,8 @@ int, or a Fraction with denominator > 1.
 """
 
 import itertools
+import random
+from collections import Counter
 from fractions import Fraction
 from operator import itemgetter
 
@@ -657,10 +661,11 @@ def test_permuted_image_is_built_grouped(data):
 
 @st.composite
 def near_misses(draw):
-    """A transposition tau and an element that tau fixes, y + tau(y),
-    or that element changed at one term: negated, its coefficient
-    doubled, or dropped, so that the image of its partner is missing.
-    Odd letters at both moved factors make tau cost a sign."""
+    """The 1-based factors i and j of a transposition tau and an element
+    that tau fixes, y + tau(y), or that element changed at one term:
+    negated, its coefficient doubled, or dropped, so that the image of
+    its partner is missing.  Odd letters at both moved factors make tau
+    cost a sign."""
     ctx = RingContext(genus=draw(st.integers(1, 2)),
                       factors=draw(st.integers(2, 4)),
                       rank=draw(st.sampled_from([0, 2])))
@@ -685,14 +690,16 @@ def near_misses(draw):
             terms[mono] = 2 * terms[mono]
         else:
             del terms[mono]
-    return tau, RingElement(ctx, terms)
+    return i, j, RingElement(ctx, terms)
 
 
 @settings(max_examples=200, deadline=None)
 @given(near_misses())
 def test_term_by_term_invariance_matches_the_image(case):
-    tau, x = case
-    assert ring._fixed_by(tau, x) == (permute_factors(tau, x) == x)
+    i, j, x = case
+    tau = transposition(x.ctx.factors, i, j)
+    low, high = sorted((i - 1, j - 1))
+    assert ring._fixed_by_swap(x, low, high) == (permute_factors(tau, x) == x)
 
 
 def test_term_by_term_invariance_reads_the_sign():
@@ -700,8 +707,54 @@ def test_term_by_term_invariance_reads_the_sign():
     ctx = RingContext(genus=1, factors=2)
     ab = ctx.monomial([alpha(1), beta(1)])
     ba = ctx.monomial([beta(1), alpha(1)])
-    assert ring._fixed_by((1, 0), ab - ba)
-    assert not ring._fixed_by((1, 0), ab + ba)       # the other sign
-    assert not ring._fixed_by((1, 0), ab - 2 * ba)   # another coefficient
-    assert not ring._fixed_by((1, 0), ab)            # the image is missing
-    assert ring._fixed_by((1, 0), ctx.zero())
+    assert ring._fixed_by_swap(ab - ba, 0, 1)
+    assert not ring._fixed_by_swap(ab + ba, 0, 1)       # the other sign
+    assert not ring._fixed_by_swap(ab - 2 * ba, 0, 1)   # another coefficient
+    assert not ring._fixed_by_swap(ab, 0, 1)            # the image is missing
+    assert ring._fixed_by_swap(ctx.zero(), 0, 1)
+
+
+def swap_test_elements(ctx, i, j, rng):
+    """Elements to test the swap of the 0-based factors i < j on: random
+    sums y, some of whose terms carry odd letters (points at genus 0) at
+    i, at j or at both and at the factors between them, each as y, as
+    y + tau(y), which tau fixes, and as y + tau(y) changed at one term."""
+    n, basis = ctx.factors, ctx.curve_basis()
+    odd = [c for c in basis if letter_degree(c) == 1] or [POINT]
+    tau = transposition(n, i + 1, j + 1)
+    out = []
+    for _ in range(12):
+        y = ctx.zero()
+        for _ in range(rng.randint(1, 3)):
+            letters = [rng.choice(basis) for _ in range(n)]
+            for k in range(i, j + 1):
+                if rng.random() < 0.6:
+                    letters[k] = rng.choice(odd)
+            omega = [rng.choice((0, 0, 1)) for _ in range(n)]
+            y = y + ctx.monomial(letters, omega, coeff=rng.choice((1, -1, 2)))
+        fixed = y + permute_factors(tau, y)
+        terms = dict(fixed.coeffs)
+        if terms:
+            mono = rng.choice(sorted(terms, key=repr))
+            terms[mono] = rng.choice((-terms[mono], 2 * terms[mono]))
+        out += [y, fixed, RingElement(ctx, terms)]
+    return tau, out
+
+
+def test_swap_test_matches_the_image_on_every_pair():
+    """The swap test against tau(x) == x for every pair i < j of factors,
+    genus 0-3 and n = 2-5, on elements with odd letters at the swapped
+    factors and between them, on elements that tau fixes and on those
+    changed at one term."""
+    rng = random.Random(3011)
+    counts = Counter()
+    for g in range(4):
+        for n in range(2, 6):
+            ctx = RingContext(genus=g, factors=n)
+            for i, j in itertools.combinations(range(n), 2):
+                tau, xs = swap_test_elements(ctx, i, j, rng)
+                for x in xs:
+                    fixed = permute_factors(tau, x) == x
+                    assert ring._fixed_by_swap(x, i, j) == fixed, (g, i, j, x)
+                    counts[fixed] += 1
+    assert counts[True] > 500 and counts[False] > 500

@@ -10,8 +10,8 @@ import pytest
 from quotcells.suites import check_incidence_betti
 from quotcells.weights import (admissible_row_tuples, apply_perm,
                                componentwise_leq, decreasing_vectors,
-                               incidence_masks, mask_components, orbit_walk,
-                               stabilizer)
+                               mask_components, mover, orbit_walk,
+                               stabilizer, swap_entries, transposition)
 
 from conftest import (compose, compositions, graph_components, hat_sets,
                       invert, orbit, permutations, weights_to_decomposition)
@@ -64,6 +64,18 @@ class TestVectors:
         # sigma(v) places the old entry i at position sigma(i)
         sigma = (1, 2, 0)
         assert apply_perm(sigma, (7, 8, 9)) == (9, 7, 8)
+
+    def test_swap_entries_is_the_transposition_action(self):
+        """Swapping the 1-based entries i and j is the action of the
+        transposition of i and j, and leaves the mover table as it was."""
+        for n in range(2, 6):
+            v = tuple(range(10, 10 + n))
+            for i, j in itertools.combinations(range(1, n + 1), 2):
+                size = mover.cache_info().currsize
+                assert swap_entries(v, i, j) == swap_entries(v, j, i)
+                assert mover.cache_info().currsize == size
+                assert swap_entries(v, i, j) \
+                    == apply_perm(transposition(n, i, j), v)
 
     def test_perm_of_another_length_is_refused(self):
         for sigma, v in (((0, 1), (1, 0, 0)), ((0, 1, 2), (5, 6)),
@@ -199,19 +211,28 @@ def every_row_tuple(v):
     return [rows for rows, _rem in level]
 
 
+def row_tuples(v):
+    """The rows of each admitted tuple of v, in the search order."""
+    return [rows for rows, _omega, _components in admissible_row_tuples(v)]
+
+
 class TestRowTuples:
     def test_identity_example(self):
         got = list(admissible_row_tuples(apply_perm((0, 1), (1, 0))))
-        assert got == [((1,), (0, 0)), ((0,), (1, 0))]
+        assert got == [(((1,), (0, 0)), (1, 0),
+                        [(0b01, 0b010, 0), (0b10, 0b100, 0)]),
+                       (((0,), (1, 0)), (0, 0), [(0b11, 0b110, 0)])]
 
     def test_swap_example(self):
         got = list(admissible_row_tuples(apply_perm((1, 0), (1, 0))))
-        assert got == [((0,), (0, 1))]
+        assert got == [(((0,), (0, 1)), (0, 1),
+                        [(0b01, 0b010, 0), (0b10, 0b100, 0)])]
 
     def test_zero_weight(self):
         for sigma in permutations(3):
             got = list(admissible_row_tuples(apply_perm(sigma, (0, 0, 0))))
-            assert got == [((0,), (0, 0), (0, 0, 0))]
+            assert got == [(((0,), (0, 0), (0, 0, 0)), (0, 0, 0),
+                             [(1 << i, 2 << i, 0) for i in range(3)])]
 
     def test_determinism_and_conditions(self):
         for u in decreasing_vectors(3, None, max_co=3):
@@ -219,7 +240,7 @@ class TestRowTuples:
                 first = list(admissible_row_tuples(apply_perm(sigma, u)))
                 second = list(admissible_row_tuples(apply_perm(sigma, u)))
                 assert first == second
-                for rows in first:
+                for rows, _omega, _components in first:
                     assert meets_conditions(rows, apply_perm(sigma, u))
 
     def test_complete_against_brute_force(self):
@@ -233,26 +254,30 @@ class TestRowTuples:
                     members += 1
                     expected = [rows for rows in every_row_tuple(v)
                                 if meets_conditions(rows, v)]
-                    assert list(admissible_row_tuples(v)) == expected, v
+                    assert row_tuples(v) == expected, v
         assert members == sum(len(orbit_walk(u)) for n in range(1, 5)
                               for u in decreasing_vectors(n, None, max_co=4))
 
     def test_mask_components_of_every_admissible_tuple(self):
-        """mask_components over the hat masks of every admissible row
-        tuple with n <= 5 and co <= 4 gives the components and b1 of the
-        graph search, and the union of each component's hats."""
+        """The omega exponents and components yielded with every
+        admissible row tuple with n <= 5 and co <= 4 against those of its
+        hats as sets: omega_j = |l_j| - |hat_j| + 1, the mask_components
+        list of the hat masks, and the components and b1 of the graph
+        search with the union of each component's hats."""
         tuples = 0
         for n in range(1, 6):
             for u in decreasing_vectors(n, None, max_co=4):
                 for v in orbit_walk(u):
-                    for rows in admissible_row_tuples(v):
+                    for rows, omega, components in admissible_row_tuples(v):
                         tuples += 1
                         sets = hat_sets(rows)
-                        masks = incidence_masks(rows)
-                        assert masks == list(masks_of(sets))
+                        assert omega == tuple(sum(row) - len(hat) + 1
+                                              for row, hat in zip(rows, sets))
+                        masks = masks_of(sets)
+                        assert components == mask_components(masks)
                         reference = graph_components(sets)
                         assert components_by_first_set(masks) == reference
-                        got = sorted(mask_components(masks),
+                        got = sorted(components,
                                      key=lambda comp: comp[0] & -comp[0])
                         assert [union for _members, union, _b1 in got] == \
                             [sum(1 << i for i in frozenset().union(
@@ -261,11 +286,13 @@ class TestRowTuples:
         assert tuples > 1000
 
     def test_zero_weight_hats_are_disjoint_components(self):
-        """The 1010 one-element hats of the zero weight are 1010 components
-        of b1 = 0, listed in tuple order."""
-        rows = [(0,) * j for j in range(1, 1011)]
-        comps = mask_components(incidence_masks(rows))
-        assert comps == [(1 << i, 1 << (i + 1), 0) for i in range(1010)]
+        """The zero weight of length 1010 has one row tuple, of zero rows
+        with zero omega exponents, whose 1010 one-element hats are 1010
+        components of b1 = 0, listed in tuple order."""
+        [(rows, omega, components)] = admissible_row_tuples((0,) * 1010)
+        assert rows == tuple((0,) * j for j in range(1, 1011))
+        assert omega == (0,) * 1010
+        assert components == [(1 << i, 1 << (i + 1), 0) for i in range(1010)]
 
 
 class TestYoung:
