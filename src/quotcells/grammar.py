@@ -146,11 +146,17 @@ def parse(ctx: RingContext, text: str) -> RingElement:
 
 
 @cache
+def _letter_key(code):
+    """The pair (-letter degree, code), one object per letter code."""
+    return -letter_degree(code), code
+
+
+@cache
 def _letter_facts(letters):
     """(letter degree, letters part of the sort key, "|"-joined names) of
-    a letter tuple."""
-    degrees = [letter_degree(c) for c in letters]
-    return (sum(degrees), tuple([(-d, c) for d, c in zip(degrees, letters)]),
+    a letter tuple; the key holds the shared pair of each letter."""
+    key = tuple([_letter_key(c) for c in letters])
+    return (-sum([d for d, _c in key]), key,
             "|".join([letter_name(c) for c in letters]))
 
 

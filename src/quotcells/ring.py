@@ -63,7 +63,6 @@ group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from operator import add, itemgetter, or_
@@ -117,7 +116,6 @@ def _normal(q):
 UNBOUNDED = None  # rank sentinel: t-variables indexed on demand
 
 
-@dataclass(frozen=True)
 class RingContext:
     """Global parameters: genus, number of factors, equivariant rank, degrees.
 
@@ -125,25 +123,43 @@ class RingContext:
     and restricts weight entries to [0, r-1]; rank UNBOUNDED (None) allows
     arbitrarily many t-variables and unrestricted weight entries.
     degrees[a] is the degree of the line bundle L_a (all-zero default).
+
+    A context is an immutable value: equal and hashed by its four
+    parameters, with per-context caches (_cell_cache, _memo) beside them.
     """
 
-    genus: int = 0
-    factors: int = 1
-    rank: int | None = 0
-    degrees: tuple = ()
-
-    def __post_init__(self):
-        if self.genus < 0 or self.factors < 0:
+    def __init__(self, genus: int = 0, factors: int = 1,
+                 rank: int | None = 0, degrees: tuple = ()):
+        if genus < 0 or factors < 0:
             raise ValueError("genus and factors must be non-negative")
-        if self.rank is not UNBOUNDED and self.rank < 0:
+        if rank is not UNBOUNDED and rank < 0:
             raise ValueError("rank must be >= 0 or UNBOUNDED")
-        object.__setattr__(self, "degrees", tuple(self.degrees))
-        if self.rank == 0 and self.degrees:
+        degrees = tuple(degrees)
+        if rank == 0 and degrees:
             raise ValueError("rank-0 context carries no line-bundle degrees")
-        if self.rank not in (0, UNBOUNDED) and len(self.degrees) not in (0, self.rank):
+        if rank not in (0, UNBOUNDED) and len(degrees) not in (0, rank):
             raise ValueError("degrees must have length rank (or be empty)")
-        object.__setattr__(self, "_cell_cache", {})
-        object.__setattr__(self, "_memo", {})
+        vars(self).update(genus=genus, factors=factors, rank=rank,
+                          degrees=degrees, _cell_cache={}, _memo={})
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.genus, self.factors, self.rank, self.degrees)
+                == (other.genus, other.factors, other.rank, other.degrees))
+
+    def __hash__(self):
+        return hash((self.genus, self.factors, self.rank, self.degrees))
+
+    def __repr__(self):
+        return "RingContext(genus=%r, factors=%r, rank=%r, degrees=%r)" % (
+            self.genus, self.factors, self.rank, self.degrees)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
 
     # -- scalars and generators -------------------------------------------
 

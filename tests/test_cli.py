@@ -335,6 +335,21 @@ def test_closed_stdout_ends_the_call_quietly():
     assert proc.stderr == b""
 
 
+def test_import_leaves_out_the_introspection_modules():
+    """A fresh interpreter that imports the CLI loads none of the
+    dataclasses -> inspect chain."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    code = ("import sys; sys.path.insert(0, %r); import quotcells.cli; "
+            "print(' '.join(sorted(sys.modules)))" % src)
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "quotcells.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize"})
+
+
 # -- random argument vectors ----------------------------------------------------
 
 def _join(values):

@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from quotcells import grammar
 from quotcells.grammar import ParseError, format_element, parse
 from quotcells.pullback import (average_twist, quot_pullback,
                                 quot_pullback_combinatorial)
-from quotcells.ring import (POINT, UNBOUNDED, RingContext, _trim, alpha,
+from quotcells.ring import (POINT, UNBOUNDED, UNIT, RingContext, _trim, alpha,
                             beta, element_from_terms)
 
 from conftest import random_homogeneous, reference_format_element
@@ -209,6 +210,23 @@ def test_format_matches_reference_on_random_elements():
                         if rank != 0:
                             x = x * (ctx.t_var(1) + ctx.one())
                         assert format_element(x) == reference_format_element(x)
+
+
+def test_letter_keys_are_shared_between_tuples():
+    """Two formatted letter tuples hold the same (-degree, code) pair
+    object wherever their codes agree, not a pair per factor."""
+    ctx = RingContext(genus=2, factors=4)
+    x = parse(ctx, "[a1|pt|one|b2] + [one|pt|b2|a1]")
+    assert format_element(x) == reference_format_element(x)
+    first = grammar._letter_facts((alpha(1), POINT, UNIT, beta(2)))[1]
+    second = grammar._letter_facts((UNIT, POINT, beta(2), alpha(1)))[1]
+    assert first == ((-1, alpha(1)), (-2, POINT), (0, UNIT), (-1, beta(2)))
+    assert second == ((0, UNIT), (-2, POINT), (-1, beta(2)), (-1, alpha(1)))
+    for i, j in ((0, 3), (1, 1), (2, 0), (3, 2)):
+        assert first[i] is second[j]
+    # a tuple repeating one letter holds one pair object for it
+    zeros = grammar._letter_facts((UNIT,) * 1010)
+    assert zeros[0] == 0 and len({id(pair) for pair in zeros[1]}) == 1
 
 
 def test_format_matches_reference_at_1010_factors():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quotcells.ring import (RingContext, RingElement, alpha,
+from quotcells.ring import (UNBOUNDED, RingContext, RingElement, alpha,
                             beta, cohomological_degree, diagonal,
                             permute_factors, point_class, small_diagonal)
 from quotcells.weights import transposition
@@ -237,6 +237,72 @@ class TestStructure:
                           lambda: x - other, lambda: other - x):
             with pytest.raises(TypeError):
                 operation()
+
+
+class TestRingContext:
+    """A context is a value: built positionally or by keyword, equal and
+    hashed by its four parameters, with a fixed repr and no assignment."""
+
+    BUILDS = pytest.mark.parametrize("build", [
+        lambda g, n, r, d: RingContext(g, n, r, d),
+        lambda g, n, r, d: RingContext(genus=g, factors=n, rank=r, degrees=d),
+    ], ids=["positional", "keyword"])
+
+    @BUILDS
+    @pytest.mark.parametrize("params, text", [
+        ((0, 1, 0, ()), "RingContext(genus=0, factors=1, rank=0, degrees=())"),
+        ((1, 2, 0, ()), "RingContext(genus=1, factors=2, rank=0, degrees=())"),
+        ((2, 3, 2, [1, -1]),
+         "RingContext(genus=2, factors=3, rank=2, degrees=(1, -1))"),
+        ((1, 2, UNBOUNDED, (4,)),
+         "RingContext(genus=1, factors=2, rank=None, degrees=(4,))"),
+    ])
+    def test_value_contract(self, build, params, text):
+        ctx = build(*params)
+        g, n, r, d = params
+        d = tuple(d)
+        assert ctx.degrees == d and type(ctx.degrees) is tuple
+        assert ctx == build(*params) and ctx is not build(*params)
+        assert hash(ctx) == hash(build(*params)) == hash((g, n, r, d))
+        assert ctx == RingContext(g, n, r, d)
+        assert ctx != build(g + 1, n, r, d)
+        assert not ctx == (g, n, r, d)
+        assert ctx.__eq__((g, n, r, d)) is NotImplemented
+        assert repr(ctx) == text
+        for name in ("genus", "degrees", "_memo", "other"):
+            with pytest.raises(AttributeError):
+                setattr(ctx, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(ctx, name)
+        assert (ctx.genus, ctx.factors, ctx.rank, ctx.degrees) == (g, n, r, d)
+
+    @BUILDS
+    def test_degrees_differ(self, build):
+        for r in (2, UNBOUNDED):
+            assert build(1, 2, r, (1, 0)) != build(1, 2, r, (0, 1))
+            assert build(1, 2, r, (1, 0)) != build(1, 2, r, ())
+        assert build(0, 1, UNBOUNDED, (3,)) != build(0, 1, UNBOUNDED, (3, 0))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"genus": -1}, "genus and factors must be non-negative"),
+        ({"factors": -1}, "genus and factors must be non-negative"),
+        ({"genus": -1, "rank": -1}, "genus and factors must be non-negative"),
+        ({"rank": -1}, "rank must be >= 0 or UNBOUNDED"),
+        ({"rank": -1, "degrees": (1,)}, "rank must be >= 0 or UNBOUNDED"),
+        ({"degrees": (1,)}, "rank-0 context carries no line-bundle degrees"),
+        ({"rank": 2, "degrees": (1,)},
+         "degrees must have length rank (or be empty)"),
+        ({"rank": 2, "degrees": [1, 2, 3]},
+         "degrees must have length rank (or be empty)"),
+    ])
+    def test_invalid_parameters(self, kwargs, message):
+        positional = [kwargs.get(k, default) for k, default in
+                      (("genus", 0), ("factors", 1), ("rank", 0), ("degrees", ()))]
+        for build in (lambda: RingContext(**kwargs),
+                      lambda: RingContext(*positional)):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == message
 
 
 @settings(max_examples=60, deadline=None)

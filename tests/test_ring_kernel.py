@@ -15,7 +15,8 @@ shifts each left term's exponents without grouping the left operand.  Products t
 are added into one term dict by ring._add_product, and the invariant
 letter classes, built from letter orbits, are checked against sums over
 the whole group.  format_element reads each letter tuple's part of the
-canonical text from grammar._letter_facts and each omega or t tuple's
+canonical text from grammar._letter_facts, whose sort key holds one
+grammar._letter_key pair per letter code, and each omega or t tuple's
 from grammar._exponent_facts.  Every such table is a function of its
 own key, memoized once per process, so a fresh context starts with the
 tables that earlier contexts filled; the tests below also check that
@@ -495,7 +496,8 @@ def test_permutation_check_runs_for_every_length():
 
 
 KERNEL_TABLES = (ring._mask_class, ring._koszul_parity, weights.mover,
-                 ring._reversed_parity, grammar._letter_facts, grammar._exponent_facts)
+                 ring._reversed_parity, grammar._letter_key, grammar._letter_facts,
+                 grammar._exponent_facts)
 
 
 def _immutable(value):
@@ -518,6 +520,7 @@ def test_kernel_tables_are_cached_functions_of_immutable_values():
             + [((0,), 1), ((), 0)],
             ring._reversed_parity: [(sigma, odd) for sigma in permutations(3)
                                     for odd in range(8)],
+            grammar._letter_key: [(c,) for c in (UNIT, POINT, alpha(1), beta(2))],
             grammar._letter_facts: letters,
             grammar._exponent_facts: [(mono[1],) for mono in x.coeffs]
             + [((),), ((0, 2),)]}
