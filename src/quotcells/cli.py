@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from . import cells, localization, pullback, series, suites
+from . import cells, localization, pullback, series
 from .grammar import ParseError, format_element, parse
 from .ring import UNBOUNDED, RingContext
 
@@ -23,6 +23,9 @@ USAGE_ERROR = 2
 IDENTITY_ERROR = 1
 INTERNAL_ERROR = 3
 RANK_NOT_GIVEN = object()  # --rank absent; UNBOUNDED (None) is --rank inf
+# the suites of `verify --suite all`, in their order; each name is a
+# `suites.suite_<name>` function, and `suites` is imported by `verify` alone
+SUITE_NAMES = ("recursion", "pullback", "localization", "series", "ranks")
 
 
 def _parse_rank(text):
@@ -207,12 +210,17 @@ def _write_stats(block):
 
 
 def _cmd_verify(args):
+    from . import suites
+
     if args.rank is UNBOUNDED:
         raise ValueError("verify needs a finite --rank")
     for flag in ("max_co", "max_degree", "max_t", "random_cases"):
         if (getattr(args, flag) or 0) < 0:
             raise ValueError("--%s must be >= 0" % flag.replace("_", "-"))
-    names = suites.SUITE_NAMES if args.suite == "all" else (args.suite,)
+    for flag, values in (("n", args.n), ("genus", args.genus_list)):
+        if any(value < 0 for value in values or ()):
+            raise ValueError("--%s entries must be >= 0" % flag)
+    names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     overrides = {
         "n_values": tuple(args.n) if args.n else None,
         "genus_values": tuple(args.genus_list) if args.genus_list else None,
@@ -289,7 +297,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run named verification suites")
     p.add_argument("--suite", default="all",
-                   choices=("all",) + suites.SUITE_NAMES)
+                   choices=("all",) + SUITE_NAMES)
     p.add_argument("--n", type=_int_list, default=None,
                    help="comma-separated factor counts; the pullback "
                         "suite's A4 diagonal-product check always uses a "

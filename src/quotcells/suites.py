@@ -420,18 +420,9 @@ def suite_ranks(params):
     return cases
 
 
-SUITES = {
-    "recursion": suite_recursion,
-    "pullback": suite_pullback,
-    "localization": suite_localization,
-    "series": suite_series,
-    "ranks": suite_ranks,
-}
-SUITE_NAMES = tuple(SUITES)
-
-
 def run_suites(names, overrides=None, stats=None) -> dict:
-    """Run the named suites with the DEFAULTS grids, as overridden.
+    """Run the named suites with the DEFAULTS grids, as overridden; the
+    suite named `name` is the function `suite_<name>`.
 
     When `stats` is a list, one entry per suite is appended to it: the
     suite's wall time and, per case, its inputs, its checked count and its
@@ -443,12 +434,13 @@ def run_suites(names, overrides=None, stats=None) -> dict:
         params.update({k: v for k, v in overrides.items() if v is not None})
     reports = []
     for name in names:
-        if name not in SUITES:
+        suite = globals().get("suite_%s" % name)
+        if suite is None:
             raise ValueError("unknown suite %r" % name)
         started = time.perf_counter()
         # a suite left with no cases checks nothing and fails, as one
         # failed case that names the empty grid
-        cases = SUITES[name](params) or [
+        cases = suite(params) or [
             _case({"check": "non-empty-grid"}, "at least one case", None, False, 0)]
         if stats is not None:
             ends = [c["finished"] for c in cases]

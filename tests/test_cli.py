@@ -234,12 +234,27 @@ def test_verify_json_marks_a_suite_left_with_no_cases_failed(capsys, suite):
     # a rank-0 context carries no line-bundle degrees
     ("xi", "--v", "1", "--degrees", "1"),
     ("psi", "--u", "1", "--degrees", "1"),
+    # a negative factor count or genus, refused before any suite runs
+    *[("verify", "--suite", suite, flag, "-1")
+      for suite in ("all", "recursion", "pullback", "localization", "series",
+                    "ranks")
+      for flag in ("--n", "--genus")],
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--n", "--genus"])
+def test_verify_names_a_negative_entry_before_any_suite_runs(capsys, monkeypatch,
+                                                             flag):
+    ran = []
+    monkeypatch.setattr(suites, "run_suites", lambda *a, **k: ran.append(a))
+    code, out, err = run(capsys, "verify", "--suite", "series", flag, "2,-1")
+    assert (code, out, err) == (2, "", "error: %s entries must be >= 0\n" % flag)
+    assert ran == []
 
 
 @pytest.mark.parametrize("argv", [("restrict", "--v", "0,1", "--w", "1,2"),
@@ -335,19 +350,54 @@ def test_closed_stdout_ends_the_call_quietly():
     assert proc.stderr == b""
 
 
-def test_import_leaves_out_the_introspection_modules():
-    """A fresh interpreter that imports the CLI loads none of the
-    dataclasses -> inspect chain."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "src")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+
+def _modules_loaded_by_importing_the_cli():
+    """sys.modules of a fresh `python -S` after `import quotcells.cli`."""
     code = ("import sys; sys.path.insert(0, %r); import quotcells.cli; "
-            "print(' '.join(sorted(sys.modules)))" % src)
+            "print(' '.join(sorted(sys.modules)))" % SRC)
     proc = subprocess.run([sys.executable, "-S", "-c", code],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "quotcells.cli" in loaded
+    return loaded
+
+
+def test_import_leaves_out_the_introspection_modules():
+    """A fresh interpreter that imports the CLI loads none of the
+    dataclasses -> inspect chain."""
+    loaded = _modules_loaded_by_importing_the_cli()
     assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize"})
+
+
+def test_import_leaves_out_the_suite_catalogue():
+    """Only `verify` loads `quotcells.suites`; its import inside the
+    handler also works when the CLI runs as `__main__`."""
+    assert "quotcells.suites" not in _modules_loaded_by_importing_the_cli()
+    proc = subprocess.run(
+        [sys.executable, "-m", "quotcells.cli", "verify", "--suite", "series"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("result: ok\n")
+
+
+def test_verify_help_lists_every_suite_once():
+    """The `--suite` choices of `verify --help`, in `all` order, are
+    exactly the `suite_*` functions of the catalogue."""
+    code, out, _ = call(["verify", "--help"])
+    assert code == 0
+    choices = "{all,recursion,pullback,localization,series,ranks}"
+    assert "--suite %s" % choices in " ".join(out.split())
+    names = choices.strip("{}").split(",")[1:]
+    assert all(callable(getattr(suites, "suite_" + name)) for name in names)
+    assert sorted(names) == sorted(
+        attr[len("suite_"):] for attr in vars(suites) if attr.startswith("suite_"))
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        suites.run_suites(["nope"])
 
 
 # -- random argument vectors ----------------------------------------------------
