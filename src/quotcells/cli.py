@@ -5,6 +5,12 @@ the call ends quietly), 1 a verified identity failed, 2 usage error, 3
 an unexpected internal error (one `error:` line on stderr, no traceback).
 Element-valued results are printed in the canonical grammar, so JSON
 output round-trips through `parse`.
+
+The argparse tree is built once per process. A call whose first argument
+names a command is parsed by that command's parser alone; any other
+argv goes through the whole tree. Both give the same namespace, output
+and exit code. A number that does not convert is a usage error that
+names its flag.
 """
 
 from __future__ import annotations
@@ -31,14 +37,21 @@ SUITE_NAMES = ("recursion", "pullback", "localization", "series", "ranks")
 def _parse_rank(text):
     if text in ("inf", "unbounded", "none"):
         return UNBOUNDED
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # argparse names the flag before this message
+        raise argparse.ArgumentTypeError(
+            "expected an integer or 'inf', got %r" % text) from None
 
 
 def _int_list(text):
-    text = text.strip()
-    if not text:
+    if not text.strip():
         return ()
-    return tuple(int(x) for x in text.split(","))
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "expected comma-separated integers, got %r" % text) from None
 
 
 def _context(args, factors, need_rank=False):
@@ -71,15 +84,14 @@ def _add_common(parser):
 
 
 def _cmd_xi(args):
-    v = _int_list(args.v)
-    ctx = _context(args, len(v), need_rank=args.equivariant)
+    ctx = _context(args, len(args.v), need_rank=args.equivariant)
     compute = cells.cell_class_equivariant if args.equivariant else cells.cell_class
-    _emit_element(args, compute(ctx, v))
+    _emit_element(args, compute(ctx, args.v))
     return 0
 
 
 def _cmd_psi(args):
-    u = _int_list(args.u)
+    u = args.u
     ctx = _context(args, len(u))
     given = parse(ctx, args.a) if args.a else ctx.one()
     a = pullback.average_twist(ctx, u, given)
@@ -112,8 +124,7 @@ def _cmd_psi(args):
 
 
 def _cmd_restrict(args):
-    v = _int_list(args.v)
-    w = _int_list(args.w)
+    v, w = args.v, args.w
     if args.rank is RANK_NOT_GIVEN:
         raise ValueError("--rank is required for restriction")
     ctx = _context(args, len(v), need_rank=True)
@@ -265,12 +276,14 @@ def build_parser():
 
     p = sub.add_parser("xi", help="cell class of a weight vector")
     _add_common(p)
-    p.add_argument("--v", required=True, help="comma-separated weight entries")
+    p.add_argument("--v", type=_int_list, required=True,
+                   help="comma-separated weight entries")
     p.add_argument("--equivariant", action="store_true")
 
     p = sub.add_parser("psi", help="pullback of a quot-scheme cell class")
     _add_common(p)
-    p.add_argument("--u", required=True, help="decreasing weight vector")
+    p.add_argument("--u", type=_int_list, required=True,
+                   help="decreasing weight vector")
     p.add_argument("--a", default=None, help="twist class in the element grammar")
     p.add_argument("--method", choices=("recursion", "combinatorial", "both"),
                    default="recursion")
@@ -278,8 +291,8 @@ def build_parser():
     p = sub.add_parser("restrict", help="restrict an equivariant cell class "
                                         "to a fixed point")
     _add_common(p)
-    p.add_argument("--v", required=True)
-    p.add_argument("--w", required=True)
+    p.add_argument("--v", type=_int_list, required=True)
+    p.add_argument("--w", type=_int_list, required=True)
 
     p = sub.add_parser("poincare", help="Poincare polynomials and series")
     p.add_argument("target", choices=("symprod", "quot", "filt", "limits"))
@@ -314,6 +327,7 @@ def build_parser():
     p.add_argument("--stats", action="store_true",
                    help="write wall time and inputs checked per case and "
                         "per suite to stderr")
+    parser.commands = sub.choices  # command name -> its parser, for main
     return parser
 
 
@@ -324,8 +338,24 @@ def _parser():
     return build_parser()
 
 
+def _parse_argv(argv):
+    """The namespace of one call, as `_parser().parse_args(argv)` gives
+    it. A command-first argv is parsed by that command's parser alone:
+    the top-level pass would only classify every string and hand them all
+    on to it. Leftover arguments get the top-level parser's error."""
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:  # no argv, -h, an option first or an unknown command
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: %s" % " ".join(extras))
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_argv(sys.argv[1:] if argv is None else list(argv))
     # looked up at call time, so a rebound `_cmd_*` is the one that runs
     handler = globals()["_cmd_" + args.command]
     try:

@@ -11,7 +11,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quotcells import cli, suites
@@ -68,36 +68,35 @@ def test_psi_json_round_trip(capsys):
     assert parse(ctx, payload["element"]) == quot_pullback(ctx, (1, 0))
 
 
-def count_orbit_averages(monkeypatch):
-    """Wrap pullback._orbit_average, the step that averages a twist that
-    is not invariant, in one call counter, returned as a one-element
-    list."""
-    from quotcells import pullback
-    original = pullback._orbit_average
-    calls = [0]
+def count_calls(monkeypatch, obj, name):
+    """Wrap the callable `name` of `obj` in a call counter, returned as a
+    list of the argument tuples it was called with."""
+    original = getattr(obj, name)
+    calls = []
 
-    def counted(ctx, v, a):
-        calls[0] += 1
-        return original(ctx, v, a)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(pullback, "_orbit_average", counted)
+    monkeypatch.setattr(obj, name, counted)
     return calls
 
 
 def test_psi_averages_the_twist_once(capsys, monkeypatch):
-    calls = count_orbit_averages(monkeypatch)
+    # pullback._orbit_average averages a twist that is not invariant
+    calls = count_calls(monkeypatch, cli.pullback, "_orbit_average")
     code, out, _ = run(capsys, "psi", "--u", "1,1", "--a", "1 * [a1|one]",
                        "--genus", "1", "--method", "both")
     assert code == 0
     assert "equal: True" in out
     assert "note: twist class averaged over the stabilizer" in out
-    assert calls[0] == 1
-    calls[0] = 0
+    assert len(calls) == 1
+    calls.clear()
     code, out, _ = run(capsys, "psi", "--u", "1,1", "--genus", "1",
                        "--method", "both")
     assert code == 0
     assert "note:" not in out
-    assert calls[0] == 0
+    assert calls == []
 
 
 def test_psi_of_a_weight_longer_than_the_recursion_limit(capsys):
@@ -507,13 +506,90 @@ def assert_stateless(argv_list):
         assert got == _untimed(call(list(argv), fresh=True)), argv
 
 
-def test_parser_is_built_once():
+def test_parser_is_built_once(monkeypatch):
     cli._parser.cache_clear()
     call(["poincare", "quot"])
     parser = cli._parser()
     call(["xi", "--v", "1"])
     assert cli._parser() is parser
     assert cli.build_parser() is not parser
+    # a command-first call reads its command's parser from the cached tree
+    # alone, so cache_clear (a `fresh` call) rebuilds all that it reads
+    old = count_calls(monkeypatch, parser.commands["xi"], "parse_known_args")
+    cli._parser.cache_clear()
+    rebuilt = cli._parser()
+    assert rebuilt is not parser
+    assert rebuilt.commands["xi"] is not parser.commands["xi"]
+    new = count_calls(monkeypatch, rebuilt.commands["xi"], "parse_known_args")
+    assert call(["xi", "--v", "1"])[0] == 0
+    assert (len(old), len(new)) == (0, 1)
+
+
+@pytest.mark.parametrize("argv, code, top_level_parses", [
+    (["xi", "--v", "1"], 0, 0),
+    (["xi", "--v", "1", "--bogus"], 2, 0),
+    (["-h"], 0, 1),
+    (["bogus"], 2, 1),
+    ([], 2, 1),
+])
+def test_a_command_first_call_skips_the_top_level_parse(monkeypatch, argv, code,
+                                                        top_level_parses):
+    calls = count_calls(monkeypatch, cli._parser(), "parse_known_args")
+    assert call(argv)[0] == code
+    assert len(calls) == top_level_parses
+
+
+def parse_outcome(parse, argv):
+    """(SystemExit code or None, stdout, stderr, vars of the namespace or
+    None) of one parse of `argv`."""
+    out, err = io.StringIO(), io.StringIO()
+    code, namespace = None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace = vars(parse(list(argv)))
+        except SystemExit as exc:  # usage errors and --help
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), namespace
+
+
+@settings(max_examples=200, deadline=None)
+@given(argvs())
+@example([])
+@example(["-h"])
+@example(["--help"])
+@example(["bogus"])
+@example(["--genus", "1", "xi", "--v", "1"])
+@example(["xi", "--v", "1", "--bogus"])
+@example(["xi", "--v", "1", "extra"])
+@example(["xi", "--gen", "1", "--v", "1"])
+@example(["xi", "--v=1"])
+@example(["xi", "--", "--v", "1"])
+@example(["xi", "--v", "1", "--he"])
+@example(["poincare", "quot", "-h"])
+@example(["psi", "--u", "1", "--method", "bad"])
+@example(["xi", "--v", "1,x", "--rank", "x"])
+def test_dispatch_matches_the_full_parse(argv):
+    """The parse of `main` and the full `parse_args` of the cached tree
+    give the same exit code, output and namespace for every argv."""
+    assert (parse_outcome(cli._parse_argv, argv)
+            == parse_outcome(cli._parser().parse_args, argv)), argv
+
+
+@pytest.mark.parametrize("argv, flag, value, expected", [
+    (["xi", "--v", "1"], "--rank", "x", "an integer or 'inf'"),
+    (["xi", "--v", "1"], "--degrees", "1,x", "comma-separated integers"),
+    (["xi"], "--v", "1,x", "comma-separated integers"),
+    (["psi"], "--u", "1,x", "comma-separated integers"),
+    (["restrict", "--v", "1", "--rank", "2"], "--w", "1,x",
+     "comma-separated integers"),
+    (["verify"], "--n", "1,x", "comma-separated integers"),
+    (["verify"], "--genus", "1,x", "comma-separated integers"),
+])
+def test_a_bad_number_is_named_by_its_flag(argv, flag, value, expected):
+    code, out, err = call(argv + [flag, value])
+    assert (code, out) == (2, "")
+    assert err.endswith(": error: argument %s: expected %s, got %r\n"
+                        % (flag, expected, value))
 
 
 @pytest.mark.parametrize("argv_list", [
