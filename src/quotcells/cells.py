@@ -14,6 +14,15 @@ The descent step, with u = v - e_j and j the last nonzero index:
               + sum over k < j with u_k <= u_j of
                 diag_{k,j} cell(swap_{k,j} u)
 
+The step factor is the sum of one-term pieces (_step_pieces): omega_j,
+-d pt_j when d = d_{u_j} is nonzero, and -t_{u_j} in the equivariant
+case.  A step multiplies cell(u) by each piece into one term dict
+(ring._add_product), where omega_j and t_{u_j} are exponent shifts and
+d pt_j is one letter product, and settles that dict once.  The swap
+terms are added with element arithmetic: they are the only element sums
+of the pullback and certificate benchmark workloads, whose traced runs
+require the `ring.add` layer to record calls.
+
 Results are memoized on the context; the cache never changes a value.
 """
 
@@ -21,9 +30,9 @@ from __future__ import annotations
 
 import itertools
 
-from .ring import (RingContext, RingElement, UNBOUNDED, diagonal,
-                   omega_layers, omega_top_part, permute_factors,
-                   small_diagonal)
+from .ring import (POINT, UNIT, RingContext, RingElement, UNBOUNDED,
+                   _add_product, _settled, diagonal, omega_layers,
+                   omega_top_part, permute_factors, small_diagonal)
 from .weights import swap_entries, transposition
 
 
@@ -100,22 +109,43 @@ def _cell(ctx: RingContext, v, eq: bool) -> RingElement:
             stack.extend(missing)
             continue
         stack.pop()
-        result = _step_factor(ctx, j, u[j - 1], eq) * cache[u, eq]
+        out = {}
+        below = cache[u, eq]
+        for piece in _step_pieces(ctx, j, u[j - 1], eq):
+            _add_product(out, below, piece)
+        result = _settled(ctx, out)
         for k, w in swaps:
             result = result + diagonal(ctx, k, j) * cache[w, eq]
         cache[top, eq] = result
     return cache[v, eq]
 
 
-def _step_factor(ctx: RingContext, j: int, entry: int, eq: bool) -> RingElement:
-    """omega_j - d_entry pt_j, less t_entry in the equivariant case."""
-    step = ctx.omega(j)
+def _step_pieces(ctx: RingContext, j: int, entry: int, eq: bool) -> list:
+    """The one-term pieces of the step factor: omega_j, -d_entry pt_j when
+    d_entry is nonzero and -t_entry in the equivariant case.  omega_j and
+    t_entry are unit-letter terms, exponent shifts in ring._add_product.
+    The caller has checked j and entry against the context."""
+    units = (UNIT,) * ctx.factors
+    zeros = (0,) * ctx.factors
+    omega = zeros[:j - 1] + (1,) + zeros[j:]
+    pieces = [RingElement(ctx, {(units, omega, ()): 1})]
     d = ctx.bundle_degree(entry)
     if d:
-        step = step - d * ctx.pt(j)
+        point = units[:j - 1] + (POINT,) + units[j:]
+        pieces.append(RingElement(ctx, {(point, zeros, ()): -d}))
     if eq:
-        step = step - ctx.t_var(entry)
-    return step
+        t = (0,) * entry + (1,)
+        pieces.append(RingElement(ctx, {(units, zeros, t): -1}))
+    return pieces
+
+
+def _step_factor(ctx: RingContext, j: int, entry: int, eq: bool) -> RingElement:
+    """omega_j - d_entry pt_j, less t_entry in the equivariant case: the
+    sum of the step's pieces, which are distinct monomials."""
+    terms = {}
+    for piece in _step_pieces(ctx, j, entry, eq):
+        terms.update(piece._coeffs)
+    return RingElement(ctx, terms)
 
 
 def _require_letters_only(a: RingElement):

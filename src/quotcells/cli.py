@@ -10,7 +10,9 @@ The argparse tree is built once per process. A call whose first argument
 names a command is parsed by that command's parser alone; any other
 argv goes through the whole tree. Both give the same namespace, output
 and exit code. A number that does not convert is a usage error that
-names its flag.
+names its flag; an entry past Python's int digit limit is named by its
+place in the list, not echoed. A value that starts with a minus sign and
+a digit, such as `--degrees -1,3`, is read as a value, not an option.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 
 from . import cells, localization, pullback, series
@@ -47,9 +50,16 @@ def _parse_rank(text):
 def _int_list(text):
     if not text.strip():
         return ()
+    entries = text.split(",")
     try:
-        return tuple(int(x) for x in text.split(","))
+        return tuple(map(int, entries))
     except ValueError:
+        limit = sys.get_int_max_str_digits()
+        for i, entry in enumerate(entries, 1):
+            if limit and sum(map(str.isdigit, entry)) > limit:
+                # int() refuses it: name the entry rather than echo it
+                raise argparse.ArgumentTypeError(
+                    "entry %d is longer than %d digits" % (i, limit)) from None
         raise argparse.ArgumentTypeError(
             "expected comma-separated integers, got %r" % text) from None
 
@@ -267,8 +277,19 @@ def _cmd_verify(args):
     return 0 if result["ok"] else IDENTITY_ERROR
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a word of a minus and a digit, such as
+    the list "-1,3", as a value rather than an option (stock argparse
+    only does so for a lone number); no option here starts that way.
+    add_subparsers makes each command's parser of the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\d")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quotcells",
         description="Exact cohomology computations for quot and filt schemes "
                     "of a smooth projective curve.")

@@ -6,15 +6,16 @@ import random
 
 import pytest
 
-from quotcells.cells import (cell_class, cell_class_equivariant,
+from quotcells.cells import (_step_factor, cell_class, cell_class_equivariant,
                              cell_class_series,
                              cell_class_series_closed_form,
                              complete_homogeneous,
                              lower_index_step_residual,
                              module_recursion_residual, to_cell_basis)
-from quotcells.ring import (UNBOUNDED, RingContext, alpha,
+from quotcells.grammar import format_element
+from quotcells.ring import (UNBOUNDED, RingContext, RingElement, alpha,
                             cohomological_degree, diagonal, omega_top_part)
-from quotcells.weights import mover
+from quotcells.weights import mover, swap_entries
 
 from conftest import (assert_read_only, embed, from_cell_basis, permutations,
                       project_invariant, random_homogeneous,
@@ -51,6 +52,85 @@ def test_entry_check_names_the_first_bad_entry(rank, v, message):
     cell_class(ctx, (0, 2, 1))
     if rank is UNBOUNDED:
         cell_class(ctx, (9, 0, 4))
+
+
+def reference_cell(ctx, v, eq, memo):
+    """The descent recursion in element arithmetic, memoized in `memo`:
+    cell(v) = step * cell(u) + sum_k diag_{k,j} * cell(swap_{k,j} u)."""
+    if v not in memo:
+        nonzero = [i for i, e in enumerate(v, 1) if e]
+        if not nonzero:
+            memo[v] = ctx.one()
+        else:
+            j = nonzero[-1]
+            u = v[:j - 1] + (v[j - 1] - 1,) + v[j:]
+            result = (_step_factor(ctx, j, u[j - 1], eq)
+                      * reference_cell(ctx, u, eq, memo))
+            for k in range(1, j):
+                if u[k - 1] <= u[j - 1]:
+                    result = result + diagonal(ctx, k, j) * reference_cell(
+                        ctx, swap_entries(u, k, j), eq, memo)
+            memo[v] = result
+    return memo[v]
+
+
+# (rank, degrees): rank 0, bounded and unbounded, with degrees of both signs
+_RECURSION_CONTEXTS = [(0, ()), (3, ()), (3, (2, -1, 3)), (UNBOUNDED, ()),
+                       (UNBOUNDED, (-2, 1))]
+
+
+class TestRecursionAgainstElementArithmetic:
+    """The cold recursion, which multiplies the step's one-term pieces into
+    one term dict, against the recursion written with element `*` and
+    `+`."""
+
+    @pytest.mark.parametrize("rank, degrees", _RECURSION_CONTEXTS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("genus", [0, 1, 2])
+    def test_cold_cell_matches_the_reference(self, genus, n, rank, degrees):
+        top = 5 if rank in (0, UNBOUNDED) else rank
+        ref_ctx = RingContext(genus=genus, factors=n, rank=rank, degrees=degrees)
+        for eq in (False, True) if rank != 0 else (False,):
+            cell = cell_class_equivariant if eq else cell_class
+            memo = {}
+            for v in itertools.product(range(top), repeat=n):
+                if sum(v) > 4:
+                    continue
+                cold = RingContext(genus=genus, factors=n, rank=rank,
+                                   degrees=degrees)
+                got = cell(cold, v)
+                expected = reference_cell(ref_ctx, v, eq, memo)
+                assert got == expected, (v, eq)
+                assert format_element(got) == format_element(expected), (v, eq)
+
+    @pytest.mark.parametrize("rank, degrees", _RECURSION_CONTEXTS[1:])
+    def test_step_factor_is_the_element_difference(self, rank, degrees):
+        ctx = RingContext(genus=1, factors=3, rank=rank, degrees=degrees)
+        for j in (1, 2, 3):
+            for entry in (0, 1, 2):
+                d = ctx.bundle_degree(entry)
+                plain = ctx.omega(j) - d * ctx.pt(j)
+                assert _step_factor(ctx, j, entry, False) == plain
+                assert (_step_factor(ctx, j, entry, True)
+                        == plain - ctx.t_var(entry))
+
+    def test_a_chain_without_swaps_makes_no_element_arithmetic(self, monkeypatch):
+        # at n = 1 every step is step * cell(u) alone: the step's pieces go
+        # through the kernel, with no RingElement *, + or -
+        calls = []
+        for name in ("__mul__", "__add__", "__sub__"):
+            original = getattr(RingElement, name)
+
+            def counted(self, other, name=name, original=original):
+                calls.append(name)
+                return original(self, other)
+
+            monkeypatch.setattr(RingElement, name, counted)
+        ctx = RingContext(genus=1, factors=1, rank=4, degrees=(1, -2, 0, 3))
+        got = cell_class_equivariant(ctx, (3,))
+        assert calls == []
+        monkeypatch.undo()
+        assert got == reference_cell(ctx, (3,), True, {})
 
 
 class TestCellClass:

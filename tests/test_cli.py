@@ -568,6 +568,10 @@ def parse_outcome(parse, argv):
 @example(["poincare", "quot", "-h"])
 @example(["psi", "--u", "1", "--method", "bad"])
 @example(["xi", "--v", "1,x", "--rank", "x"])
+@example(["xi", "--v", "-1,0"])
+@example(["xi", "--genus", "2", "--rank", "2", "--degrees", "-1,3", "--v", "1,1,1"])
+@example(["verify", "--n", "-1,2", "--genus", "-1"])
+@example(["xi", "--v", "-x"])
 def test_dispatch_matches_the_full_parse(argv):
     """The parse of `main` and the full `parse_args` of the cached tree
     give the same exit code, output and namespace for every argv."""
@@ -590,6 +594,40 @@ def test_a_bad_number_is_named_by_its_flag(argv, flag, value, expected):
     assert (code, out) == (2, "")
     assert err.endswith(": error: argument %s: expected %s, got %r\n"
                         % (flag, expected, value))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["xi", "--v", "-1,0"], "weight entries must be non-negative"),
+    (["psi", "--u", "-1,0"], "weight entries must be non-negative"),
+    (["verify", "--suite", "series", "--n", "-1,2"], "--n entries must be >= 0"),
+    (["verify", "--suite", "series", "--genus", "-1,2"],
+     "--genus entries must be >= 0"),
+])
+def test_a_list_with_a_negative_first_entry_is_a_value(argv, message):
+    # not read as an option, so the handler's own check names it
+    assert call(argv) == (2, "", "error: %s\n" % message)
+
+
+def test_negative_degrees_read_alike_with_a_space_or_an_equals_sign():
+    argv = ["xi", "--genus", "2", "--rank", "2", "--v", "1,1,1", "--equivariant"]
+    spaced = call(argv + ["--degrees", "-1,3"])
+    joined = call(argv + ["--degrees=-1,3"])
+    assert spaced == joined
+    assert spaced[0] == 0 and spaced[1]
+
+
+@pytest.mark.parametrize("argv, flag, value, entry", [
+    (["psi"], "--u", "1," + "9" * 5000, 2),
+    (["psi"], "--u", "-" + "9" * 5000, 1),
+    (["psi", "--u", "1"], "--degrees", "9" * 5000 + ",x", 1),
+], ids=["second", "negative", "before-a-non-number"])
+def test_an_entry_past_the_digit_limit_is_named_not_echoed(argv, flag, value,
+                                                           entry):
+    code, out, err = call(argv + [flag, value])
+    assert (code, out) == (2, "")
+    assert err.endswith(": error: argument %s: entry %d is longer than %d digits\n"
+                        % (flag, entry, sys.get_int_max_str_digits()))
+    assert "9" * 100 not in err
 
 
 @pytest.mark.parametrize("argv_list", [
