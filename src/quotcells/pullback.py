@@ -12,12 +12,16 @@ the labels, and read by every later twist of that weight (the spanning
 classes of a degree, the twists of one weight in the `verify` grids and
 every later call).  A weight is checked when its list is built, so a
 list in the memo always belongs to a checked weight.  The two routes
-never read each other's list.  The combinatorial route's member class
-is the sum over the admissible row tuples of each tuple's omega monomial
-times the diagonal classes of its incidence components (diagonal_class,
-one per component): the row-tuple search yields both, the components
-with their b1 from the one weights.mask_components pass that admitted
-the tuple.  The products go into one term dict, each shifted by its
+never read each other's list.  The spanning classes of a degree sum
+each twist straight over the list, as the partial-flag pullback does:
+their weights are decreasing and their twists are St(u) group sums,
+whose lists the memo keeps too, one per degree and block pattern of the
+labels.  The combinatorial route's member class is the sum over the
+admissible row tuples of each tuple's omega monomial times the diagonal
+classes of its incidence components (diagonal_class, one per
+component): the row-tuple search yields both, the components with
+their b1 from the one weights.mask_components pass that admitted the
+tuple.  The products go into one term dict, each shifted by its
 omega monomial (ring._add_product), and the dict is settled once.  Twist
 averages and invariant letter classes are orbit sums too.  The module
 also carries the symmetry/rank machinery used to certify that the
@@ -286,23 +290,41 @@ def _letter_classes(ctx: RingContext, degree: int, labels):
     first member, each |Stab_G(m)| = |G| / |orbit| times the signed orbit
     sum (vanishing sums skipped); an orbit is the letter tuples of one
     multiset of (label, letter), so only which positions share a label
-    matters, not the labels' values or order."""
-    order, orbits = _young_order(labels), {}
-    for letters in letter_monomials(ctx, degree):
-        orbits.setdefault(tuple(sorted(zip(labels, letters))), []).append(letters)
-    sums = (_orbit_group_sum(labels, order, orbit) for orbit in orbits.values())
-    return [RingElement(ctx, terms) for terms in sums if terms]
+    matters, not the labels' values or order.  The list is built once
+    per context and (degree, block pattern), with the pattern as labels,
+    and kept in ctx._memo: the pattern replaces each label by the index
+    of its first occurrence, so (2, 0, 0) and (1, 0, 0) both read the
+    list of (0, 1, 1).  Each call gets a fresh list of the kept
+    elements, which are immutable."""
+    first = {}
+    pattern = tuple(first.setdefault(label, i) for i, label in enumerate(labels))
+    key = ("letter_classes", degree, pattern)
+    got = ctx._memo.get(key)
+    if got is None:
+        order, orbits = _young_order(pattern), {}
+        for letters in letter_monomials(ctx, degree):
+            orbits.setdefault(tuple(sorted(zip(pattern, letters))), []).append(letters)
+        sums = (_orbit_group_sum(pattern, order, orbit) for orbit in orbits.values())
+        got = ctx._memo[key] = tuple(RingElement(ctx, terms) for terms in sums if terms)
+    return list(got)
 
 
 def quot_pullback_spanning_classes(ctx: RingContext, degree: int):
     """The pullback classes of degree `degree` built from all decreasing
     weights u and a spanning set of St(u)-invariant twists, in the order
-    of u and then of the twists: the twists of one weight read its one
-    member list, and a weight with no twist of its degree is never
-    checked."""
-    return [quot_pullback(ctx, u, a)
-            for u in decreasing_vectors(ctx.factors, None, degree // 2)
-            for a in _letter_classes(ctx, degree - 2 * sum(u), u)]
+    of u and then of the twists: each class is quot_pullback(ctx, u, a),
+    summed straight over u's one member list, since every u here is
+    decreasing and every twist a St(u) group sum, which quot_pullback's
+    weight check and twist average would only confirm.  Building the
+    list checks the entries of u (cell_class names the first one out of
+    range), and a weight with no twist of its degree is never checked."""
+    classes = []
+    for u in decreasing_vectors(ctx.factors, None, degree // 2):
+        twists = _letter_classes(ctx, degree - 2 * sum(u), u)
+        if twists:
+            members = _orbit_members(ctx, cell_class, u)
+            classes += [_orbit_sum(ctx, members, a) for a in twists]
+    return classes
 
 
 def pullback_generators(ctx: RingContext):
@@ -320,7 +342,10 @@ def pullback_generators(ctx: RingContext):
 def generator_span_check(ctx: RingContext, max_degree: int) -> dict:
     """Degree-by-degree certificate that the subalgebra generated by the
     single-row pullbacks over the symmetric omega-free classes spans the
-    full invariant subspace."""
+    full invariant subspace, for every degree 0..max_degree; a negative
+    max_degree, which would certify no degree, raises ValueError."""
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
     gens = [(g, cohomological_degree(g)) for g in pullback_generators(ctx)]
     gens = [(g, d) for g, d in gens if g and d <= max_degree]
     products = [(ctx.one(), 0)]

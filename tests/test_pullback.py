@@ -2,6 +2,7 @@
 symmetry and rank certificates."""
 
 import itertools
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -420,16 +421,41 @@ def test_no_library_path_lists_a_group(monkeypatch):
 
 
 def test_spanning_classes_are_the_per_class_pullbacks():
-    """One orbit walk per weight gives the classes one pullback per
-    (u, twist) gives, element by element and in order."""
-    for g in range(3):
+    """Summing each twist straight over a weight's member list gives the
+    classes one quot_pullback per (u, twist) gives, element by element
+    and in order; the latter run on a fresh context per degree, so no
+    member list or twist list is shared between the two sides."""
+    for g in range(4):
         for n in range(1, 5):
             ctx = RingContext(genus=g, factors=n)
             for d in range(7):
+                fresh = RingContext(genus=g, factors=n)
                 assert quot_pullback_spanning_classes(ctx, d) == [
-                    quot_pullback(ctx, u, a)
+                    quot_pullback(fresh, u, a)
                     for u in decreasing_vectors(n, None, d // 2)
-                    for a in _letter_classes(ctx, d - 2 * sum(u), u)], (g, n, d)
+                    for a in _letter_classes(fresh, d - 2 * sum(u), u)], (g, n, d)
+
+
+# (genus, factors, max degree) of the rank certificates the benchmark
+# runs (RANK_GRID in bench/workloads.py)
+RANK_SIZES = ((0, 2, 8), (1, 2, 8), (2, 2, 8), (3, 2, 8), (0, 3, 8), (1, 3, 8),
+              (2, 3, 7), (3, 3, 3), (0, 4, 6), (1, 4, 5), (2, 4, 2), (0, 5, 4),
+              (1, 5, 1))
+
+
+def test_spanning_twists_need_no_average():
+    """Every twist the spanning classes sum is a St(u) group sum, which
+    average_twist returns as it is: the weight check and twist average
+    the direct sums leave out would change nothing."""
+    for g, n, max_degree in RANK_SIZES:
+        ctx = RingContext(genus=g, factors=n)
+        checked = 0
+        for d in range(max_degree + 1):
+            for u in decreasing_vectors(n, None, d // 2):
+                for a in _letter_classes(ctx, d - 2 * sum(u), u):
+                    assert average_twist(ctx, u, a) is a, (g, n, u, a)
+                    checked += 1
+        assert checked, (g, n)
 
 
 def test_spanning_classes_check_only_weights_with_twists():
@@ -440,6 +466,83 @@ def test_spanning_classes_check_only_weights_with_twists():
         with pytest.raises(ValueError, match="entry 2 out of range for rank 2"):
             quot_pullback_spanning_classes(ctx, degree)
     assert quot_pullback_spanning_classes(ctx, 5) == []
+
+
+def _block_pattern(labels):
+    """Each label replaced by the position of its first occurrence."""
+    return tuple(labels.index(label) for label in labels)
+
+
+def _pattern_classes(n):
+    """The label tuples of {0,1,2}^n grouped by block pattern, each
+    group in product order."""
+    classes = {}
+    for labels in itertools.product(range(3), repeat=n):
+        classes.setdefault(_block_pattern(labels), []).append(labels)
+    return classes
+
+
+TWIST_GRID = [(g, n) for g in range(4) for n in range(1, 6)]
+
+
+class TestTwistMemo:
+    """_letter_classes keeps one list per context, degree and block
+    pattern of the labels, and hands out copies of it."""
+
+    @pytest.mark.parametrize("g,n", TWIST_GRID)
+    def test_kept_lists(self, g, n):
+        """For every label tuple in {0,1,2}^n and degree <= 2n: the list
+        equals the one a fresh context builds from another tuple of the
+        same pattern, every tuple of a pattern returns the same elements,
+        and clearing or appending to a returned list leaves the next call
+        unchanged.  One context walks the tuples pattern by pattern and
+        keeps one list per (degree, pattern); it is emptied between
+        patterns, which keeps the walk's memory to one pattern's lists."""
+        ctx = RingContext(genus=g, factors=n)
+        for pattern, tuples in _pattern_classes(n).items():
+            fresh = RingContext(genus=g, factors=n)
+            for d in range(2 * n + 1):
+                kept = _letter_classes(ctx, d, tuples[0])
+                assert kept == _letter_classes(fresh, d, tuples[-1]), (g, n, pattern, d)
+
+                def reads_kept(got):
+                    return len(got) == len(kept) and all(map(operator.is_, got, kept))
+
+                for labels in tuples:
+                    got = _letter_classes(ctx, d, labels)
+                    assert reads_kept(got), (labels, d)
+                    got.clear()
+                    got = _letter_classes(ctx, d, labels)
+                    assert reads_kept(got), (labels, d)
+                    got.append(ctx.one())
+                    assert reads_kept(_letter_classes(ctx, d, labels)), (labels, d)
+            assert sorted(ctx._memo) == [("letter_classes", d, pattern)
+                                         for d in range(2 * n + 1)]
+            ctx._memo.clear()
+
+    def test_block_patterns(self):
+        assert _block_pattern((2, 0, 0)) == _block_pattern((1, 0, 0)) == (0, 1, 1)
+        ctx = RingContext(genus=1, factors=3)
+        assert _letter_classes(ctx, 2, (2, 0, 0)) == _letter_classes(ctx, 2, (1, 0, 0))
+        assert list(ctx._memo) == [("letter_classes", 2, (0, 1, 1))]
+
+    @pytest.mark.parametrize("g,n,max_degree", RANK_SIZES)
+    def test_certificate_run_keeps_one_list_per_degree_and_pattern(
+            self, g, n, max_degree):
+        """After the spanning classes and the generator check of every
+        degree <= max_degree, the context keeps exactly one twist list per
+        (degree, pattern) asked for, fewer than the calls made."""
+        ctx = RingContext(genus=g, factors=n)
+        asked = []
+        for d in range(max_degree + 1):
+            quot_pullback_spanning_classes(ctx, d)
+            asked += [(d - 2 * sum(u), _block_pattern(u))
+                      for u in decreasing_vectors(n, None, d // 2)]
+        generator_span_check(ctx, max_degree)
+        asked += [(d, (0,) * n) for d in range(max_degree + 1)]
+        kept = [key[1:] for key in ctx._memo if key[0] == "letter_classes"]
+        assert sorted(kept) == sorted(set(asked))
+        assert len(kept) < len(asked)
 
 
 def test_route_check_reads_a_stream_once():
@@ -777,6 +880,13 @@ class TestGeneratorSpan:
         ctx = RingContext(genus=1, factors=2)
         report = generator_span_check(ctx, 4)
         assert report["pass"], report
+
+    @pytest.mark.parametrize("max_degree", [-1, -5])
+    def test_negative_max_degree_is_refused(self, max_degree):
+        """A certificate over no degree would report a pass."""
+        ctx = RingContext(genus=1, factors=2)
+        with pytest.raises(ValueError, match="max_degree must be >= 0"):
+            generator_span_check(ctx, max_degree)
 
 
 def test_memoized_prefactor_cannot_be_poisoned():
