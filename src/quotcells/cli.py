@@ -137,7 +137,7 @@ def _cmd_restrict(args):
     v, w = args.v, args.w
     if args.rank is RANK_NOT_GIVEN:
         raise ValueError("--rank is required for restriction")
-    ctx = _context(args, len(v), need_rank=True)
+    ctx = _context(args, len(v))
     if ctx.rank != 0:
         # reject a bad w before the class of v is built, v's error first
         # as before (at rank 0 the class itself refuses the context)

@@ -28,7 +28,8 @@ also carries the symmetry/rank machinery used to certify that the
 pullback image is the full invariant subring of ring.permute_factors,
 the permutation action that moves each factor's curve class together
 with its omega; invariance is tested term by term, one transposition of
-two factors at a time (ring._fixed_by_swap).
+two factors at a time (ring._fixed_by_swap).  Every sign, an orbit
+member's too, is ring._inversion_parity's.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ from .cells import (_check_entries, _check_length, _require_letters_only,
                     cell_class)
 from .linalg import exact_rank
 from .ring import (POINT, UNIT, RingContext, RingElement, _add_product,
-                   _fixed_by_swap, _normal, _require_ctx, _settled,
-                   cohomological_degree, letter_monomials, permute_factors,
-                   point_class, small_diagonal)
+                   _fixed_by_swap, _inversion_parity, _normal, _require_ctx,
+                   _settled, cohomological_degree, letter_monomials,
+                   permute_factors, point_class, small_diagonal)
 from .series import poly_coeff, quot_series_product
 from .weights import (admissible_row_tuples, apply_perm, decreasing_vectors,
                       is_decreasing, mask_elements, orbit_walk)
@@ -71,13 +72,13 @@ def _orbit_group_sum(labels, order, orbit):
     """sum_{sigma in G} sigma(m), monomial -> coefficient, for the first
     member m of an orbit of letter tuples under the group G of the given
     order keeping each position's label: |G| / |orbit| times the sign of
-    sigma(m) = +-w at each member w, the parity of m's odd (label, letter)
-    pairs plus w's.  Empty when an odd letter repeats under one label:
-    the swap of the two fixes m and costs a sign."""
+    sigma(m) = +-w at each member w, the inversion parity of m's odd
+    (label, letter) pairs plus w's.  Empty when an odd letter repeats
+    under one label: the swap of the two fixes m and costs a sign."""
     parities = []
     for w in orbit:
         odd = [pair for pair in zip(labels, w) if pair[1] > POINT]
-        parities.append(sum(b > a for i, a in enumerate(odd) for b in odd[:i]) & 1)
+        parities.append(_inversion_parity(odd))
     if len(set(odd)) < len(odd):  # every member has the same odd pairs
         return {}
     zero, scale = (0,) * len(labels), order // len(orbit)

@@ -8,7 +8,8 @@ H*(C) is realized on the basis {1, a_1..a_g, b_1..b_g, pt} with degrees
 0, 1, 1, 2 and the symplectic product table a_k * b_k = pt = -(b_k * a_k);
 every other product of positive-degree classes vanishes.  Tensor factors
 multiply with the Koszul sign (-1)^{sum_{i<j} |y_i||x_j|}; the variables
-w_i and t_a are even and central.
+w_i and t_a are even and central.  Every sign is that rule, -1 per pair
+of odd letters passing each other, computed by _inversion_parity alone.
 
 Elements are sparse maps monomial -> coefficient, where a coefficient is
 an int when it is integral and a Fraction (denominator > 1) otherwise;
@@ -44,7 +45,8 @@ image straight into the grouped form, which the image keeps, so a twist
 permuted along an orbit is grouped once and each of its images is ready
 for the product.  _fixed_by_swap tests whether swapping two factors
 fixes x term by term, without building the image, and stops at the
-first term that differs; it adds no entry to any table.
+first term that differs; it reads its signs from permute_factors'
+table, where all swaps of neighbours share one entry.
 
 Sums of products go into one term dict: the multiply-accumulate
 _add_product adds x * y into a caller's dict (a product is one call into
@@ -264,16 +266,19 @@ def _mask_class(letters):
     return support, odd, support & ~odd
 
 
+def _inversion_parity(entries):
+    """Parity of the pairs of entries in decreasing order, the sign of
+    sorting them (Knuth, TAOCP vol. 3, 5.1.1): every sign of the ring."""
+    return sum(b > a for i, a in enumerate(entries) for b in entries[:i]) & 1
+
+
 @cache
 def _koszul_parity(odd_x, odd_y):
     """Parity of the pairs i < j with y_i and x_j odd, the exponent of the
-    Koszul sign (-1)^{sum_{i<j} |y_i||x_j|} of x * y."""
-    parity = 0
-    while odd_x:
-        low = odd_x & -odd_x
-        parity ^= (odd_y & (low - 1)).bit_count() & 1
-        odd_x ^= low
-    return parity
+    Koszul sign of x * y: x_j goes to 2j, then y_i to 2i + 1, so a pair
+    inverts exactly when i < j."""
+    return _inversion_parity([2 * j for j in range(odd_x.bit_length()) if odd_x >> j & 1]
+                             + [2 * i + 1 for i in range(odd_y.bit_length()) if odd_y >> i & 1])
 
 
 def _letters_product(lx, ly, both):
@@ -570,14 +575,8 @@ def cohomological_degree(x: RingElement):
 def _reversed_parity(sigma, odd):
     """Parity of the pairs of positions in the mask `odd` whose order
     sigma reverses: moving odd letters past each other costs that sign.
-    Read only after weights.mover has checked sigma."""
-    targets = [sigma[i] for i in range(len(sigma)) if odd >> i & 1]
-    inversions = 0
-    for a in range(len(targets)):
-        for b in range(a + 1, len(targets)):
-            if targets[a] > targets[b]:
-                inversions += 1
-    return inversions & 1
+    Read only with a checked sigma: weights.mover's, or _fixed_by_swap's."""
+    return _inversion_parity([sigma[i] for i in range(len(sigma)) if odd >> i & 1])
 
 
 def permute_factors(sigma, x: RingElement) -> RingElement:
@@ -622,17 +621,18 @@ def _fixed_by_swap(x: RingElement, i: int, j: int) -> bool:
     """Whether the transposition of the 0-based factors i < j fixes x,
     tested term by term up to the first term whose image is missing from
     x or carries another signed coefficient.  Tuples move by an
-    itemgetter of this call's own.  The sign of a class is odd when odd
-    letters sit at both factors (each odd letter between them is passed
-    twice), or at one of them and an odd number of odd letters between."""
+    itemgetter of this call's own.  The sign of a class is the one
+    permute_factors reads, _reversed_parity of its odd letters in the
+    window i..j under the swap of the window's two ends, so the library's
+    swaps of neighbours add one key to that table however large n is."""
     order = list(range(x.ctx.factors))
     order[i], order[j] = j, i
     move = itemgetter(*order)
-    both, between = 1 << i | 1 << j, (1 << j) - (2 << i)
+    swap = (j - i, *range(1, j - i), 0)
     coeffs = x._coeffs
     for (_support, odd, _points), entries in x._grouped():
-        ends = odd & both
-        negate = ends == both or ends and (odd & between).bit_count() & 1
+        odd = (odd & (2 << j) - 1) >> i
+        negate = odd & (odd - 1) and _reversed_parity(swap, odd)
         for letters, terms in entries:
             moved = move(letters)
             for omega, t, c in terms:

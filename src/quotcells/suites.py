@@ -405,8 +405,6 @@ def suite_ranks(params):
     genera = [g for g in params["genus_values"] if g <= 1]
     for g in genera:
         for n in params["n_values"]:
-            if n > 3:
-                continue
             ctx = RingContext(genus=g, factors=n)
             classes = pullback_classes(
                 ctx, decreasing_vectors(n, None, max_co=params["max_co"]),

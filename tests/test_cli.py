@@ -188,6 +188,16 @@ def test_verify_zero_coverage_fails(capsys, argv):
     assert "result: FAILED" in out
 
 
+def test_verify_ranks_checks_the_asked_n(capsys):
+    # n = 4 is checked, not skipped: A8 and A5 at four factors
+    code, out, _ = run(capsys, "verify", "--suite", "ranks", "--n", "4",
+                       "--format", "json")
+    assert code == 0
+    checks = {(case["inputs"]["check"], case["inputs"]["factors"])
+              for case in json.loads(out)["cases"]}
+    assert {("pullback-invariance", 4), ("span-equals-invariants", 4)} <= checks
+
+
 @pytest.mark.parametrize("suite", ["localization", "ranks"])
 def test_verify_suite_left_with_no_cases_fails(capsys, suite):
     # both suites check genus <= 1 only and fall back to no other genus

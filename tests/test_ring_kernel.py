@@ -7,8 +7,9 @@ per pair of classes; permute_factors moves tuples with weights.mover,
 the one memoized action of a permutation on tuples, reads the
 odd-letter sign per (sigma, odd mask), once per class, and builds its
 image grouped; ring._fixed_by_swap tests whether a transposition fixes
-x term by term, with its own itemgetter and the sign read off each
-class's odd mask.  A
+x term by term, with its own itemgetter and each class's sign read
+from the same per (sigma, odd mask) table; every sign is
+ring._inversion_parity.  A
 right-hand term with letters only, as every twist's is, keeps the left
 term's omega and t, and a right operand of one term with unit letters
 shifts each left term's exponents without grouping the left operand.  Products that are summed (the pullback orbit sums)
@@ -39,8 +40,8 @@ from hypothesis import strategies as st
 
 from quotcells import grammar, ring, weights
 from quotcells.grammar import format_element, parse
-from quotcells.pullback import (_letter_classes, average_twist,
-                                invariant_letter_classes)
+from quotcells.pullback import (_fixed_by_stabilizer, _letter_classes,
+                                average_twist, invariant_letter_classes)
 from quotcells.ring import (POINT, UNBOUNDED, UNIT, RingContext, RingElement,
                             alpha, beta, letter_degree, letter_monomials,
                             omega_layers, permute_factors)
@@ -761,3 +762,85 @@ def test_swap_test_matches_the_image_on_every_pair():
                     assert ring._fixed_by_swap(x, i, j) == fixed, (g, i, j, x)
                     counts[fixed] += 1
     assert counts[True] > 500 and counts[False] > 500
+
+
+def _cycle_parity(perm):
+    """Parity of a permutation of range(k) from its cycles: k minus the
+    number of cycles."""
+    seen, cycles = set(), 0
+    for start in range(len(perm)):
+        if start not in seen:
+            cycles += 1
+            while start not in seen:
+                seen.add(start)
+                start = perm[start]
+    return (len(perm) - cycles) & 1
+
+
+def test_inversion_parity_is_the_cycle_sign():
+    """The one sign of the ring against the cycle decomposition, for every
+    permutation of up to 6 entries, also when the entries are pairs as
+    the orbit sums pass them."""
+    for k in range(7):
+        for perm in itertools.permutations(range(k)):
+            sign = _cycle_parity(perm)
+            assert ring._inversion_parity(list(perm)) == sign, perm
+            assert ring._inversion_parity([divmod(v, 2) for v in perm]) == sign
+
+
+def test_koszul_parity_is_the_direct_sum():
+    """The Koszul parity against sum_{i<j} |y_i||x_j| for every pair of odd
+    masks over 5 factors (every n <= 5 is a prefix of these)."""
+    for odd_x in range(32):
+        for odd_y in range(32):
+            direct = sum(odd_y >> i & odd_x >> j & 1
+                         for i, j in itertools.combinations(range(5), 2))
+            assert ring._koszul_parity(odd_x, odd_y) == direct & 1, (odd_x, odd_y)
+
+
+def _closed_form_swap_sign(odd, i, j):
+    """The sign the swap of the factors i < j costs a class with the odd
+    mask `odd`: odd letters at both factors (each odd letter between them
+    is passed twice), or at one of them and an odd number of odd letters
+    between."""
+    both, between = 1 << i | 1 << j, (1 << j) - (2 << i)
+    ends = odd & both
+    return bool(ends == both or ends and (odd & between).bit_count() & 1)
+
+
+def test_swap_sign_matches_the_closed_form():
+    """The swap test's sign per class against the closed form, for every
+    pair i < j of 9 factors and every odd mask: a1 at each odd factor but
+    j, b1 at j, so that the swap moves the tuple unless both ends are
+    units; m + s tau(m) is fixed exactly for the closed form's sign s."""
+    ctx = RingContext(genus=1, factors=9)
+    zero = (0,) * 9
+    for i, j in itertools.combinations(range(9), 2):
+        for odd in range(1 << 9):
+            letters = [UNIT] * 9
+            for k in range(9):
+                if odd >> k & 1:
+                    letters[k] = beta(1) if k == j else alpha(1)
+            moved = list(letters)
+            moved[i], moved[j] = letters[j], letters[i]
+            m, image = (tuple(letters), zero, ()), (tuple(moved), zero, ())
+            negate = _closed_form_swap_sign(odd, i, j)
+            if m == image:
+                assert ring._fixed_by_swap(RingElement(ctx, {m: 1}), i, j) != negate
+                continue
+            s = -1 if negate else 1
+            assert ring._fixed_by_swap(RingElement(ctx, {m: 1, image: s}), i, j), (i, j, odd)
+            assert not ring._fixed_by_swap(RingElement(ctx, {m: 1, image: -s}), i, j)
+
+
+def test_swaps_of_neighbours_add_one_sign_entry():
+    """An S_60-invariant element with two odd letters per term: testing
+    all 59 neighbour swaps reads one (swap, window) sign, whatever the
+    positions of the odd letters."""
+    ctx = RingContext(genus=1, factors=60)
+    labels = (0,) * 60
+    x = average_twist(ctx, labels, ctx.letter_at(1, alpha(1)) * ctx.letter_at(2, beta(1)))
+    assert len(x.coeffs) == 60 * 59
+    ring._reversed_parity.cache_clear()
+    assert _fixed_by_stabilizer(labels, x)
+    assert ring._reversed_parity.cache_info().currsize <= 1
