@@ -94,11 +94,7 @@ def restrict_to_fixed_point(x: RingElement, w) -> RingElement:
                 image = power if image is None else image * power
         if image is None:  # the omega-free layer is its own image
             for mono, c in part._coeffs.items():
-                s = out.get(mono, 0) + c
-                if s:
-                    out[mono] = s
-                else:
-                    del out[mono]
+                out[mono] = out.get(mono, 0) + c
         else:
             _add_product(out, part, image)
     acc = _settled(ctx, out)
@@ -146,6 +142,7 @@ def top_term_product(ctx: RingContext, v, w) -> RingElement:
                     bumped = list(t)
                     bumped[k] += 1
                     bumped = tuple(bumped)
+                    # its own zero test, independent of the kernel it checks
                     s = expanded.get(bumped, 0) + d
                     if s:
                         expanded[bumped] = s

@@ -48,13 +48,14 @@ fixes x term by term, without building the image, and stops at the
 first term that differs; it reads its signs from permute_factors'
 table, where all swaps of neighbours share one entry.
 
-Sums of products go into one term dict: the multiply-accumulate
-_add_product adds x * y into a caller's dict (a product is one call into
-a fresh dict, and a restriction to a fixed point one call per omega
-layer with nonzero omega; its omega-free layer is added term by
-term).  A right operand of one term whose letters are all UNIT, a
-scalar times w^o t^e, is an exponent shift: each left term keeps its
-letters, adds o and e and multiplies its coefficient into the dict,
+Sums of products go into one term dict by plain sums: the
+multiply-accumulate _add_product adds x * y into a caller's dict (a
+product is one call into a fresh dict, and a restriction to a fixed
+point one call per omega layer with nonzero omega; its omega-free layer
+is added term by term), and _settled alone drops what cancels when it
+makes the element.  A right operand of one term whose letters are all
+UNIT, a scalar times w^o t^e, is an exponent shift: each left term keeps
+its letters, adds o and e and multiplies its coefficient into the dict,
 with no grouping and no class pair.  The powers of omega_i at a fixed
 point w with no equal entry before w_i and degree 0 are such terms,
 t_{w_i}^e.  A right-hand term with letters only, zero omega and no t,
@@ -316,11 +317,7 @@ def _add_products(out, letters, negate, xs, ys):
                 cy = -cy
             for ox, tx, cx in xs:
                 mono = (letters, ox, tx)
-                s = out.get(mono, 0) + cx * cy
-                if s:
-                    out[mono] = s
-                else:
-                    del out[mono]
+                out[mono] = out.get(mono, 0) + cx * cy
             return
     for ox, tx, cx in xs:
         if negate:
@@ -332,17 +329,12 @@ def _add_products(out, letters, negate, xs, ys):
             else:
                 t = tx or ty
             mono = (letters, tuple(map(add, ox, oy)), t)
-            s = out.get(mono, 0) + cx * cy
-            if s:
-                out[mono] = s
-            else:
-                del out[mono]
+            out[mono] = out.get(mono, 0) + cx * cy
 
 
 def _add_product(out, x, y):
-    """Add x * y into the term dict `out`, monomial -> coefficient, in
-    which a sum that cancels is dropped and a coefficient may be left a
-    Fraction of denominator 1 (_settled makes it an int)."""
+    """Add x * y into the term dict `out`, monomial -> coefficient, by
+    plain sums, which may leave zeros until _settled drops them."""
     _require_ctx(x.ctx, y)
     if len(y._coeffs) == 1:
         ((ly, oy, ty), cy), = y._coeffs.items()
@@ -359,11 +351,7 @@ def _add_product(out, x, y):
                 else:
                     tx = tx or ty
                 mono = (lx, ox, tx)
-                s = out.get(mono, 0) + cx * cy
-                if s:
-                    out[mono] = s
-                else:
-                    del out[mono]
+                out[mono] = out.get(mono, 0) + cx * cy
             return
     # Whether a pair of letter tuples survives and with which sign is
     # settled per pair of mask classes where the classes decide it; only
@@ -405,11 +393,16 @@ def _require_ctx(ctx, x):
 
 
 def _settled(ctx, out):
-    """The element of a term dict filled by sums that drop what cancels:
-    each integral Fraction is made an int, in place."""
+    """The element of a term dict filled by plain sums: each zero is
+    dropped and each integral Fraction made an int, in place."""
+    zeros = []
     for mono, c in out.items():
-        if type(c) is not int and c.denominator == 1:
+        if not c:
+            zeros.append(mono)
+        elif type(c) is not int and c.denominator == 1:
             out[mono] = c.numerator
+    for mono in zeros:
+        del out[mono]
     return RingElement(ctx, out)
 
 
@@ -481,6 +474,7 @@ class RingElement:
         elif not isinstance(other, RingElement):
             return NotImplemented
         _require_ctx(self.ctx, other)
+        # its own zero test: a settle pass would walk the whole left copy
         out = dict(self._coeffs)
         for mono, c in other._coeffs.items():
             s = out.get(mono, 0) + c
@@ -545,12 +539,8 @@ def element_from_terms(ctx: RingContext, terms) -> RingElement:
     """Build an element from (monomial, coefficient) pairs, merging duplicates."""
     out = {}
     for mono, c in terms:
-        s = out.get(mono, 0) + c
-        if s:
-            out[mono] = s
-        else:
-            out.pop(mono, None)
-    return RingElement(ctx, {m: _normal(c) for m, c in out.items()})
+        out[mono] = out.get(mono, 0) + c
+    return _settled(ctx, out)
 
 
 def cohomological_degree(x: RingElement):

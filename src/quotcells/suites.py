@@ -159,8 +159,9 @@ def check_diagonal_products(label, ctx, tuples):
 
 def check_series_closed_form(label, ctx, order):
     """Cell-class series of index n == closed product form, up to t^order."""
-    direct = cells.cell_class_series(ctx, ctx.factors, order)
-    closed = cells.cell_class_series_closed_form(ctx, ctx.factors, order)
+    n = ctx.factors  # there is no series of index 0, so n = 0 checks nothing
+    direct = cells.cell_class_series(ctx, n, order) if n else []
+    closed = cells.cell_class_series_closed_form(ctx, n, order) if n else []
     bad = next(("power=%d residual=%s" % (l, format_element(x - y))
                 for l, (x, y) in enumerate(zip(direct, closed)) if x != y), None)
     return [_case({"check": "series-vs-closed-form", **label},
@@ -341,7 +342,7 @@ def suite_recursion(params):
         cases += check_series_closed_form({"genus": g, "factors": n, "order": order},
                                           ctx, order)
     for g, n, ctx in grid:
-        steps = [(ctx, v, m) for v in _vectors(n, max_co) if v[-1] >= 1
+        steps = [(ctx, v, m) for v in _vectors(n, max_co) if v and v[-1] >= 1
                  for m in range(1, n)]
         cases += check_cross_index({"genus": g, "factors": n, "max_co": max_co}, steps)
     if params["random_cases"]:
@@ -362,10 +363,10 @@ def suite_recursion(params):
         cases += check_product_filtration(
             dict(label, budget=budget), ctx,
             [(v, w) for v in positive for w in positive if sum(v) + sum(w) <= budget])
-        cases += check_module_recursion(
+        cases += check_module_recursion(  # no factor 1 to recurse on at n = 0
             label, ctx, [(u, l) for u in itertools.product(range(3), repeat=n - 1)
                          if sum(u) <= max_co - 1
-                         for l in range(1, max_co - sum(u) + 1)])
+                         for l in range(1, max_co - sum(u) + 1)] if n else [])
     return cases
 
 

@@ -180,6 +180,7 @@ def test_verify_reports_are_deterministic(capsys):
     ("verify", "--suite", "localization", "--rank", "0"),
     ("verify", "--suite", "recursion", "--n", "1", "--random-cases", "0"),
     ("verify", "--suite", "ranks", "--n", "0"),
+    ("verify", "--suite", "recursion", "--n", "0"),
 ])
 def test_verify_zero_coverage_fails(capsys, argv):
     code, out, _ = run(capsys, *argv)

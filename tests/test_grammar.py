@@ -38,6 +38,20 @@ def test_fractional_and_negative_coefficients():
     assert format_element(x) == "-1/2 * [pt] + 3 * [one] w^(2)"
 
 
+def test_repeated_terms_merge_and_settle():
+    """Terms of one monomial are summed plainly and settled once: an
+    integral sum is an int, a sum that cancels leaves no term."""
+    ctx = RingContext(genus=0, factors=1)
+    pt = ((POINT,), (0,), ())
+    summed = dict(parse(ctx, "1/2 * [pt] + 1/2 * [pt]").coeffs)
+    assert summed == {pt: 1} and type(summed[pt]) is int
+    assert parse(ctx, "1 * [pt] + -1 * [pt]").is_zero()
+    assert dict(parse(ctx, "1/3 * [pt] + 1/6 * [pt]").coeffs) == {pt: Fraction(1, 2)}
+    one = ((UNIT,), (0,), ())
+    assert element_from_terms(ctx, [(pt, Fraction(1, 2)), (one, 3), (pt, -1),
+                                    (one, -3), (pt, Fraction(1, 2))]).is_zero()
+
+
 def test_t_part():
     ctx = RingContext(genus=0, factors=1, rank=3)
     x = parse(ctx, "1 * [one] t^(0,2)")

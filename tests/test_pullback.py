@@ -13,6 +13,7 @@ import pytest
 from quotcells import pullback, suites, weights
 from quotcells.cells import cell_class, complete_homogeneous
 from quotcells.grammar import parse
+from quotcells.linalg import exact_rank
 from quotcells.pullback import (_letter_classes, average_twist,
                                 generator_span_check, invariant_dimension,
                                 invariant_letter_classes, is_invariant,
@@ -28,6 +29,7 @@ from quotcells.weights import (admissible_row_tuples, apply_perm,
 from conftest import (assert_read_only, compositions, graph_components,
                       hat_sets, invert, monomials_of_degree, permutations,
                       project_invariant, symmetrized_cell_class)
+from test_linalg import reference_rank
 from test_series import decomposition_dimension_check
 
 
@@ -456,6 +458,18 @@ def test_spanning_twists_need_no_average():
                     assert average_twist(ctx, u, a) is a, (g, n, u, a)
                     checked += 1
         assert checked, (g, n)
+
+
+def test_spanning_rank_meets_the_dense_reference():
+    """At every degree of the benchmark's rank certificates, the sparse
+    exact_rank of the spanning classes' rows equals the dense Bareiss
+    reference on the same rows and the dimension of the invariants."""
+    for g, n, max_degree in RANK_SIZES:
+        ctx = RingContext(genus=g, factors=n)
+        for d in range(max_degree + 1):
+            rows = [x.coeffs for x in quot_pullback_spanning_classes(ctx, d)]
+            assert exact_rank(rows) == reference_rank(rows) \
+                == invariant_dimension(ctx, d), (g, n, d)
 
 
 def test_spanning_classes_check_only_weights_with_twists():

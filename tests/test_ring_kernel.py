@@ -638,6 +638,7 @@ def test_unit_letter_right_operand(case, cancel):
     out = {}
     ring._add_product(out, x, -y)
     ring._add_product(out, x, y)
+    ring._settled(x.ctx, out)
     assert out == {}
     # an exponent shift reads the left operand's terms, not its grouping
     left = RingElement(x.ctx, dict(x.coeffs))
