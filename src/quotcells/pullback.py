@@ -1,35 +1,22 @@
 """Pullbacks of quot-scheme cell classes to the complete-flag model.
 
-Two independent evaluations are provided, both sums over the orbit of
-the weight: of cell classes (the oracle) and of admissible row tuples;
-the two must agree exactly, and both enter through `_pullback`, so they
-accept the same weights.  Each route, and the partial-flag pullback,
-walks its orbit with weights.orbit_walk, in at most n steps per orbit
-member and without listing a group, and does so once per weight and
-context: the list of (member class, sigma) it builds is kept in the
-context's memo, keyed by the route's member function, the weight and
-the labels, and read by every later twist of that weight (the spanning
-classes of a degree, the twists of one weight in the `verify` grids and
-every later call).  A weight is checked when its list is built, so a
-list in the memo always belongs to a checked weight.  The two routes
-never read each other's list.  The spanning classes of a degree sum
-each twist straight over the list, as the partial-flag pullback does:
-their weights are decreasing and their twists are St(u) group sums,
-whose lists the memo keeps too, one per degree and block pattern of the
-labels.  The combinatorial route's member class is the sum over the
-admissible row tuples of each tuple's omega monomial times the diagonal
-classes of its incidence components (diagonal_class, one per
-component): the row-tuple search yields both, the components with
-their b1 from the one weights.mask_components pass that admitted the
-tuple.  The products go into one term dict, each shifted by its
-omega monomial (ring._add_product), and the dict is settled once.  Twist
-averages and invariant letter classes are orbit sums too.  The module
-also carries the symmetry/rank machinery used to certify that the
-pullback image is the full invariant subring of ring.permute_factors,
-the permutation action that moves each factor's curve class together
-with its omega; invariance is tested term by term, one transposition of
-two factors at a time (ring._fixed_by_swap).  Every sign, an orbit
-member's too, is ring._inversion_parity's.
+Two independent evaluations are provided, both orbit sums over S_n u:
+of cell classes (the oracle) and of the prefactors of admissible row
+tuples; the two must agree exactly.  Every orbit sum, of either route,
+of a partial flag or of a spanning class, reads one member list of
+(member class, sigma), built by `_orbit_members` with weights.orbit_walk
+once per context, route, weight and labels and kept in the context's
+memo; the two routes never read each other's list.  `_orbit_members` is
+the one place a weight is checked, before its list is built, so a list
+in the memo always belongs to a checked weight.  `pullback_classes` is
+the one enumerator of (u, twist) classes, for `verify`, the acceptance
+tests and the spanning classes of the rank certificate; it sums each
+St(u) group-sum twist straight over u's list.  Twist averages and
+invariant letter classes are orbit sums too.  The module also carries
+the symmetry/rank machinery that certifies the pullback image is the
+full invariant subring of ring.permute_factors; invariance is tested
+one transposition of two factors at a time (ring._fixed_by_swap), and
+every sign is ring._inversion_parity's.
 """
 
 from __future__ import annotations
@@ -47,7 +34,7 @@ from .ring import (POINT, UNIT, RingContext, RingElement, _add_product,
                    permute_factors, point_class, small_diagonal)
 from .series import poly_coeff, quot_series_product
 from .weights import (admissible_row_tuples, apply_perm, decreasing_vectors,
-                      is_decreasing, mask_elements, orbit_walk)
+                      mask_elements, orbit_walk)
 
 
 def _fixed_by_stabilizer(v, x: RingElement) -> bool:
@@ -111,29 +98,15 @@ def _orbit_average(ctx: RingContext, v, a: RingElement) -> RingElement:
                              for mono, c in out.items() if c})
 
 
-def _pullback(ctx: RingContext, member, u, a: RingElement) -> RingElement:
-    """One route's orbit sum for the weight u and the twist a: u must be a
-    decreasing weight vector of the context, and a twist that is not
-    St(u)-invariant is averaged over St(u) first.  u is checked only when
-    the route has no member list for it on the context, and the list
-    built then enters the memo once u has passed."""
-    u = tuple(u)
-    members = ctx._memo.get(("members", member, u, None))
-    if members is None:
-        _check_entries(ctx, u)
-        if not is_decreasing(u):
-            raise ValueError("u must be decreasing")
-        members = _orbit_members(ctx, member, u)
-    return _orbit_sum(ctx, members, average_twist(ctx, u, a))
-
-
 def quot_pullback(ctx: RingContext, u, a: RingElement = None) -> RingElement:
     """Pullback of the quot-scheme cell class of the decreasing weight u
     twisted by a: the orbit sum over v in S_n u of cell(v) sigma_v(a),
     sigma_v(u) = v, which is the symmetrization (1/|St(u)|) sum_sigma
     cell(sigma u) sigma(a) since a is St(u)-invariant.
     """
-    return _pullback(ctx, cell_class, u, a)
+    u = tuple(u)
+    return _orbit_sum(ctx, _orbit_members(ctx, cell_class, u),
+                      average_twist(ctx, u, a))
 
 
 def _orbit_members(ctx: RingContext, member, v, labels=None):
@@ -143,10 +116,18 @@ def _orbit_members(ctx: RingContext, member, v, labels=None):
     per context and route and read by every twist summed over it.  The
     two pullback routes differ only in `member`, so neither reads the
     other's list, and the labels keep apart partial flags whose blocks
-    concatenate to one v."""
+    concatenate to one v.  This is where a weight is checked, before its
+    list is built: its entries, then that v decreases on each run of
+    equal labels (all of v when labels is None), the orbit walk's n-steps
+    precondition."""
     key = ("members", member, v, labels)
     got = ctx._memo.get(key)
     if got is None:
+        _check_entries(ctx, v)
+        keys = (0,) * len(v) if labels is None else labels
+        if any(k == l and x < y for k, l, x, y in zip(keys, keys[1:], v, v[1:])):
+            raise ValueError("u must be decreasing" if labels is None
+                             else "each block must be decreasing")
         got = ctx._memo[key] = tuple(
             (member(ctx, w), sigma) for w, sigma in orbit_walk(v, labels).items())
     return got
@@ -186,7 +167,9 @@ def quot_pullback_combinatorial(ctx: RingContext, u,
     """
     if any(ctx.degrees):
         raise ValueError("the combinatorial formula requires trivial degrees")
-    return _pullback(ctx, _prefactor_sum, u, a)
+    u = tuple(u)
+    return _orbit_sum(ctx, _orbit_members(ctx, _prefactor_sum, u),
+                      average_twist(ctx, u, a))
 
 
 def _prefactor_sum(ctx: RingContext, v) -> RingElement:
@@ -219,14 +202,11 @@ def partial_flag_pullback(ctx: RingContext, composition, v_star,
         raise ValueError("blocks do not match the composition")
     if sum(composition) != ctx.factors:
         raise ValueError("composition must sum to the number of factors")
-    for b in blocks:
-        if not is_decreasing(b):
-            raise ValueError("each block must be decreasing")
     v = tuple(x for b in blocks for x in b)
     labels = tuple(k for k, b in enumerate(blocks) for _ in b)
     # the part of Y fixing v fixes each (block label, entry) pair
-    a = average_twist(ctx, tuple(zip(labels, v)), a)
-    return _orbit_sum(ctx, _orbit_members(ctx, cell_class, v, labels), a)
+    return _orbit_sum(ctx, _orbit_members(ctx, cell_class, v, labels),
+                      average_twist(ctx, tuple(zip(labels, v)), a))
 
 
 # -- symmetry and rank certificates -------------------------------------------
@@ -310,22 +290,29 @@ def _letter_classes(ctx: RingContext, degree: int, labels):
     return list(got)
 
 
-def quot_pullback_spanning_classes(ctx: RingContext, degree: int):
-    """The pullback classes of degree `degree` built from all decreasing
-    weights u and a spanning set of St(u)-invariant twists, in the order
-    of u and then of the twists: each class is quot_pullback(ctx, u, a),
-    summed straight over u's one member list, since every u here is
-    decreasing and every twist a St(u) group sum, which quot_pullback's
-    weight check and twist average would only confirm.  Building the
-    list checks the entries of u (cell_class names the first one out of
-    range), and a weight with no twist of its degree is never checked."""
-    classes = []
-    for u in decreasing_vectors(ctx.factors, None, degree // 2):
-        twists = _letter_classes(ctx, degree - 2 * sum(u), u)
+def pullback_classes(ctx: RingContext, pairs):
+    """(u, a, psi(u; a)) for each (u, degree) of `pairs` and each twist a
+    of _letter_classes(ctx, degree, u), the St(u) group sums with u as its
+    own labels, streamed in that order.  Each class is quot_pullback(ctx,
+    u, a) summed straight over u's one member list: a St(u) group sum is
+    its own average.  A u with no twist of its degree gets no list, so it
+    is never checked."""
+    for u, degree in pairs:
+        u = tuple(u)
+        twists = _letter_classes(ctx, degree, u)
         if twists:
             members = _orbit_members(ctx, cell_class, u)
-            classes += [_orbit_sum(ctx, members, a) for a in twists]
-    return classes
+            for a in twists:
+                yield u, a, _orbit_sum(ctx, members, a)
+
+
+def quot_pullback_spanning_classes(ctx: RingContext, degree: int):
+    """The pullback classes of degree `degree` from every decreasing
+    weight u and the St(u)-invariant twists of the rest of the degree, in
+    the order of u and then of the twists."""
+    return [x for _u, _a, x in pullback_classes(
+        ctx, ((u, degree - 2 * sum(u))
+              for u in decreasing_vectors(ctx.factors, None, degree // 2)))]
 
 
 def pullback_generators(ctx: RingContext):

@@ -54,17 +54,6 @@ def _case(inputs, expected, got, ok, checked):
 
 # -- pullbacks ------------------------------------------------------------------
 
-def pullback_classes(ctx, us, degrees):
-    """(u, a, psi(u; a)) for each u and each St(u)-invariant letter class
-    a of the degrees, u serving as its own labels, streamed one class at
-    a time: checks given one grid share its pullbacks through list().
-    All twists of one u share u's member list on the context."""
-    for u in us:
-        for d in degrees:
-            for a in pullback._letter_classes(ctx, d, u):
-                yield u, a, pullback.quot_pullback(ctx, u, a)
-
-
 def check_pullback_routes(label, ctx, classes):
     """The combinatorial route reproduces every pullback of the grid,
     counted as it is read."""
@@ -315,9 +304,9 @@ def suite_pullback(params):
     for g in params["genus_values"]:
         for n in params["n_values"]:
             ctx = RingContext(genus=g, factors=n)
-            classes = pullback_classes(
-                ctx, decreasing_vectors(n, None, max_co=params["max_co"]),
-                range(params["max_twist_degree"] + 1))
+            classes = pullback.pullback_classes(ctx, (
+                (u, d) for u in decreasing_vectors(n, None, max_co=params["max_co"])
+                for d in range(params["max_twist_degree"] + 1)))
             cases += check_pullback_routes(
                 {"genus": g, "factors": n, "max_co": params["max_co"]}, ctx, classes)
     cases += check_incidence_betti([((0b0110, 0b1100), 0),  # {1, 2}, {2, 3}
@@ -407,9 +396,9 @@ def suite_ranks(params):
     for g in genera:
         for n in params["n_values"]:
             ctx = RingContext(genus=g, factors=n)
-            classes = pullback_classes(
-                ctx, decreasing_vectors(n, None, max_co=params["max_co"]),
-                range(min(params["max_twist_degree"], 2 * n) + 1))
+            classes = pullback.pullback_classes(ctx, (
+                (u, d) for u in decreasing_vectors(n, None, max_co=params["max_co"])
+                for d in range(min(params["max_twist_degree"], 2 * n) + 1)))
             cases += check_pullback_invariance({"genus": g, "factors": n}, ctx, classes)
             cases += check_span_rank({"genus": g, "factors": n, "max_degree": max_degree},
                                      ctx, range(max_degree + 1))

@@ -10,7 +10,7 @@ import itertools
 import random
 import time
 
-from quotcells import suites
+from quotcells import pullback, suites
 from quotcells.ring import RingContext
 from quotcells.weights import decreasing_vectors
 
@@ -46,8 +46,9 @@ def _a1_cases():
     routes, invariance = [], []
     for g, n, max_co in _A1_GRID:
         ctx = _ctx(g, n)
-        classes = list(suites.pullback_classes(
-            ctx, decreasing_vectors(n, None, max_co=max_co), range(5)))
+        classes = list(pullback.pullback_classes(ctx, (
+            (u, d) for u in decreasing_vectors(n, None, max_co=max_co)
+            for d in range(5))))
         label = {"genus": g, "factors": n, "max_co": max_co}
         routes += suites.check_pullback_routes(label, ctx, classes)
         invariance += suites.check_pullback_invariance(label, ctx, classes)

@@ -17,8 +17,8 @@ from quotcells.linalg import exact_rank
 from quotcells.pullback import (_letter_classes, average_twist,
                                 generator_span_check, invariant_dimension,
                                 invariant_letter_classes, is_invariant,
-                                partial_flag_pullback, quot_pullback,
-                                quot_pullback_combinatorial,
+                                partial_flag_pullback, pullback_classes,
+                                quot_pullback, quot_pullback_combinatorial,
                                 quot_pullback_spanning_classes, span_rank)
 from quotcells.ring import (POINT, RingContext, RingElement, UNIT, alpha,
                             diagonal, letter_monomials, permute_factors,
@@ -359,6 +359,22 @@ class TestPartialFlag:
         with pytest.raises(ValueError):
             partial_flag_pullback(ctx, (2, 1), ((1,), (1, 0)))
 
+    def test_block_check(self):
+        """A block that is not decreasing raises at every call and leaves
+        no member list behind; the errors come in quot_pullback's order,
+        a bad entry before a bad block and a bad block before a twist of
+        another context."""
+        ctx = RingContext(genus=0, factors=3, rank=2)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="each block must be decreasing"):
+                partial_flag_pullback(ctx, (2, 1), ((0, 1), (0,)))
+        assert [key for key in ctx._memo if key[0] == "members"] == []
+        with pytest.raises(ValueError, match="entry 2 out of range for rank 2"):
+            partial_flag_pullback(ctx, (2, 1), ((0, 2), (0,)))
+        a = RingContext(genus=1, factors=3).letter_at(1, alpha(1))
+        with pytest.raises(ValueError, match="each block must be decreasing"):
+            partial_flag_pullback(ctx, (2, 1), ((0, 1), (0,)), a)
+
 
 class TestSymmetryCertificates:
     def test_is_invariant_examples(self):
@@ -446,17 +462,24 @@ RANK_SIZES = ((0, 2, 8), (1, 2, 8), (2, 2, 8), (3, 2, 8), (0, 3, 8), (1, 3, 8),
 
 
 def test_spanning_twists_need_no_average():
-    """Every twist the spanning classes sum is a St(u) group sum, which
-    average_twist returns as it is: the weight check and twist average
-    the direct sums leave out would change nothing."""
-    for g, n, max_degree in RANK_SIZES:
+    """Every twist pullback_classes sums is a St(u) group sum, which
+    average_twist returns as it is: the twist average the direct sums
+    leave out would change nothing.  The (u, twist degree) pairs are
+    those of the spanning classes at the rank sizes and those of the A1
+    grid, which holds the default pullback and rank grids of verify."""
+    grids = [(g, n, [(u, d - 2 * sum(u)) for d in range(max_degree + 1)
+                     for u in decreasing_vectors(n, None, d // 2)])
+             for g, n, max_degree in RANK_SIZES]
+    grids += [(g, n, [(u, d) for u in decreasing_vectors(n, None, max_co)
+                      for d in range(5)])
+              for g in range(3) for n, max_co in ((2, 4), (3, 4), (4, 3))]
+    for g, n, pairs in grids:
         ctx = RingContext(genus=g, factors=n)
         checked = 0
-        for d in range(max_degree + 1):
-            for u in decreasing_vectors(n, None, d // 2):
-                for a in _letter_classes(ctx, d - 2 * sum(u), u):
-                    assert average_twist(ctx, u, a) is a, (g, n, u, a)
-                    checked += 1
+        for u, d in pairs:
+            for a in _letter_classes(ctx, d, u):
+                assert average_twist(ctx, u, a) is a, (g, n, u, a)
+                checked += 1
         assert checked, (g, n)
 
 
@@ -474,12 +497,22 @@ def test_spanning_rank_meets_the_dense_reference():
 
 def test_spanning_classes_check_only_weights_with_twists():
     """A weight out of range raises once it has a twist of the degree; a
-    weight with none is skipped before any check."""
+    weight with none is skipped before any check and gets no member
+    list, in the spanning classes and in pullback_classes alike."""
     ctx = RingContext(genus=0, factors=2, rank=2)
     for degree in (4, 6):
         with pytest.raises(ValueError, match="entry 2 out of range for rank 2"):
             quot_pullback_spanning_classes(ctx, degree)
     assert quot_pullback_spanning_classes(ctx, 5) == []
+    # genus 0 has no odd letters, so no twist of degree 1 or 3
+    fresh = RingContext(genus=0, factors=2, rank=2)
+    assert list(pullback_classes(fresh, [((2, 0), 1), ((0, 1), 3)])) == []
+    assert [key for key in fresh._memo if key[0] == "members"] == []
+    for pair, message in ((((2, 0), 0), "entry 2 out of range for rank 2"),
+                          (((0, 1), 0), "u must be decreasing")):
+        with pytest.raises(ValueError, match=message):
+            list(pullback_classes(fresh, [pair]))
+    assert [key for key in fresh._memo if key[0] == "members"] == []
 
 
 def _block_pattern(labels):
@@ -566,7 +599,7 @@ def test_route_check_reads_a_stream_once():
     gives, with the same class count and first mismatch."""
     ctx = RingContext(genus=1, factors=3)
     us = decreasing_vectors(3, None, max_co=2)
-    triples = list(suites.pullback_classes(ctx, us, range(3)))
+    triples = list(pullback_classes(ctx, [(u, d) for u in us for d in range(3)]))
     assert [(u, a) for u, a, _ in triples] == [
         (u, a) for u in us for d in range(3)
         for a in invariant_letter_classes(ctx, d, stabilizer(u))]
