@@ -139,15 +139,6 @@ def _step_pieces(ctx: RingContext, j: int, entry: int, eq: bool) -> list:
     return pieces
 
 
-def _step_factor(ctx: RingContext, j: int, entry: int, eq: bool) -> RingElement:
-    """omega_j - d_entry pt_j, less t_entry in the equivariant case: the
-    sum of the step's pieces, which are distinct monomials."""
-    terms = {}
-    for piece in _step_pieces(ctx, j, entry, eq):
-        terms.update(piece._coeffs)
-    return RingElement(ctx, terms)
-
-
 def _require_letters_only(a: RingElement):
     for (_letters, omega, t) in a.coeffs:
         if any(omega) or t:
@@ -203,7 +194,11 @@ def lower_index_step_residual(ctx: RingContext, v, m: int,
     if v[n - 1] < 1:
         raise ValueError("last entry must be >= 1")
     cell = cell_class_equivariant if equivariant else cell_class
-    lhs = _step_factor(ctx, m, v[m - 1], equivariant) * cell(ctx, v)
+    below = cell(ctx, v)  # first: a rank-0 context fails here, not at t_var
+    step = ctx.omega(m) - ctx.bundle_degree(v[m - 1]) * ctx.pt(m)
+    if equivariant:
+        step = step - ctx.t_var(v[m - 1])
+    lhs = step * below
     bumped = v[:m - 1] + (v[m - 1] + 1,) + v[m:]
     rhs = cell(ctx, bumped)
     for k in range(1, m):

@@ -21,7 +21,6 @@ every sign is ring._inversion_parity's.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
 
@@ -29,9 +28,9 @@ from .cells import (_check_entries, _check_length, _require_letters_only,
                     cell_class)
 from .linalg import exact_rank
 from .ring import (POINT, UNIT, RingContext, RingElement, _add_product,
-                   _fixed_by_swap, _inversion_parity, _normal, _require_ctx,
-                   _settled, cohomological_degree, letter_monomials,
-                   permute_factors, point_class, small_diagonal)
+                   _fixed_by_swap, _inversion_parity, _require_ctx, _settled,
+                   cohomological_degree, letter_monomials, permute_factors,
+                   point_class, small_diagonal)
 from .series import poly_coeff, quot_series_product
 from .weights import (admissible_row_tuples, apply_perm, decreasing_vectors,
                       mask_elements, orbit_walk)
@@ -89,13 +88,13 @@ def _orbit_average(ctx: RingContext, v, a: RingElement) -> RingElement:
     """a averaged over St(v): each term c m gives c |Stab(m)| / |St(v)| =
     c / |orbit| times the signed sum over the St(v)-orbit of m, which
     weights.orbit_walk lists with v as labels."""
-    order, out = _young_order(v), Counter()
+    order, out = _young_order(v), {}
     for (letters, _omega, _t), c in a._coeffs.items():
         orbit = list(orbit_walk(letters, v))
         for mono, k in _orbit_group_sum(v, order, orbit).items():
-            out[mono] += c * k
-    return RingElement(ctx, {mono: _normal(Fraction(c, order))
-                             for mono, c in out.items() if c})
+            out[mono] = out.get(mono, 0) + c * k
+    return _settled(ctx, {mono: Fraction(c, order)
+                          for mono, c in out.items()})
 
 
 def quot_pullback(ctx: RingContext, u, a: RingElement = None) -> RingElement:

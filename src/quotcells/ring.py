@@ -12,10 +12,14 @@ w_i and t_a are even and central.  Every sign is that rule, -1 per pair
 of odd letters passing each other, computed by _inversion_parity alone.
 
 Elements are sparse maps monomial -> coefficient, where a coefficient is
-an int when it is integral and a Fraction (denominator > 1) otherwise;
-the few places that make coefficients (scalar, monomial, sums, products
-and element_from_terms) keep that normalization.  All arithmetic is
-exact; no floating point anywhere.  Elements are immutable values: every
+an int when it is integral and a Fraction (denominator > 1) otherwise.
+_settled is the one place that rule is written: scalar, monomial, scalar
+and element products, element_from_terms and the twist averages of
+pullback fill a plain dict and end in it.  Two sites keep their own zero
+test: x + y, which merges into a copy of x that a settle pass would walk
+whole, and localization.top_term_product, whose expected side stays
+independent of the kernel it checks.  All arithmetic is exact; no
+floating point anywhere.  Elements are immutable values: every
 operation returns a fresh element and `coeffs` is a read-only view, so
 elements are safe to share between concurrent tasks and caches.
 
@@ -111,11 +115,6 @@ def _trim(t):
     return t[:n]
 
 
-def _normal(q):
-    """A coefficient as an int when it is integral, else as a Fraction."""
-    return q.numerator if q.denominator == 1 else q
-
-
 UNBOUNDED = None  # rank sentinel: t-variables indexed on demand
 
 
@@ -173,11 +172,8 @@ class RingContext:
         return self.scalar(1)
 
     def scalar(self, q) -> "RingElement":
-        q = _normal(Fraction(q))
-        if q == 0:
-            return self.zero()
         mono = ((UNIT,) * self.factors, (0,) * self.factors, ())
-        return RingElement(self, {mono: q})
+        return _settled(self, {mono: Fraction(q)})
 
     def monomial(self, letters=None, omega=None, t=(), coeff=1) -> "RingElement":
         n = self.factors
@@ -192,10 +188,8 @@ class RingContext:
         t = _trim(tuple(t))
         self._check_t_length(len(t))
         if type(coeff) is not int:
-            coeff = _normal(Fraction(coeff))
-        if coeff == 0:
-            return self.zero()
-        return RingElement(self, {(letters, omega, t): coeff})
+            coeff = Fraction(coeff)
+        return _settled(self, {(letters, omega, t): coeff})
 
     def omega(self, i: int, power: int = 1) -> "RingElement":
         """The class w_i (1-based factor index)."""
@@ -393,8 +387,9 @@ def _require_ctx(ctx, x):
 
 
 def _settled(ctx, out):
-    """The element of a term dict filled by plain sums: each zero is
-    dropped and each integral Fraction made an int, in place."""
+    """The element of a term dict filled by plain sums, the one
+    coefficient normalizer: each zero is dropped and each integral
+    Fraction made an int, in place."""
     zeros = []
     for mono, c in out.items():
         if not c:
@@ -501,11 +496,8 @@ class RingElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = _normal(Fraction(other))
-            if q == 0:
-                return self.ctx.zero()
-            return RingElement(self.ctx, {m: _normal(c * q)
-                                          for m, c in self._coeffs.items()})
+            return _settled(self.ctx, {m: c * other
+                                       for m, c in self._coeffs.items()})
         if not isinstance(other, RingElement):
             return NotImplemented
         out = {}

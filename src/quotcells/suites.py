@@ -299,16 +299,23 @@ def _vectors(n, max_co):
             if sum(v) <= max_co]
 
 
+def _pullback_grid(ctx, params):
+    """The (u, twist) classes of the pullback and rank grids over ctx: each
+    decreasing u with co(u) <= max_co, with each twist of degree at most
+    max_twist_degree."""
+    return pullback.pullback_classes(ctx, (
+        (u, d) for u in decreasing_vectors(ctx.factors, None, max_co=params["max_co"])
+        for d in range(params["max_twist_degree"] + 1)))
+
+
 def suite_pullback(params):
     cases = []
     for g in params["genus_values"]:
         for n in params["n_values"]:
             ctx = RingContext(genus=g, factors=n)
-            classes = pullback.pullback_classes(ctx, (
-                (u, d) for u in decreasing_vectors(n, None, max_co=params["max_co"])
-                for d in range(params["max_twist_degree"] + 1)))
             cases += check_pullback_routes(
-                {"genus": g, "factors": n, "max_co": params["max_co"]}, ctx, classes)
+                {"genus": g, "factors": n, "max_co": params["max_co"]}, ctx,
+                _pullback_grid(ctx, params))
     cases += check_incidence_betti([((0b0110, 0b1100), 0),  # {1, 2}, {2, 3}
                                     ((0b0110, 0b1100, 0b1010), 1),  # and {1, 3}
                                     ((0b0110, 0b1100, 0b1110), 2)])  # and {1, 2, 3}
@@ -396,10 +403,8 @@ def suite_ranks(params):
     for g in genera:
         for n in params["n_values"]:
             ctx = RingContext(genus=g, factors=n)
-            classes = pullback.pullback_classes(ctx, (
-                (u, d) for u in decreasing_vectors(n, None, max_co=params["max_co"])
-                for d in range(min(params["max_twist_degree"], 2 * n) + 1)))
-            cases += check_pullback_invariance({"genus": g, "factors": n}, ctx, classes)
+            cases += check_pullback_invariance({"genus": g, "factors": n}, ctx,
+                                               _pullback_grid(ctx, params))
             cases += check_span_rank({"genus": g, "factors": n, "max_degree": max_degree},
                                      ctx, range(max_degree + 1))
     for g in genera:

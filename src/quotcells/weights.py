@@ -145,10 +145,6 @@ def stabilizer(v):
     return members
 
 
-def is_decreasing(v) -> bool:
-    return all(a >= b for a, b in zip(v, v[1:]))
-
-
 def decreasing_vectors(n: int, r=None, max_co: int | None = None):
     """Decreasing vectors of length n with entries < r (no bound when r is
     None) and co <= max_co, ordered by (co, entries)."""

@@ -8,7 +8,7 @@ from quotcells.cells import cell_class
 from quotcells.ring import (UNIT, RingContext, RingElement, letter_degree,
                             letter_name, permute_factors)
 from quotcells.series import poly_add, poly_mul
-from quotcells.weights import apply_perm, is_decreasing
+from quotcells.weights import apply_perm
 
 
 @pytest.fixture
@@ -42,6 +42,10 @@ def invert(sigma):
     for i, s in enumerate(sigma):
         inv[s] = i
     return tuple(inv)
+
+
+def is_decreasing(v) -> bool:
+    return all(a >= b for a, b in zip(v, v[1:]))
 
 
 def weights_to_decomposition(v_star, r: int):

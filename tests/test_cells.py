@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from quotcells.cells import (_step_factor, cell_class, cell_class_equivariant,
+from quotcells.cells import (_step_pieces, cell_class, cell_class_equivariant,
                              cell_class_series,
                              cell_class_series_closed_form,
                              complete_homogeneous,
@@ -56,7 +56,9 @@ def test_entry_check_names_the_first_bad_entry(rank, v, message):
 
 def reference_cell(ctx, v, eq, memo):
     """The descent recursion in element arithmetic, memoized in `memo`:
-    cell(v) = step * cell(u) + sum_k diag_{k,j} * cell(swap_{k,j} u)."""
+    cell(v) = step * cell(u) + sum_k diag_{k,j} * cell(swap_{k,j} u), with
+    step = omega_j - d_{u_j} pt_j [- t_{u_j}] built from the public
+    generators."""
     if v not in memo:
         nonzero = [i for i, e in enumerate(v, 1) if e]
         if not nonzero:
@@ -64,8 +66,10 @@ def reference_cell(ctx, v, eq, memo):
         else:
             j = nonzero[-1]
             u = v[:j - 1] + (v[j - 1] - 1,) + v[j:]
-            result = (_step_factor(ctx, j, u[j - 1], eq)
-                      * reference_cell(ctx, u, eq, memo))
+            step = ctx.omega(j) - ctx.bundle_degree(u[j - 1]) * ctx.pt(j)
+            if eq:
+                step = step - ctx.t_var(u[j - 1])
+            result = step * reference_cell(ctx, u, eq, memo)
             for k in range(1, j):
                 if u[k - 1] <= u[j - 1]:
                     result = result + diagonal(ctx, k, j) * reference_cell(
@@ -110,8 +114,8 @@ class TestRecursionAgainstElementArithmetic:
             for entry in (0, 1, 2):
                 d = ctx.bundle_degree(entry)
                 plain = ctx.omega(j) - d * ctx.pt(j)
-                assert _step_factor(ctx, j, entry, False) == plain
-                assert (_step_factor(ctx, j, entry, True)
+                assert sum(_step_pieces(ctx, j, entry, False)) == plain
+                assert (sum(_step_pieces(ctx, j, entry, True))
                         == plain - ctx.t_var(entry))
 
     def test_a_chain_without_swaps_makes_no_element_arithmetic(self, monkeypatch):

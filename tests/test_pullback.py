@@ -21,7 +21,7 @@ from quotcells.pullback import (_letter_classes, average_twist,
                                 quot_pullback, quot_pullback_combinatorial,
                                 quot_pullback_spanning_classes, span_rank)
 from quotcells.ring import (POINT, RingContext, RingElement, UNIT, alpha,
-                            diagonal, letter_monomials, permute_factors,
+                            beta, diagonal, letter_monomials, permute_factors,
                             small_diagonal)
 from quotcells.weights import (admissible_row_tuples, apply_perm,
                                decreasing_vectors, orbit_walk, stabilizer)
@@ -30,6 +30,7 @@ from conftest import (assert_read_only, compositions, graph_components,
                       hat_sets, invert, monomials_of_degree, permutations,
                       project_invariant, symmetrized_cell_class)
 from test_linalg import reference_rank
+from test_ring_kernel import assert_normal
 from test_series import decomposition_dimension_check
 
 
@@ -110,6 +111,38 @@ class TestAverageTwist:
                     [project_invariant(group, a) for a in twists]
             for a, average in zip(twists, expected):
                 assert average_twist(ctx, v, a) == average, (v, a)
+
+    @pytest.mark.parametrize("g", [1, 2])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_averages_have_normal_coefficients(self, g, n):
+        """Multi-term twists with Fraction coefficients, integral ones
+        among them: each average is the stabilizer average, and each of
+        its coefficients is an int or a Fraction with denominator > 1.
+        1/2 [a1|b1|..] + 1/2 [b1|a1|..] averages to no term over St(0^n),
+        since the swap of its first two factors negates each term."""
+        ctx = RingContext(genus=g, factors=n)
+        rest = (UNIT,) * (n - 2)
+        cancelling = (ctx.monomial((alpha(1), beta(1)) + rest, coeff=Fraction(1, 2))
+                      + ctx.monomial((beta(1), alpha(1)) + rest, coeff=Fraction(1, 2)))
+        assert not average_twist(ctx, (0,) * n, cancelling).coeffs
+        rng = random.Random(39 + 10 * g + n)
+        letters = [m for d in range(2 * n + 1) for m in letter_monomials(ctx, d)]
+        scales = [Fraction(1, 2), Fraction(-3, 2), Fraction(4, 2), Fraction(2, 3)]
+        twists = [cancelling] + [
+            sum(ctx.monomial(m, coeff=c)
+                for m, c in zip(rng.sample(letters, 3), rng.sample(scales, 3)))
+            for _ in range(12)]
+        averages = {}
+        for v in self.vectors(n):
+            group = stabilizer(v)
+            expected = averages.get(frozenset(group))
+            if expected is None:
+                expected = averages[frozenset(group)] = \
+                    [project_invariant(group, a) for a in twists]
+            for a, average in zip(twists, expected):
+                got = average_twist(ctx, v, a)
+                assert got == average, (v, a)
+                assert_normal(got)
 
     def test_long_zero_weight_adds_no_mover_entries(self):
         """The stabilizer test of 1010 zeros swaps factors with an

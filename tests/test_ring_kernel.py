@@ -174,10 +174,13 @@ def test_product_matches_reference(pair):
 def test_coefficients_stay_normal(pair, e, q):
     x, y = pair
     ctx = x.ctx
+    letters, omega, t = next(iter(x.coeffs), (None, None, ()))
     results = [x + y, x - y, y - x, x * y, x ** e, x * q, q * x, x + q,
-               2 * x, x * Fraction(1, 2) * 2, parse(ctx, format_element(x))]
+               2 * x, x * Fraction(1, 2) * 2, parse(ctx, format_element(x)),
+               ctx.scalar(q), ctx.monomial(letters, omega, t, coeff=q), x * 0]
     for result in results:
         assert_normal(result)
+    assert not (x * 0).coeffs
     assert parse(ctx, format_element(x)) == x
     assert x * Fraction(1, 2) * 2 == x
 
