@@ -32,7 +32,7 @@ import itertools
 
 from .ring import (POINT, UNIT, RingContext, RingElement, UNBOUNDED,
                    _add_product, _settled, diagonal, omega_layers,
-                   omega_top_part, permute_factors, small_diagonal)
+                   permute_factors, small_diagonal, top_part)
 from .weights import swap_entries, transposition
 
 
@@ -159,7 +159,7 @@ def to_cell_basis(x: RingElement) -> dict:
     result = {}
     g = x
     while g:
-        layers = omega_layers(omega_top_part(g))
+        layers = omega_layers(top_part(g, 1))
         for v in sorted(layers):
             a_v = layers[v]
             result[v] = result.get(v, ctx.zero()) + a_v

@@ -154,8 +154,6 @@ def _cmd_restrict(args):
 
 
 def _poly_text(p):
-    if not p:
-        return "0"
     parts = []
     for i, c in enumerate(p):
         if c == 0:
@@ -191,12 +189,10 @@ def _cmd_poincare(args):
         poly = series.filt_poincare(g, args.r, args.n)
         payload = {"target": "filt", "genus": g, "rank": args.r,
                    "factors": args.n, "coefficients": poly}
-    elif args.target == "limits":
+    else:  # limits: argparse restricts the choices
         poly = series.infinite_quot_series(g, args.max_t)
         payload = {"target": "limits", "genus": g, "max_t": args.max_t,
                    "coefficients": poly}
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(args.target)
     if args.max_t is not None and args.target != "limits":
         poly = poly[:args.max_t + 1]
         payload["coefficients"] = poly

@@ -24,7 +24,7 @@ through the kernel it checks.
 from __future__ import annotations
 
 from .ring import (UNIT, RingContext, RingElement, _add_product, _settled,
-                   _trim, diagonal, omega_layers)
+                   _trim, diagonal, omega_layers, top_part)
 from .cells import _check_entries, cell_class_equivariant
 from .weights import componentwise_leq
 
@@ -110,10 +110,7 @@ def t_degree(x: RingElement):
 
 
 def top_term(x: RingElement) -> RingElement:
-    if not x.coeffs:
-        return x
-    top = t_degree(x)
-    return RingElement(x.ctx, {m: c for m, c in x.coeffs.items() if sum(m[2]) == top})
+    return top_part(x, 2)
 
 
 def _require_trivial_degrees(ctx: RingContext):

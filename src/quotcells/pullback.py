@@ -335,28 +335,23 @@ def generator_span_check(ctx: RingContext, max_degree: int) -> dict:
         raise ValueError("max_degree must be >= 0")
     gens = [(g, cohomological_degree(g)) for g in pullback_generators(ctx)]
     gens = [(g, d) for g, d in gens if g and d <= max_degree]
-    products = [(ctx.one(), 0)]
-    frontier = [(ctx.one(), 0, 0)]
-    while frontier:
-        element, degree, start = frontier.pop()
+    # each product of generators with indices from `start` on, read
+    # while the list grows
+    products = [(ctx.one(), 0, 0)]
+    for element, degree, start in products:
         for idx in range(start, len(gens)):
             g, d = gens[idx]
             if degree + d > max_degree:
                 continue
             nxt = element * g
             if nxt:
-                products.append((nxt, degree + d))
-                frontier.append((nxt, degree + d, idx))
+                products.append((nxt, degree + d, idx))
     base = {d: invariant_letter_classes(ctx, d) for d in range(max_degree + 1)}
     per_degree = []
     ok = True
     for d in range(max_degree + 1):
-        spanning = []
-        for p, pd in products:
-            if pd > d or (d - pd) > 2 * ctx.factors:
-                continue
-            for b in base.get(d - pd, []):
-                spanning.append(b * p)
+        spanning = [b * p for p, pd, _start in products if pd <= d
+                    for b in base[d - pd]]
         rank = span_rank(spanning, d)
         dim = invariant_dimension(ctx, d)
         per_degree.append({"degree": d, "span": rank, "invariant": dim,

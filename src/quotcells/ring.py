@@ -461,7 +461,15 @@ class RingElement:
                 and self._coeffs == other._coeffs)
 
     def __hash__(self):
-        return hash((self.ctx, frozenset(self._coeffs.items())))
+        # an element equal to a number hashes as that number, as == reads it
+        coeffs = self._coeffs
+        if not coeffs:
+            return hash(0)
+        if len(coeffs) == 1:
+            ((letters, omega, t), c), = coeffs.items()
+            if not t and not any(letters) and not any(omega):
+                return hash(c)
+        return hash((self.ctx, frozenset(coeffs.items())))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -687,18 +695,14 @@ def point_class(ctx: RingContext, subset) -> RingElement:
     return RingElement(ctx, {(tuple(letters), (0,) * ctx.factors, ()): 1})
 
 
-def omega_degree(x: RingElement):
-    """Largest total omega-exponent over the support (None for 0)."""
+def top_part(x: RingElement, part: int) -> RingElement:
+    """The terms of x whose omega exponents (part 1) or t exponents
+    (part 2) have the largest sum; x itself when x is 0."""
     if not x._coeffs:
-        return None
-    return max(sum(m[1]) for m in x._coeffs)
-
-
-def omega_top_part(x: RingElement) -> RingElement:
-    d = omega_degree(x)
-    if d is None:
         return x
-    return RingElement(x.ctx, {m: c for m, c in x._coeffs.items() if sum(m[1]) == d})
+    top = max(sum(m[part]) for m in x._coeffs)
+    return RingElement(x.ctx, {m: c for m, c in x._coeffs.items()
+                               if sum(m[part]) == top})
 
 
 def omega_layers(x: RingElement) -> MappingProxyType:

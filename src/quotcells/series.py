@@ -223,8 +223,12 @@ def infinite_limits_check(g: int, max_t: int) -> dict:
     limit = infinite_quot_series(g, max_t)
     tensor = tensor_model_series(g, max_t)
     stable_ok = True
-    match_ok = tensor == limit
-    failures = []
+    # the first power where the tensor model and the limit differ
+    first = next((k for k in range(max_t + 1)
+                  if poly_coeff(tensor, k) != limit[k]), None)
+    match_ok = first is None
+    failures = [] if match_ok else [{"power": first, "limit": limit[first],
+                                     "tensor": poly_coeff(tensor, first)}]
     diagonal_polys = {r: quot_poincare(g, r, r, max_t=max_t)
                       for r in range(1, max_t + 4)}
     for k in range(max_t + 1):

@@ -21,15 +21,13 @@ from math import prod
 
 from . import cells, localization, pullback, series
 from .grammar import format_element
-from .ring import (RingContext, cohomological_degree, omega_top_part,
-                   small_diagonal)
+from .ring import RingContext, cohomological_degree, small_diagonal, top_part
 from .weights import decreasing_vectors, mask_components, mask_elements
 
 DEFAULTS = {
     "n_values": (2, 3),
     "genus_values": (0, 1, 2),
     "max_co": 3,
-    "max_twist_degree": 4,
     "rank": 3,
     "max_degree": 6,
     "series_max_t": 10,
@@ -40,6 +38,9 @@ DEFAULTS = {
 # The keys `verify` reports; "checked" and "finished" stay internal, so
 # reports keep their form.
 REPORTED = ("inputs", "expected", "got", "pass")
+
+# the largest twist degree of the pullback and rank grids
+MAX_TWIST_DEGREE = 4
 
 
 def _case(inputs, expected, got, ok, checked):
@@ -176,8 +177,8 @@ def check_cell_classes(label, ctx, vectors):
         x = cells.cell_class(ctx, v)
         if cohomological_degree(x) != 2 * sum(v) and bad_hom is None:
             bad_hom = "v=%s" % (list(v),)
-        if omega_top_part(x) != ctx.monomial(omega=v) and bad_top is None:
-            bad_top = "v=%s got=%s" % (list(v), format_element(omega_top_part(x)))
+        if top_part(x, 1) != ctx.monomial(omega=v) and bad_top is None:
+            bad_top = "v=%s got=%s" % (list(v), format_element(top_part(x, 1)))
     return [_case({"check": "homogeneity", **label, "vectors": len(vectors)},
                   "degree == 2 co(v)", bad_hom or "ok", bad_hom is None, len(vectors)),
             _case({"check": "leading-omega-term", **label},
@@ -302,10 +303,10 @@ def _vectors(n, max_co):
 def _pullback_grid(ctx, params):
     """The (u, twist) classes of the pullback and rank grids over ctx: each
     decreasing u with co(u) <= max_co, with each twist of degree at most
-    max_twist_degree."""
+    MAX_TWIST_DEGREE."""
     return pullback.pullback_classes(ctx, (
         (u, d) for u in decreasing_vectors(ctx.factors, None, max_co=params["max_co"])
-        for d in range(params["max_twist_degree"] + 1)))
+        for d in range(MAX_TWIST_DEGREE + 1)))
 
 
 def suite_pullback(params):

@@ -145,13 +145,9 @@ def stabilizer(v):
     return members
 
 
-def decreasing_vectors(n: int, r=None, max_co: int | None = None):
+def decreasing_vectors(n: int, r, max_co: int):
     """Decreasing vectors of length n with entries < r (no bound when r is
     None) and co <= max_co, ordered by (co, entries)."""
-    if max_co is None:
-        if r is None:
-            raise ValueError("need r or max_co to bound the enumeration")
-        max_co = n * (r - 1)
     # (prefix, cap, budget) level by level, so no depth limit applies
     level = [((), max_co if r is None else min(r - 1, max_co), max_co)]
     for _ in range(n):

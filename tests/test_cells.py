@@ -14,7 +14,7 @@ from quotcells.cells import (_step_pieces, cell_class, cell_class_equivariant,
                              module_recursion_residual, to_cell_basis)
 from quotcells.grammar import format_element
 from quotcells.ring import (UNBOUNDED, RingContext, RingElement, alpha,
-                            cohomological_degree, diagonal, omega_top_part)
+                            cohomological_degree, diagonal, top_part)
 from quotcells.weights import mover, swap_entries
 
 from conftest import (assert_read_only, embed, from_cell_basis, permutations,
@@ -190,7 +190,7 @@ class TestCellClass:
                     continue
                 x = cell_class(ctx, v)
                 assert cohomological_degree(x) == 2 * sum(v)
-                assert omega_top_part(x) == ctx.monomial(omega=v)
+                assert top_part(x, 1) == ctx.monomial(omega=v)
 
     def test_homogeneity_four_factors(self):
         ctx = RingContext(genus=1, factors=4)
@@ -199,7 +199,7 @@ class TestCellClass:
                 continue
             x = cell_class(ctx, v)
             assert cohomological_degree(x) == 2 * sum(v)
-            assert omega_top_part(x) == ctx.monomial(omega=v)
+            assert top_part(x, 1) == ctx.monomial(omega=v)
 
 
 class TestEquivariant:

@@ -58,6 +58,15 @@ def test_psi_both_methods(capsys):
     assert "equal: True" in out
 
 
+def test_psi_both_methods_json(capsys):
+    code, out, _ = run(capsys, "psi", "--u", "0,0", "--a", "[pt|one]",
+                       "--method", "both", "--format", "json")
+    assert code == 0
+    assert out == ('{"averaged_twist": true, "combinatorial": '
+                   '"1/2 * [pt|one] + 1/2 * [one|pt]", "equal": true, '
+                   '"recursion": "1/2 * [pt|one] + 1/2 * [one|pt]"}\n')
+
+
 def test_psi_json_round_trip(capsys):
     code, out, _ = run(capsys, "psi", "--u", "1,0", "--genus", "2",
                        "--format", "json")

@@ -803,7 +803,7 @@ def cycle_types(n: int):
     """One permutation of each cycle type of S_n with the size n!/z of
     its conjugacy class, z = prod_k k^m_k m_k! for m_k cycles of length k;
     each cycle moves consecutive positions up by one."""
-    for v in decreasing_vectors(n, max_co=n):
+    for v in decreasing_vectors(n, None, max_co=n):
         if sum(v) != n:
             continue
         parts = [k for k in v if k]

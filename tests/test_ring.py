@@ -239,6 +239,30 @@ class TestStructure:
                 operation()
 
 
+class TestHash:
+    """An element that equals a number hashes as that number, so sets and
+    dict keys agree with ==."""
+
+    def test_numbers(self, ctx_g1_n2):
+        ctx = ctx_g1_n2
+        assert ctx.one() == 1 and hash(ctx.one()) == hash(1)
+        assert len({ctx.one(), 1}) == 1
+        assert {1: "a"}.get(ctx.one()) == "a"
+        assert hash(ctx.zero()) == hash(0) and len({ctx.zero(), 0}) == 1
+        half = ctx.scalar(Fraction(1, 2))
+        assert hash(half) == hash(Fraction(1, 2))
+        assert hash(ctx.scalar(Fraction(4, 2))) == hash(2)
+
+    def test_equal_elements_hash_equal(self, ctx_g1_n2):
+        ctx = ctx_g1_n2
+        x = ctx.pt(1) + ctx.omega(2)
+        y = ctx.omega(2) * Fraction(1) + ctx.pt(1)
+        assert x == y and hash(x) == hash(y)
+        assert {x: "a"}.get(y) == "a"
+        other = RingContext(genus=1, factors=2)
+        assert other is not ctx and hash(other.one()) == hash(ctx.one())
+
+
 class TestRingContext:
     """A context is a value: built positionally or by keyword, equal and
     hashed by its four parameters, with a fixed repr and no assignment."""

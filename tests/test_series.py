@@ -2,6 +2,7 @@
 
 import pytest
 
+from quotcells import series, suites
 from quotcells.pullback import (invariant_letter_classes, quot_pullback,
                                 span_rank)
 from quotcells.ring import RingContext
@@ -179,6 +180,17 @@ class TestInfiniteLimits:
     def test_stabilization(self, g):
         report = infinite_limits_check(g, 8)
         assert report["pass"], report
+
+    def test_a_tensor_model_mismatch_names_its_first_power(self, monkeypatch):
+        monkeypatch.setattr(series, "tensor_model_series",
+                            lambda g, max_t: [0] * (max_t + 1))
+        report = infinite_limits_check(0, 4)
+        assert not report["pass"] and not report["matches_limit"]
+        assert report["stable"]
+        assert report["failures"] == [{"power": 0, "tensor": 0, "limit": 1}]
+        [case] = suites.check_infinite_limits(0, 4)
+        assert not case["pass"]
+        assert "'power': 0" in case["got"]
 
     def test_diagonal_values_stabilize_explicitly(self):
         g = 1
