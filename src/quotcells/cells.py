@@ -150,7 +150,7 @@ def to_cell_basis(x: RingElement) -> dict:
 
     Peels the top omega layer repeatedly; the leading omega-term of
     cell(v) is exactly w^v, so each pass strictly lowers the omega
-    degree and the loop terminates.
+    degree and meets each v once, with a nonzero a_v.
     """
     ctx = x.ctx
     for (_letters, _omega, t) in x.coeffs:
@@ -162,9 +162,9 @@ def to_cell_basis(x: RingElement) -> dict:
         layers = omega_layers(top_part(g, 1))
         for v in sorted(layers):
             a_v = layers[v]
-            result[v] = result.get(v, ctx.zero()) + a_v
+            result[v] = a_v
             g = g - a_v * cell_class(ctx, v)
-    return {v: a for v, a in result.items() if a}
+    return result
 
 
 # -- checked identities -------------------------------------------------------

@@ -334,7 +334,7 @@ def generator_span_check(ctx: RingContext, max_degree: int) -> dict:
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     gens = [(g, cohomological_degree(g)) for g in pullback_generators(ctx)]
-    gens = [(g, d) for g, d in gens if g and d <= max_degree]
+    gens = [(g, d) for g, d in gens if d <= max_degree]
     # each product of generators with indices from `start` on, read
     # while the list grows
     products = [(ctx.one(), 0, 0)]

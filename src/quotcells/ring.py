@@ -495,8 +495,6 @@ class RingElement:
         return RingElement(self.ctx, {m: -c for m, c in self._coeffs.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ctx.scalar(other)
         return self + (-other)
 
     def __rsub__(self, other):

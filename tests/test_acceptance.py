@@ -42,8 +42,9 @@ _A1_GRID = [(g, n, 4) for g in (0, 1, 2) for n in (2, 3)] + \
 @functools.lru_cache(maxsize=None)
 def _a1_cases():
     """A1's route comparisons and A5's invariance tests over the same
-    pullbacks, so that each pullback is computed once."""
-    routes, invariance = [], []
+    pullbacks, so that each pullback is computed once, and the grid points
+    of the classes that are 0."""
+    routes, invariance, zero = [], [], []
     for g, n, max_co in _A1_GRID:
         ctx = _ctx(g, n)
         classes = list(pullback.pullback_classes(ctx, (
@@ -52,13 +53,20 @@ def _a1_cases():
         label = {"genus": g, "factors": n, "max_co": max_co}
         routes += suites.check_pullback_routes(label, ctx, classes)
         invariance += suites.check_pullback_invariance(label, ctx, classes)
-    return routes, invariance
+        zero += [(g, n, u, a) for u, a, x in classes if not x]
+    return routes, invariance, zero
 
 
 def test_a1_pullback_oracle_equivalence():
     started = time.time()
     _report("A1 combinatorial pullback == symmetrization oracle",
             _a1_cases()[0], started, 3275)
+
+
+def test_a1_pullback_classes_are_nonzero():
+    """No class of the A1 grid is 0, so A5's invariance check tests every
+    one of them."""
+    assert _a1_cases()[2] == []
 
 
 def test_a2_generating_function():

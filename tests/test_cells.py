@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from quotcells import suites
 from quotcells.cells import (_step_pieces, cell_class, cell_class_equivariant,
                              cell_class_series,
                              cell_class_series_closed_form,
@@ -284,6 +285,31 @@ class TestCellBasis:
                 assert decomposition[target] == ctx.one()
                 assert all(sum(u) <= sum(v) + sum(w) for u in decomposition)
 
+    def test_coefficients_are_nonzero_and_rebuild_the_filtration_grid(self):
+        """On the grid of verify's filtration-product law every coefficient
+        is nonzero (each v is met once, with a whole omega layer) and the
+        coefficients rebuild the product."""
+        params = suites.DEFAULTS
+        budget = min(params["max_co"] + 2, 5)
+        pairs = 0
+        for g in params["genus_values"]:
+            for n in params["n_values"]:
+                ctx = RingContext(genus=g, factors=n)
+                positive = [v for v in suites._vectors(n, params["max_co"]) if sum(v)]
+                for v, w in itertools.product(positive, repeat=2):
+                    if sum(v) + sum(w) <= budget:
+                        x = cell_class(ctx, v) * cell_class(ctx, w)
+                        decomposition = to_cell_basis(x)
+                        assert all(decomposition.values()), (g, v, w)
+                        assert from_cell_basis(ctx, decomposition) == x, (g, v, w)
+                        pairs += 1
+        assert pairs == 978
+
+    def test_rejects_t(self):
+        ctx = RingContext(genus=0, factors=1, rank=2)
+        with pytest.raises(ValueError, match="non-equivariant"):
+            to_cell_basis(ctx.omega(1) + ctx.t_var(0))
+
 
 class TestCheckedIdentities:
     def test_cross_index_basic(self):
@@ -340,6 +366,13 @@ class TestCheckedIdentities:
         for u in ((0, 0), (1, 0), (1, 1), (2, 1)):
             for l in (1, 2):
                 assert module_recursion_residual(ctx, u, l, a).is_zero()
+
+    def test_module_recursion_argument_errors(self):
+        ctx = RingContext(genus=0, factors=2)
+        with pytest.raises(ValueError, match="u must cover the first 1 slots"):
+            module_recursion_residual(ctx, (0, 0), 1, ctx.one())
+        with pytest.raises(ValueError, match="need l >= 1"):
+            module_recursion_residual(ctx, (0,), 0, ctx.one())
 
 
 class TestSeries:

@@ -489,6 +489,13 @@ class TestLemmaChecks:
         with pytest.raises(ValueError):
             degree_bound_check(ctx, (1, 0), (2, 0))
 
+    @pytest.mark.parametrize("lemma", [top_term_residual, vanishing_check,
+                                       degree_bound_check])
+    def test_lemmas_refuse_nonzero_degrees(self, lemma):
+        ctx = RingContext(genus=0, factors=2, rank=2, degrees=(1, 0))
+        with pytest.raises(ValueError, match="require trivial degrees"):
+            lemma(ctx, (0, 1), (1, 0))
+
     def test_exhaustive_small_grid(self):
         # all three lemma checks, n=2, r<=3, co(v)<=3, including the
         # converse top-degree direction

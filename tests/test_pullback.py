@@ -392,6 +392,11 @@ class TestPartialFlag:
         with pytest.raises(ValueError):
             partial_flag_pullback(ctx, (2, 1), ((1,), (1, 0)))
 
+    def test_composition_covers_every_factor(self):
+        ctx = RingContext(genus=0, factors=3)
+        with pytest.raises(ValueError, match="must sum to the number of factors"):
+            partial_flag_pullback(ctx, (1, 1), ((0,), (0,)))
+
     def test_block_check(self):
         """A block that is not decreasing raises at every call and leaves
         no member list behind; the errors come in quot_pullback's order,
@@ -469,6 +474,18 @@ def test_no_library_path_lists_a_group(monkeypatch):
     for degree in range(7):
         assert span_rank(quot_pullback_spanning_classes(ctx, degree), degree) \
             == invariant_dimension(ctx, degree)
+
+
+@pytest.mark.parametrize("genus", [0, 1])
+def test_no_class_of_the_four_factor_rank_grid_is_zero(genus):
+    """`verify --suite ranks --n 4`'s pullback classes and the generators
+    of generator_span_check are all nonzero: the w^w part of a class is
+    sigma_w(a), a nonzero twist moved by a signed permutation."""
+    ctx = RingContext(genus=genus, factors=4)
+    classes = list(suites._pullback_grid(ctx, suites.DEFAULTS))
+    assert len(classes) == (37, 239)[genus]
+    assert all(x for _u, _a, x in classes)
+    assert all(pullback.pullback_generators(ctx))
 
 
 def test_spanning_classes_are_the_per_class_pullbacks():

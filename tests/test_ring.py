@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quotcells.ring import (UNBOUNDED, RingContext, RingElement, alpha,
+from quotcells.ring import (UNBOUNDED, UNIT, RingContext, RingElement, alpha,
                             beta, cohomological_degree, diagonal,
                             permute_factors, point_class, small_diagonal)
 from quotcells.weights import transposition
@@ -61,6 +61,10 @@ class TestDiagonal:
         ctx = RingContext(genus=g, factors=2)
         D = diagonal(ctx, 1, 2)
         assert D * D == (2 - 2 * g) * point_class(ctx, (1, 2))
+
+    def test_needs_increasing_indices(self, ctx_g1_n2):
+        with pytest.raises(ValueError, match="need i < j"):
+            diagonal(ctx_g1_n2, 2, 1)
 
     def test_genus_zero_shape(self, ctx_g0_n2):
         assert diagonal(ctx_g0_n2, 1, 2) == ctx_g0_n2.pt(1) + ctx_g0_n2.pt(2)
@@ -228,6 +232,39 @@ class TestStructure:
         ctx = RingContext(genus=0, factors=1)
         with pytest.raises(ValueError):
             ctx.t_var(0)
+
+    def test_subtracting_a_number_adds_its_negation(self, ctx_g1_n2):
+        ctx = ctx_g1_n2
+        x = ctx.one() + ctx.pt(1)
+        assert x - 1 == x + (-1) == ctx.pt(1)
+        assert 1 - x == 1 + (-x) == -ctx.pt(1)
+        assert x - Fraction(1, 2) == x + (-Fraction(1, 2)) \
+            == ctx.scalar(Fraction(1, 2)) + ctx.pt(1)
+        assert x - ctx.one() == x + (-ctx.one()) == ctx.pt(1)
+
+    def test_monomial_rejects_bad_shapes(self, ctx_g1_n2):
+        ctx = ctx_g1_n2
+        with pytest.raises(ValueError, match="must have length 2"):
+            ctx.monomial(letters=(UNIT,))
+        with pytest.raises(ValueError, match="must have length 2"):
+            ctx.monomial(omega=(1, 0, 0))
+        with pytest.raises(ValueError, match="exponents must be non-negative"):
+            ctx.monomial(omega=(0, -1))
+        with pytest.raises(ValueError, match="exponents must be non-negative"):
+            RingContext(genus=1, factors=2, rank=2).monomial(t=(1, -1))
+
+    def test_t_index_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="t index must be >= 0"):
+            RingContext(genus=0, factors=1, rank=2).t_var(-1)
+
+    def test_negative_power_is_refused(self, ctx_g1_n2):
+        with pytest.raises(ValueError, match="negative powers"):
+            ctx_g1_n2.omega(1) ** -1
+
+    def test_repr_is_the_canonical_text(self, ctx_g1_n2):
+        ctx = ctx_g1_n2
+        assert repr(ctx.pt(1) - ctx.omega(2)) \
+            == "<-1 * [one|one] w^(0,1) + 1 * [pt|one]>"
 
     @pytest.mark.parametrize("other", [0.5, None, "1", [1]])
     def test_other_operands_are_a_type_error(self, other):

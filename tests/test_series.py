@@ -60,6 +60,11 @@ class TestSymmetricProduct:
     def test_empty_product(self):
         assert symmetric_product_poincare(3, 0) == [1]
 
+    @pytest.mark.parametrize("g,m", [(-1, 2), (1, -1)])
+    def test_negative_input_rejected(self, g, m):
+        with pytest.raises(ValueError, match="g and m must be non-negative"):
+            symmetric_product_poincare(g, m)
+
     @pytest.mark.parametrize("g,m", [(0, 3), (0, 4), (1, 2), (1, 3), (1, 4),
                                      (2, 2), (2, 4)])
     def test_against_invariant_projector(self, g, m):
@@ -98,6 +103,10 @@ class TestQuot:
         with pytest.raises(ValueError):
             quot_poincare(0, 1, -1)
 
+    def test_rank_zero_rejected(self):
+        with pytest.raises(ValueError, match="need r >= 1"):
+            quot_poincare(1, 0, 2, max_t=4)
+
     @pytest.mark.parametrize("g", [0, 1, 2])
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_product_formula(self, g, r):
@@ -134,6 +143,10 @@ class TestFilt:
     def test_negative_factors_rejected(self):
         with pytest.raises(ValueError):
             filt_poincare(0, 2, -1)
+
+    def test_rank_zero_rejected(self):
+        with pytest.raises(ValueError, match="need r >= 1"):
+            filt_poincare(1, 0, 2)
 
     @pytest.mark.parametrize("g", [0, 1, 2])
     @pytest.mark.parametrize("r", [1, 2, 3])

@@ -70,6 +70,15 @@ def test_filtration_product_law(monkeypatch):
     assert got == "v=[1, 0] w=[0, 1] leading=0"
 
 
+def test_filtration_support_too_deep(monkeypatch):
+    ctx = RingContext(genus=0, factors=2)
+    monkeypatch.setattr(cells, "to_cell_basis",
+                        lambda x: {(1, 1): ctx.one(), (2, 1): ctx.one()})
+    got = failed(suites.check_product_filtration(LABEL, ctx, [((1, 0), (0, 1))]),
+                 "filtration-product-law")
+    assert got == "v=[1, 0] w=[0, 1] support too deep"
+
+
 def test_module_recursion(monkeypatch):
     ctx = RingContext(genus=0, factors=2)
     monkeypatch.setattr(cells, "module_recursion_residual",
@@ -95,6 +104,32 @@ def test_localization_lemmas(monkeypatch, attr, wrong, check, pair):
     cases = suites.check_localization(LABEL, ctx, [(1, 0)],
                                       [(1, 0), (0, 0), (0, 1)])
     assert failed(cases, check).startswith(pair + " got=")
+
+
+def test_infinite_limits_not_stable(monkeypatch):
+    quot_poincare = series.quot_poincare
+    # the constant term grows with the rank, so no power 0 coefficient settles
+    monkeypatch.setattr(series, "quot_poincare", lambda g, r, length, max_t=None:
+                        series.poly_add(quot_poincare(g, r, length, max_t), [r]))
+    report = series.infinite_limits_check(0, 4)
+    assert (report["stable"], report["matches_limit"]) == (False, True)
+    assert report["failures"] == [{"power": 0, "values": [2, 3, 4]}]
+    [case] = suites.check_infinite_limits(0, 4)
+    assert not case["pass"]
+    assert case["got"] == "[{'power': 0, 'values': [2, 3, 4]}]"
+
+
+def test_infinite_limits_not_matching_the_limit(monkeypatch):
+    limit = series.infinite_quot_series
+    monkeypatch.setattr(series, "infinite_quot_series", lambda g, max_t:
+                        [c + (k == 2) for k, c in enumerate(limit(g, max_t))])
+    report = series.infinite_limits_check(0, 4)
+    assert (report["stable"], report["matches_limit"]) == (True, False)
+    # the tensor model names the power first, then the stable diagonal value
+    assert report["failures"] == [{"power": 2, "limit": 3, "tensor": 2},
+                                  {"power": 2, "limit": 3}]
+    [case] = suites.check_infinite_limits(0, 4)
+    assert not case["pass"]
 
 
 def test_symmetric_product_dimensions(monkeypatch):
