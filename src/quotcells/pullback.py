@@ -60,16 +60,18 @@ def _orbit_group_sum(labels, order, orbit):
     order keeping each position's label: |G| / |orbit| times the sign of
     sigma(m) = +-w at each member w, the inversion parity of m's odd
     (label, letter) pairs plus w's.  Empty when an odd letter repeats
-    under one label: the swap of the two fixes m and costs a sign."""
-    parities = []
-    for w in orbit:
-        odd = [pair for pair in zip(labels, w) if pair[1] > POINT]
-        parities.append(_inversion_parity(odd))
+    under one label: the swap of the two fixes m and costs a sign.
+    With fewer than two odd letters every sign is +."""
+    odd = [pair for pair in zip(labels, orbit[0]) if pair[1] > POINT]
     if len(set(odd)) < len(odd):  # every member has the same odd pairs
         return {}
     zero, scale = (0,) * len(labels), order // len(orbit)
-    return {(w, zero, ()): -scale if p ^ parities[0] else scale
-            for w, p in zip(orbit, parities)}
+    if len(odd) < 2:
+        return {(w, zero, ()): scale for w in orbit}
+    first = _inversion_parity(odd)
+    return {(w, zero, ()): -scale if first ^ _inversion_parity(
+                [pair for pair in zip(labels, w) if pair[1] > POINT]) else scale
+            for w in orbit}
 
 
 def average_twist(ctx: RingContext, v, a: RingElement = None) -> RingElement:
@@ -134,11 +136,14 @@ def _orbit_members(ctx: RingContext, member, v, labels=None):
 
 def _orbit_sum(ctx: RingContext, members, a: RingElement) -> RingElement:
     """sum over the (x_w, sigma_w) of `_orbit_members` of x_w sigma_w(a).
-    Each sigma_w(a) comes out of permute_factors already grouped, and
-    grouping a itself is done once for the whole orbit; every product is
-    added into one term dict."""
+    The first member is v itself, whose sigma is the identity, so its
+    product reads a; each other sigma_w(a) comes out of permute_factors
+    already grouped, and grouping a itself is done once for the whole
+    orbit; every product is added into one term dict."""
+    (x, _identity), *rest = members
     out = {}
-    for x, sigma in members:
+    _add_product(out, x, a)
+    for x, sigma in rest:
         _add_product(out, x, permute_factors(sigma, a))
     return _settled(ctx, out)
 

@@ -31,26 +31,40 @@ over the factors, (support, odd, points), the positions holding a
 non-unit letter, an odd letter (a_k or b_k) and the point.  Whether two
 tuples multiply to zero because a point meets a letter, and the Koszul
 sign, depend on the classes alone, so products and permutation signs are
-settled per class; only where odd letters meet does a product look at
-the letters themselves.  None of these facts depends on the genus, the
-rank or the degrees, so each is a function of its own key, memoized once
-per process: the class of every letter tuple (at most (2g+2)^n per
-(g, n)), the Koszul parity per pair of odd masks (at most 4^n per n)
-and the sign of a permutation sigma per odd mask (at most n! * 2^n per
-n); permute_factors moves tuples by weights.mover.  The tables grow
-only with what the process meets, and a fresh context starts warm.
-Each element keeps its terms grouped by class once it has been
-multiplied or permuted, and its omega layers (omega_layers) from the
-first split on.
+settled per class.  Only where odd letters meet does a product look at
+the letters, and then through integers: each tuple holding an odd letter
+carries its letter code, sum_i letters[i] << (w * i), next to it in the
+grouped form, where the field width w = (2g + 1).bit_length() is fixed
+per context.  With the mask `fields` of every bit of the meeting
+positions and `ones` of their low bits, a pair survives iff its codes
+differ by exactly `ones` there (a_k = 2k and b_k = 2k + 1 differ in the
+low bit alone), x's b_k read (cx & ones).bit_count() symplectic signs
+b_k a_k = -pt, and the product's code is (cx | cy) & ~fields | ones,
+the point (1) at each meeting (Dorst, Fontijne & Mann, Geometric Algebra
+for Computer Science, 2007, ch. 19, for such bitmap products).  Tuples
+with disjoint supports merge letter by letter.  Each of these facts is
+a function of its own key, memoized once per process: the class of
+every letter tuple (at most (2g+2)^n per (g, n)), the Koszul parity per
+pair of odd masks (at most 4^n per n), the sign of a permutation sigma
+per odd mask (at most n! * 2^n per n), the code of each letter tuple
+holding an odd letter, the (fields, ones) pair per (meeting mask,
+width) and the letter tuple of each product code met;
+permute_factors moves tuples by weights.mover.  The tables grow only
+with what the process meets, and a fresh context starts warm.  Each
+element keeps its terms grouped by class once it has been multiplied
+or permuted, and its omega layers (omega_layers) from the first split
+on.
 
 A permutation reads its operand grouped, too: one sign lookup per mask
-class and one moved tuple per letter tuple.  permute_factors builds its
-image straight into the grouped form, which the image keeps, so a twist
-permuted along an orbit is grouped once and each of its images is ready
-for the product.  _fixed_by_swap tests whether swapping two factors
-fixes x term by term, without building the image, and stops at the
-first term that differs; it reads its signs from permute_factors'
-table, where all swaps of neighbours share one entry.
+class and one moved tuple, with its code, per letter tuple.
+permute_factors builds its image straight into the grouped form, which
+the image keeps, so a twist permuted along an orbit is grouped once and
+each of its images is ready for the product.  _fixed_by_swap tests
+whether swapping two factors fixes x term by term, reading x's terms as
+they are, without grouping x or building the image, and stops at the
+first term that differs; it reads each term's sign from
+permute_factors' table, keyed by the odd mask of the term's class,
+where all swaps of neighbours share one entry.
 
 Sums of products go into one term dict by plain sums: the
 multiply-accumulate _add_product adds x * y into a caller's dict (a
@@ -127,7 +141,8 @@ class RingContext:
     degrees[a] is the degree of the line bundle L_a (all-zero default).
 
     A context is an immutable value: equal and hashed by its four
-    parameters, with per-context caches (_cell_cache, _memo) beside them.
+    parameters, with per-context caches (_cell_cache, _memo) and the
+    field width of its packed letter codes (_width) beside them.
     """
 
     def __init__(self, genus: int = 0, factors: int = 1,
@@ -142,7 +157,8 @@ class RingContext:
         if rank not in (0, UNBOUNDED) and len(degrees) not in (0, rank):
             raise ValueError("degrees must have length rank (or be empty)")
         vars(self).update(genus=genus, factors=factors, rank=rank,
-                          degrees=degrees, _cell_cache={}, _memo={})
+                          degrees=degrees, _width=(2 * genus + 1).bit_length(),
+                          _cell_cache={}, _memo={})
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -276,27 +292,37 @@ def _koszul_parity(odd_x, odd_y):
                              + [2 * i + 1 for i in range(odd_y.bit_length()) if odd_y >> i & 1])
 
 
-def _letters_product(lx, ly, both):
-    """(flip, letters) for the product of two letter tuples whose odd
-    letters meet at the positions of the mask `both` and nowhere else
-    meet a non-unit letter; None unless each meeting pair is a_k and b_k
-    in some order.  flip is the parity of the pairs read b_k * a_k, each
-    of which costs the symplectic sign b_k * a_k = -pt."""
-    flip = 0
-    meets = []
+@cache
+def _packed(letters, width):
+    """The letter code sum_i letters[i] << (width * i): one field of
+    `width` bits per factor, the first factor lowest."""
+    code = 0
+    for letter in reversed(letters):
+        code = code << width | letter
+    return code
+
+
+@cache
+def _unpacked(code, width, n):
+    """The letter tuple of n factors packed in `code`."""
+    field = (1 << width) - 1
+    return tuple(code >> shift & field for shift in range(0, width * n, width))
+
+
+@cache
+def _meeting_fields(both, width):
+    """(fields, ones) for odd letters meeting at the positions of the
+    mask `both`: every bit of each such position's field, and its low
+    bit.  Two odd letters multiply to the point iff they are a_k = 2k
+    and b_k = 2k + 1, which differ in the low bit alone."""
+    fields = ones = 0
     while both:
         low = both & -both
-        i = low.bit_length() - 1
-        a, b = lx[i], ly[i]
-        if a ^ 1 != b:
-            return None
-        flip ^= a > b
-        meets.append(i)
+        shift = width * (low.bit_length() - 1)
+        fields |= ((1 << width) - 1) << shift
+        ones |= 1 << shift
         both ^= low
-    letters = list(map(or_, lx, ly))
-    for i in meets:
-        letters[i] = POINT
-    return flip, tuple(letters)
+    return fields, ones
 
 
 def _add_products(out, letters, negate, xs, ys):
@@ -358,25 +384,31 @@ def _add_product(out, x, y):
             if not sx or not sy:
                 # units only on one side: the other tuple is the
                 # product, and no odd letter passes another
-                for lx, xterms in xs:
-                    for ly, yterms in ys:
+                for lx, _cx, xterms in xs:
+                    for ly, _cy, yterms in ys:
                         _add_products(out, ly if not sx else lx, False,
                                       xterms, yterms)
                 continue
             negate = _koszul_parity(ox, oy)
             both = ox & oy
-            for lx, xterms in xs:
-                for ly, yterms in ys:
-                    if both:
-                        p = _letters_product(lx, ly, both)
-                        if p is None:
-                            continue
-                        flip, letters = p
-                        _add_products(out, letters, negate ^ flip,
-                                      xterms, yterms)
-                    else:  # disjoint supports
+            if not both:  # disjoint supports
+                for lx, _cx, xterms in xs:
+                    for ly, _cy, yterms in ys:
                         _add_products(out, tuple(map(or_, lx, ly)),
                                       negate, xterms, yterms)
+                continue
+            # odd letters meet at `both`: a pair survives iff each
+            # meeting is a_k, b_k in either order, costs the symplectic
+            # sign b_k a_k = -pt once per b_k on x's side, and holds the
+            # point (1) at each meeting
+            width, n = x.ctx._width, x.ctx.factors
+            fields, ones = _meeting_fields(both, width)
+            for _lx, cx, xterms in xs:
+                for _ly, cy, yterms in ys:
+                    if (cx ^ cy) & fields == ones:
+                        _add_products(
+                            out, _unpacked((cx | cy) & ~fields | ones, width, n),
+                            negate ^ (cx & ones).bit_count() & 1, xterms, yterms)
 
 
 def _require_ctx(ctx, x):
@@ -418,7 +450,9 @@ class RingElement:
 
     def _grouped(self):
         """The terms grouped by mask class, then by letter tuple:
-        [((support, odd, points), [(letters, [(omega, t, coeff)])])].
+        [((support, odd, points), [(letters, code, [(omega, t, coeff)])])],
+        where code is the tuple's _packed letter code when it holds an
+        odd letter, and None otherwise.
         Filled on the first product and kept, since elements are
         immutable; two threads filling it at once build equal lists."""
         groups = self._groups
@@ -430,14 +464,16 @@ class RingElement:
                     by_letters[letters] = [(omega, t, c)]
                 else:
                     terms.append((omega, t, c))
-            classes = {}
+            classes, width = {}, self.ctx._width
             for letters, terms in by_letters.items():
                 cls = _mask_class(letters)
+                entry = (letters, _packed(letters, width) if cls[1] else None,
+                         terms)
                 entries = classes.get(cls)
                 if entries is None:
-                    classes[cls] = [(letters, terms)]
+                    classes[cls] = [entry]
                 else:
-                    entries.append((letters, terms))
+                    entries.append(entry)
             groups = self._groups = list(classes.items())
         return groups
 
@@ -582,13 +618,13 @@ def permute_factors(sigma, x: RingElement) -> RingElement:
     # the action is a bijection on monomials that maps each mask class
     # onto one class, so no two terms meet and no two classes merge
     sigma = tuple(sigma)
-    move = mover(sigma, x.ctx.factors)
+    move, width = mover(sigma, x.ctx.factors), x.ctx._width
     coeffs, groups = {}, []
     for (_support, odd, _points), entries in x._grouped():
         # with at most one odd letter no pair can be reversed
         negate = odd & (odd - 1) and _reversed_parity(sigma, odd)
         moved_entries = []
-        for letters, terms in entries:
+        for letters, _code, terms in entries:
             moved = move(letters)
             moved_terms = []
             for omega, t, c in terms:
@@ -598,7 +634,8 @@ def permute_factors(sigma, x: RingElement) -> RingElement:
                     c = -c
                 coeffs[moved, omega, t] = c
                 moved_terms.append((omega, t, c))
-            moved_entries.append((moved, moved_terms))
+            moved_entries.append(
+                (moved, _packed(moved, width) if odd else None, moved_terms))
         groups.append((_mask_class(moved_entries[0][0]), moved_entries))
     image = RingElement(x.ctx, coeffs)
     image._groups = groups
@@ -608,24 +645,23 @@ def permute_factors(sigma, x: RingElement) -> RingElement:
 def _fixed_by_swap(x: RingElement, i: int, j: int) -> bool:
     """Whether the transposition of the 0-based factors i < j fixes x,
     tested term by term up to the first term whose image is missing from
-    x or carries another signed coefficient.  Tuples move by an
-    itemgetter of this call's own.  The sign of a class is the one
-    permute_factors reads, _reversed_parity of its odd letters in the
-    window i..j under the swap of the window's two ends, so the library's
-    swaps of neighbours add one key to that table however large n is."""
+    x or carries another signed coefficient.  It reads x's terms as they
+    are and leaves x ungrouped.  Tuples move by an itemgetter of this
+    call's own.  The sign of a term is the one permute_factors reads for
+    its mask class, _reversed_parity of its odd letters in the window
+    i..j under the swap of the window's two ends, so the library's swaps
+    of neighbours add one key to that table however large n is."""
     order = list(range(x.ctx.factors))
     order[i], order[j] = j, i
     move = itemgetter(*order)
     swap = (j - i, *range(1, j - i), 0)
     coeffs = x._coeffs
-    for (_support, odd, _points), entries in x._grouped():
-        odd = (odd & (2 << j) - 1) >> i
-        negate = odd & (odd - 1) and _reversed_parity(swap, odd)
-        for letters, terms in entries:
-            moved = move(letters)
-            for omega, t, c in terms:
-                if coeffs.get((moved, move(omega), t)) != (-c if negate else c):
-                    return False
+    for (letters, omega, t), c in coeffs.items():
+        odd = (_mask_class(letters)[1] & (2 << j) - 1) >> i
+        if odd & (odd - 1) and _reversed_parity(swap, odd):
+            c = -c
+        if coeffs.get((move(letters), move(omega), t)) != c:
+            return False
     return True
 
 

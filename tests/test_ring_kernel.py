@@ -500,7 +500,8 @@ def test_permutation_check_runs_for_every_length():
 
 
 KERNEL_TABLES = (ring._mask_class, ring._koszul_parity, weights.mover,
-                 ring._reversed_parity, grammar._letter_key, grammar._letter_facts,
+                 ring._reversed_parity, ring._packed, ring._meeting_fields,
+                 ring._unpacked, grammar._letter_key, grammar._letter_facts,
                  grammar._exponent_facts)
 
 
@@ -524,6 +525,10 @@ def test_kernel_tables_are_cached_functions_of_immutable_values():
             + [((0,), 1), ((), 0)],
             ring._reversed_parity: [(sigma, odd) for sigma in permutations(3)
                                     for odd in range(8)],
+            ring._packed: [(letters, 3) for (letters,) in letters],
+            ring._meeting_fields: [(both, 3) for both in range(1, 8)],
+            ring._unpacked: [(ring._packed(letters, 3), 3, 3)
+                             for (letters,) in letters],
             grammar._letter_key: [(c,) for c in (UNIT, POINT, alpha(1), beta(2))],
             grammar._letter_facts: letters,
             grammar._exponent_facts: [(mono[1],) for mono in x.coeffs]
@@ -559,9 +564,10 @@ def test_a_fresh_context_adds_no_table_entries():
     first = work(RingContext(genus=2, factors=3, rank=2))
     sizes = [table.cache_info().currsize for table in KERNEL_TABLES]
     fresh = RingContext(genus=2, factors=3, rank=2)
-    # a context holds no kernel table of its own
+    # a context holds no kernel table of its own, only the field width
+    # of its packed letter codes
     assert set(vars(fresh)) == {"genus", "factors", "rank", "degrees",
-                                "_cell_cache", "_memo"}
+                                "_width", "_cell_cache", "_memo"}
     assert work(fresh) == first
     assert [table.cache_info().currsize for table in KERNEL_TABLES] == sizes
 
@@ -848,3 +854,94 @@ def test_swaps_of_neighbours_add_one_sign_entry():
     ring._reversed_parity.cache_clear()
     assert _fixed_by_stabilizer(labels, x)
     assert ring._reversed_parity.cache_info().currsize <= 1
+
+
+def _letter_rule(lx, ly):
+    """(flip, letters) for two letter tuples whose odd letters meet and
+    whose points meet only units, or None: each meeting pair must be
+    a_k, b_k in some order, b_k on the left costs a flip, and the
+    meeting holds the point; elsewhere one side is a unit."""
+    flip, letters = 0, []
+    for a, b in zip(lx, ly):
+        if a > POINT and b > POINT:
+            if a ^ 1 != b:
+                return None
+            flip ^= a > b
+            letters.append(POINT)
+        else:
+            letters.append(a or b)
+    return flip, tuple(letters)
+
+
+def test_packed_meetings_match_the_letter_rule():
+    """The packed test, flip and product tuple of the kernel's meeting
+    branch against the letter-level rule, for every pair of letter
+    tuples whose odd letters meet and whose points meet only units, at
+    genus 0-4 and n <= 3 (genus 0 has no odd letter, so no pair)."""
+    counts = Counter()
+    for g in range(5):
+        for n in range(1, 4):
+            ctx = RingContext(genus=g, factors=n)
+            width = ctx._width
+            tuples = [(letters, ring._mask_class(letters), ring._packed(letters, width))
+                      for letters in itertools.product(ctx.curve_basis(), repeat=n)]
+            for lx, (sx, ox, px), cx in tuples:
+                for ly, (sy, oy, py), cy in tuples:
+                    both = ox & oy
+                    if not both or sx & py or px & sy:
+                        continue
+                    fields, ones = ring._meeting_fields(both, width)
+                    expected = _letter_rule(lx, ly)
+                    survives = (cx ^ cy) & fields == ones
+                    assert survives == (expected is not None), (g, lx, ly)
+                    counts[survives] += 1
+                    if survives:
+                        assert ((cx & ones).bit_count() & 1,
+                                ring._unpacked((cx | cy) & ~fields | ones, width, n)) \
+                            == expected, (g, lx, ly)
+    assert counts[True] > 1000 and counts[False] > 10000
+
+
+def test_field_width_steps_up_at_genus_4():
+    """b_g = 2g + 1 fills the field: 3 bits up to genus 3, 4 from genus 4."""
+    assert [RingContext(genus=g)._width for g in range(9)] \
+        == [1, 2, 3, 3, 4, 4, 4, 4, 5]
+
+
+def test_letter_code_round_trip_at_1010_factors():
+    rng = random.Random(1010)
+    for g in (1, 2, 8):
+        ctx = RingContext(genus=g, factors=1010)
+        letters = tuple(rng.choice(ctx.curve_basis()) for _ in range(1010))
+        code = ring._packed(letters, ctx._width)
+        assert ring._unpacked(code, ctx._width, 1010) == letters
+        x = ctx.monomial(letters)
+        (cls, [(grouped, packed, _terms)]), = x._grouped()
+        assert (grouped, packed) == (letters, code)
+
+
+def test_product_at_genus_8_matches_reference():
+    """Width 5, where b_8 = 17 needs the fifth bit: sums of monomials
+    whose odd letters meet, with a_k b_k and b_k a_k at the meetings."""
+    rng = random.Random(88)
+    ctx = RingContext(genus=8, factors=3, rank=2)
+    odd = [c for c in ctx.curve_basis() if c > POINT]
+    x, y = ctx.zero(), ctx.zero()
+    for _ in range(12):
+        lx = [rng.choice(odd + [UNIT, POINT]) for _ in range(3)]
+        ly = [code ^ 1 if code > POINT and rng.random() < 0.7 else UNIT
+              for code in lx]
+        omega = [rng.choice((0, 1)) for _ in range(3)]
+        x = x + ctx.monomial(lx, omega, coeff=rng.choice((1, -2, 3)))
+        y = y + ctx.monomial(ly, t=(rng.choice((0, 1)),), coeff=rng.choice((1, -1)))
+    for left, right in ((x, y), (y, x)):
+        product = left * right
+        assert product and dict(product.coeffs) == reference_product(left, right)
+
+
+def test_swap_test_reads_the_terms_ungrouped():
+    ctx = RingContext(genus=2, factors=3)
+    x = parse(ctx, "[a1|b2|pt] + -1 * [b2|a1|pt] + [pt|pt|b1]")
+    assert ring._fixed_by_swap(x, 0, 1)
+    assert not ring._fixed_by_swap(x, 1, 2)
+    assert x._groups is None

@@ -330,6 +330,15 @@ class TestOrbitWalk:
                         assert list(orbit_walk(v, labels).items()) \
                             == list(orbit(v, group).items()), (v, labels)
 
+    def test_the_first_image_is_v_under_the_identity(self):
+        """The orbit sums of pullback multiply their first member by the
+        twist itself, not by a permuted copy."""
+        for n in range(6):
+            for v in itertools.product(range(3), repeat=n):
+                for labels in (None, tuple(i % 2 for i in range(n))):
+                    assert next(iter(orbit_walk(v, labels).items())) \
+                        == (v, tuple(range(n))), (v, labels)
+
     def test_labels_of_another_length_are_refused(self):
         for v, labels in (((1, 0, 0), (0, 0)), ((1, 0), (0, 0, 1)),
                           ((), (0,))):
