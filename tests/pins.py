@@ -6,20 +6,31 @@ stdout by sha256 (`sha256`), as literal text (`stdout`), or by lines that
 must appear whole (`lines`); `stderr_starts`, `stderr_has` and
 `stderr_lacks` name text that stderr must begin with, contain, and not
 contain; `timeout` bounds a call of the installed script, in seconds;
-`why` says what the entry guards.  tests/test_pins.py checks every entry
-in process.  Run with no argument,
+`why` says what the entry guards.  A `--stats` twin of a call pins the
+same `sha256` as the plain call, so the report on stderr cannot move
+stdout.  tests/test_pins.py checks every entry in process.  Run with no
+argument,
 
     python tests/pins.py
 
 calls the installed `quotcells` console script once per entry, prints
-each failing entry, and exits 1 if any entry fails.
+each failing entry, and exits 1 if any entry fails or no `quotcells` is
+on PATH.  There every call is also held to MAX_RSS_MB of peak resident
+memory, read as the runner's `RUSAGE_CHILDREN` `ru_maxrss` (KiB on
+Linux): the peak of the largest child so far, so the call that raises it
+above the bound is the one that used the memory (a later call shows only
+if it goes higher still; the run has failed by then).  In process the
+memory would be the test process's own, so tier-1 does not check it.
 """
 
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
+
+MAX_RSS_MB = 64
 
 with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "pins.json")) as f:
     PINS = json.load(f)
@@ -52,17 +63,30 @@ def failures(pin, code, out, err):
     return found
 
 
+def peak_mb():
+    """The peak RSS of the largest child reaped so far, in MB."""
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+
+
 def main():
     failed = 0
     for pin in PINS:
+        before = peak_mb()
         try:
             done = subprocess.run(["quotcells", *pin["argv"]], capture_output=True,
                                   timeout=pin.get("timeout"))
+        except FileNotFoundError:
+            print("no quotcells console script on PATH; install it with "
+                  "`python -m pip install -e .`")
+            return 1
         except subprocess.TimeoutExpired:
             found = ["timed out after %d s" % pin["timeout"]]
         else:
             found = failures(pin, done.returncode, done.stdout.decode(),
                              done.stderr.decode())
+        after = peak_mb()
+        if after > max(before, MAX_RSS_MB):
+            found.append("peak RSS %.1f MB, above %d MB" % (after, MAX_RSS_MB))
         if found:
             failed += 1
             print("FAIL %s" % pin_id(pin))

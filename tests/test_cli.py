@@ -352,21 +352,44 @@ def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
 
 def test_closed_stdout_ends_the_call_quietly():
     """A stdout whose reader is gone before the first write, as when the
-    CLI is piped into `head`: exit 0, and nothing at all on stderr."""
+    CLI is piped into `head`, and block-buffered, as a pipe is unless
+    PYTHONUNBUFFERED is set: exit 0, and nothing at all on stderr.  xi's
+    short output is still in the buffer when main's flush fails, so the
+    flush at exit would fail again, with exit 120 and an "Exception
+    ignored" line, if stdout were not sent to os.devnull."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "src")
     env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    for argv in (["psi", "--u", "2,1,0", "--genus", "1", "--method", "both"],
+                 ["xi", "--v", "0,2"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "quotcells.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env,
+                                  timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0, argv
+        assert proc.stderr == b"", argv
+
+
+def test_closed_stdout_leaves_the_flush_at_exit_nothing_to_fail(capsys, monkeypatch):
+    """The same closed, block-buffered pipe in process: exit 0, nothing on
+    stderr, and the flush that the interpreter makes at exit passes."""
     read_end, write_end = os.pipe()
     os.close(read_end)
+    stdout = open(write_end, "w", closefd=False)
+    monkeypatch.setattr(sys, "stdout", stdout)
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "quotcells.cli", "psi", "--u", "2,1,0",
-             "--genus", "1", "--method", "both"],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        assert main(["xi", "--v", "0,2"]) == 0
+        stdout.flush()  # as at exit
     finally:
+        with contextlib.suppress(BrokenPipeError):
+            stdout.close()
         os.close(write_end)
-    assert proc.returncode == 0
-    assert proc.stderr == b""
+    assert capsys.readouterr().err == ""
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),

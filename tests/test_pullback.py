@@ -149,11 +149,11 @@ class TestAverageTwist:
         itemgetter of its own: weights.mover grows by at most one entry,
         not by one n-tuple mover per generator."""
         ctx = RingContext(genus=1, factors=1010)
-        size = weights.mover.cache_info().currsize
+        weights.mover.cache_clear()  # an earlier 1010-factor call may have filled it
         assert average_twist(ctx, (0,) * 1010) == ctx.one()
         a = ctx.letter_at(1, alpha(1)) * ctx.letter_at(1010, alpha(1))
         assert not is_invariant(a)
-        assert weights.mover.cache_info().currsize <= size + 1
+        assert weights.mover.cache_info().currsize <= 1
 
     def test_rejects_omega_twist(self):
         ctx = RingContext(genus=0, factors=2)
