@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 
-from .ring import (POINT, UNIT, RingContext, RingElement, UNBOUNDED,
+from .ring import (POINT, UNIT, RingContext, RingElement,
                    _add_product, _settled, diagonal, omega_layers,
                    permute_factors, small_diagonal, top_part)
 from .weights import swap_entries, transposition
@@ -42,9 +42,11 @@ def _check_length(ctx: RingContext, v):
 
 
 def _check_entries(ctx: RingContext, v):
-    _check_length(ctx, v)
-    bounded = ctx.rank not in (0, UNBOUNDED)
-    if v and (min(v) < 0 or bounded and max(v) >= ctx.rank):
+    # _check_length inline: every lemma check and restriction runs this
+    if len(v) != ctx.factors:
+        raise ValueError("weight vector must have %d entries" % ctx.factors)
+    # a rank of 0 or UNBOUNDED (None) puts no bound on the entries
+    if v and (min(v) < 0 or ctx.rank and max(v) >= ctx.rank):
         # the loops below only name the first bad entry
         if any(e < 0 for e in v):
             raise ValueError("weight entries must be non-negative")

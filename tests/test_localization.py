@@ -11,7 +11,8 @@ from quotcells.localization import (_omega_power, degree_bound_check,
                                     omega_at_fixed_point,
                                     restrict_to_fixed_point, t_degree,
                                     top_term, top_term_product,
-                                    top_term_residual, vanishing_check)
+                                    top_term_residual, transposition_count,
+                                    vanishing_check)
 from quotcells.ring import (UNBOUNDED, RingContext, RingElement, diagonal,
                             omega_layers)
 
@@ -437,6 +438,143 @@ class TestTopTermProduct:
         assert top_term_product(flat, (0, 0), (1, 1)) == flat.one()
         with pytest.raises(ValueError, match="rank-0"):
             top_term_product(flat, (0, 1), (1, 1))
+
+
+class TestTopTermMemo:
+    """top_term_product keeps one expanded element per context and
+    multiset of pairs (v_j, w_j) with v_j > 0."""
+
+    def test_shared_context_matches_reference_and_fresh_contexts(self):
+        def context():
+            return RingContext(genus=1, factors=3, rank=4)
+
+        ctx = context()
+        points = list(itertools.product(range(4), repeat=3))
+        cases = [(v, w) for v in points for w in points]
+        random.Random(44).shuffle(cases)
+        for v, w in cases:
+            got = top_term_product(ctx, v, w)
+            assert got == TestTopTermProduct.by_t_var(ctx, v, w), (v, w)
+            assert got == top_term_product(context(), v, w), (v, w)
+
+    def test_equal_multisets_share_one_element(self):
+        ctx = RingContext(genus=1, factors=3, rank=4)
+        v, w = (2, 0, 1), (3, 1, 2)
+        got = top_term_product(ctx, v, w)
+        assert_read_only(got)
+        for order in itertools.permutations(range(3)):
+            assert top_term_product(ctx, [v[j] for j in order],
+                                    [w[j] for j in order]) is got
+        for w1 in range(4):  # w_j where v_j = 0 does not enter the product
+            assert top_term_product(ctx, v, (3, w1, 2)) is got
+        assert top_term_product(ctx, v, (3, 1, 3)) is not got
+
+    def test_one_expansion_per_multiset(self, monkeypatch):
+        # the localization benchmark's two rank-4 grids, (genus, factors,
+        # rank, max co(v)), every dominated pair (v, w) on one context each
+        expand = localization._expand_top_term_product
+        calls = []
+
+        def counted(ctx, pairs):
+            calls.append((ctx.genus, pairs))
+            return expand(ctx, pairs)
+
+        monkeypatch.setattr(localization, "_expand_top_term_product", counted)
+        dominated, multisets = 0, set()
+        for g, n, r, max_co in ((1, 3, 4, 2), (0, 3, 4, 3)):
+            ctx = RingContext(genus=g, factors=n, rank=r)
+            points = list(itertools.product(range(r), repeat=n))
+            for v in (v for v in points if sum(v) <= max_co):
+                for w in points:
+                    if all(a <= b for a, b in zip(v, w)):
+                        dominated += 1
+                        multisets.add((g, tuple(sorted(
+                            (a, b) for a, b in zip(v, w) if a))))
+                        top_term_product(ctx, v, w)
+        assert dominated == 1043 and len(multisets) == 41
+        # the v = 0 pairs, one empty multiset per context, return one()
+        # before the memo
+        assert sorted(calls) == sorted(m for m in multisets if m[1])
+        assert len(calls) == 41 - 2
+
+
+def brute_transposition_count(v, w):
+    """The fewest transpositions over every permutation sigma of the
+    positions with v[sigma(i)] = w[i]: n minus the cycles of sigma."""
+    n = len(v)
+    best = n
+    for sigma in itertools.product(*[[s for s in range(n) if v[s] == b]
+                                     for b in w]):
+        if len(set(sigma)) == n:
+            seen, cycles = set(), 0
+            for i in range(n):
+                if i not in seen:
+                    cycles += 1
+                    while i not in seen:
+                        seen.add(i)
+                        i = sigma[i]
+            best = min(best, n - cycles)
+    return best
+
+
+class TestDegreeBound:
+    """t_degree(cell(v)|_w) <= co(v) - T(v, w) for w a reordering of v,
+    with T the fewest transpositions taking v to w."""
+
+    def test_transposition_count_matches_brute_force(self):
+        pairs = 0
+        for n in range(1, 7):
+            for v in itertools.product(range(3), repeat=n):
+                for w in set(itertools.permutations(v)):
+                    assert (transposition_count(v, w)
+                            == brute_transposition_count(v, w)), (v, w)
+                    pairs += 1
+        assert pairs == 40572
+
+    @pytest.mark.parametrize("g,n,rank,max_co,pairs,classes", [
+        (0, 4, 3, 3, 229, 10), (1, 4, 3, 3, 229, 10), (0, 5, 3, 3, 651, 10),
+        (0, 3, 4, 6, 228, 17)])
+    def test_holds_and_is_reached_in_each_class(self, g, n, rank, max_co,
+                                                pairs, classes):
+        ctx = RingContext(genus=g, factors=n, rank=rank)
+        top = {}  # (co(v), moved entries, T) -> largest t-degree met
+        met = 0
+        for v in itertools.product(range(rank), repeat=n):
+            if sum(v) > max_co:
+                continue
+            x = cell_class_equivariant(ctx, v)
+            for w in set(itertools.permutations(v)):
+                degree = t_degree(restrict_to_fixed_point(x, w))
+                assert degree_bound_check(ctx, v, w), (v, w)
+                key = (sum(v), sum(a != b for a, b in zip(v, w)),
+                       transposition_count(v, w))
+                top[key] = max(top.get(key, float("-inf")), degree)
+                met += 1
+        assert (met, len(top)) == (pairs, classes)
+        assert all(degree == co - t for (co, _, t), degree in top.items())
+
+    @pytest.mark.parametrize("g", [0, 1])
+    def test_two_disjoint_transpositions(self, g):
+        # four moved entries but two transpositions: the restriction has
+        # t-degree 0, above co(v) - moved + 1 = -1 and at co(v) - T = 0
+        ctx = RingContext(genus=g, factors=4, rank=3)
+        v, w = (0, 0, 1, 1), (1, 1, 0, 0)
+        restricted = restrict_to_fixed_point(cell_class_equivariant(ctx, v), w)
+        assert restricted == restrict_by_descent(ctx, v, w, {})
+        assert t_degree(restricted) == 0
+        assert transposition_count(v, w) == 2
+        assert degree_bound_check(ctx, v, w)
+
+    def test_four_cycle_meets_the_bound(self, monkeypatch):
+        # one 4-cycle: T = 3 = moved - 1, and the t-degree is exactly
+        # co(v) - T = 3, so one more fails the check
+        ctx = RingContext(genus=0, factors=4, rank=4)
+        v, w = (0, 1, 2, 3), (1, 2, 3, 0)
+        assert transposition_count(v, w) == 3
+        assert t_degree(restrict_to_fixed_point(cell_class_equivariant(ctx, v), w)) == 3
+        assert degree_bound_check(ctx, v, w)
+        monkeypatch.setattr(localization, "t_degree", lambda x: 4)
+        assert not degree_bound_check(ctx, v, w)
 
 
 class TestLemmaChecks:
