@@ -15,8 +15,9 @@ St(u) group-sum twist straight over u's list.  Twist averages and
 invariant letter classes are orbit sums too.  The module also carries
 the symmetry/rank machinery that certifies the pullback image is the
 full invariant subring of ring.permute_factors; invariance is tested
-one transposition of two factors at a time (ring._fixed_by_swap), and
-every sign is ring._inversion_parity's.
+one transposition of two factors at a time (ring._fixed_by_swap, which
+applies the sign rule in closed form), and every other sign is
+ring._inversion_parity's.
 """
 
 from __future__ import annotations

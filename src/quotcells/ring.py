@@ -9,7 +9,8 @@ H*(C) is realized on the basis {1, a_1..a_g, b_1..b_g, pt} with degrees
 every other product of positive-degree classes vanishes.  Tensor factors
 multiply with the Koszul sign (-1)^{sum_{i<j} |y_i||x_j|}; the variables
 w_i and t_a are even and central.  Every sign is that rule, -1 per pair
-of odd letters passing each other, computed by _inversion_parity alone.
+of odd letters passing each other, computed by _inversion_parity, or
+for one transposition by _fixed_by_swap in closed form.
 
 Elements are sparse maps monomial -> coefficient, where a coefficient is
 an int when it is integral and a Fraction (denominator > 1) otherwise.
@@ -62,9 +63,13 @@ the image keeps, so a twist permuted along an orbit is grouped once and
 each of its images is ready for the product.  _fixed_by_swap tests
 whether swapping two factors fixes x term by term, reading x's terms as
 they are, without grouping x or building the image, and stops at the
-first term that differs; it reads each term's sign from
-permute_factors' table, keyed by the odd mask of the term's class,
-where all swaps of neighbours share one entry.
+first term that differs.  It reads each pair of terms the swap
+exchanges once: the term with the greater (letter, omega) at the first
+factor looks up its image, the other is only counted, and x is fixed
+iff every image is found and the two counts agree.  Its sign is the
+rule in closed form for one transposition: -1 for odd letters at both
+ends, and for an odd letter at one end the parity of the odd letters
+between, so it reads no table.
 
 Sums of products go into one term dict by plain sums: the
 multiply-accumulate _add_product adds x * y into a caller's dict (a
@@ -599,7 +604,7 @@ def cohomological_degree(x: RingElement):
 def _reversed_parity(sigma, odd):
     """Parity of the pairs of positions in the mask `odd` whose order
     sigma reverses: moving odd letters past each other costs that sign.
-    Read only with a checked sigma: weights.mover's, or _fixed_by_swap's."""
+    Read only with a sigma that weights.mover has checked."""
     return _inversion_parity([sigma[i] for i in range(len(sigma)) if odd >> i & 1])
 
 
@@ -643,26 +648,49 @@ def permute_factors(sigma, x: RingElement) -> RingElement:
 
 
 def _fixed_by_swap(x: RingElement, i: int, j: int) -> bool:
-    """Whether the transposition of the 0-based factors i < j fixes x,
-    tested term by term up to the first term whose image is missing from
-    x or carries another signed coefficient.  It reads x's terms as they
-    are and leaves x ungrouped.  Tuples move by an itemgetter of this
-    call's own.  The sign of a term is the one permute_factors reads for
-    its mask class, _reversed_parity of its odd letters in the window
-    i..j under the swap of the window's two ends, so the library's swaps
-    of neighbours add one key to that table however large n is."""
+    """Whether the transposition tau of the 0-based factors i < j fixes x,
+    reading x's terms as they are (x stays ungrouped) and each pair of
+    terms that tau exchanges once.  A term's pairs (letter, omega) at i
+    and at j sort it into one of three sides:
+
+    - equal pairs: tau fixes the monomial, and x fails at once when the
+      letter is odd, since two equal odd letters swap to minus themselves;
+    - the greater pair at i: tau's image, with its sign, must be in x;
+    - the lesser pair at i: the term is only counted.
+
+    tau maps the greater side one to one into the lesser side, so once
+    every image is found, x is fixed iff the two sides are as large.
+    The sign is the ring's rule for one transposition in closed form:
+    odd letters at both ends pass each other, and each odd letter
+    between them twice; an odd letter at one end passes each odd letter
+    between.  Tuples move by an itemgetter of this call's own."""
     order = list(range(x.ctx.factors))
     order[i], order[j] = j, i
     move = itemgetter(*order)
-    swap = (j - i, *range(1, j - i), 0)
+    between = slice(i + 1, j) if j > i + 1 else None
     coeffs = x._coeffs
+    greater = lesser = 0
     for (letters, omega, t), c in coeffs.items():
-        odd = (_mask_class(letters)[1] & (2 << j) - 1) >> i
-        if odd & (odd - 1) and _reversed_parity(swap, odd):
+        a, b = letters[i], letters[j]
+        if a == b:
+            if omega[i] == omega[j]:
+                if a > POINT:
+                    return False
+                continue
+            if omega[i] < omega[j]:
+                lesser += 1
+                continue
+        elif a < b:
+            lesser += 1
+            continue
+        odd_ends = (a > POINT) + (b > POINT)
+        if odd_ends == 2 or odd_ends and between and \
+                sum(code > POINT for code in letters[between]) & 1:
             c = -c
         if coeffs.get((move(letters), move(omega), t)) != c:
             return False
-    return True
+        greater += 1
+    return greater == lesser
 
 
 # The former name of the same action, kept bound because the traced

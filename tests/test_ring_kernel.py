@@ -7,8 +7,9 @@ per pair of classes; permute_factors moves tuples with weights.mover,
 the one memoized action of a permutation on tuples, reads the
 odd-letter sign per (sigma, odd mask), once per class, and builds its
 image grouped; ring._fixed_by_swap tests whether a transposition fixes
-x term by term, with its own itemgetter and each class's sign read
-from the same per (sigma, odd mask) table; every sign is
+x term by term, with its own itemgetter, looking up one term of each
+exchanged pair and counting the other, with the transposition's sign
+in closed form, pinned to permute_factors'; every other sign is
 ring._inversion_parity.  A
 right-hand term with letters only, as every twist's is, keeps the left
 term's omega and t, and a right operand of one term with unit letters
@@ -774,6 +775,68 @@ def test_swap_test_matches_the_image_on_every_pair():
     assert counts[True] > 500 and counts[False] > 500
 
 
+class _CountedLookups(dict):
+    """A term dict that counts the images the swap test looks up."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+def _swap_side_cases(g):
+    """(name, terms, i, j, fixed, lookups) over 5 factors at genus g.  A
+    term whose pairs (letter, omega) at i and j are equal needs no
+    lookup, one with the greater pair at i looks up its image, and one
+    with the lesser pair at i is only counted.  At genus 0 there is no
+    odd letter, so only the even cases are made."""
+    def mono(letters, omega=(0,) * 5):
+        return (tuple(letters), tuple(omega), ())
+
+    one, pt, a, b = UNIT, POINT, alpha(g), beta(g)
+    points, w_i, w_j = (pt, pt, one, one, one), (1, 0, 0, 0, 1), (0, 1, 0, 0, 1)
+    cases = [
+        ("lesser side alone", {mono((one, pt, one, one, one)): 1}, 0, 1, False, 0),
+        ("greater side alone", {mono((pt, one, one, one, one)): 1}, 0, 1, False, 1),
+        ("unit ends", {mono((one, pt, pt, one, pt)): 2}, 0, 3, True, 0),
+        ("point ends", {mono((pt, one, one, pt, one)): -1}, 0, 3, True, 0),
+        ("omega only, units", {mono((one,) * 5, (2, 0, 0, 0, 0)): 1,
+                               mono((one,) * 5, (0, 0, 0, 2, 0)): 1}, 0, 3, True, 1),
+        ("omega only, points", {mono(points, w_i): 3, mono(points, w_j): 3}, 0, 1, True, 1),
+        ("omega only, points, another coefficient",
+         {mono(points, w_i): 3, mono(points, w_j): -3}, 0, 1, False, 1),
+    ]
+    if g == 0:
+        return cases
+    odd_ends = (a, a, pt, one, one)
+    return cases + [
+        ("lesser side alone, odd", {mono((one, a, one, one, one)): 1}, 0, 1, False, 0),
+        ("greater side alone, odd", {mono((b, a, one, one, one)): 1}, 0, 1, False, 1),
+        ("equal odd ends, adjacent", {mono(odd_ends): 1}, 0, 1, False, 0),
+        ("equal odd ends, no odd between", {mono((a, one, pt, a, one)): 1}, 0, 3, False, 0),
+        ("equal odd ends, one odd between", {mono((a, b, pt, a, one)): 1}, 0, 3, False, 0),
+        ("equal odd ends, two odd between", {mono((a, b, a, a, one)): 1}, 0, 3, False, 0),
+        ("omega only, odd ends", {mono(odd_ends, w_i): 1, mono(odd_ends, w_j): -1},
+         0, 1, True, 1),
+        ("omega only, odd ends, the other sign",
+         {mono(odd_ends, w_i): 1, mono(odd_ends, w_j): 1}, 0, 1, False, 1),
+    ]
+
+
+@pytest.mark.parametrize("g", range(4))
+def test_swap_test_reads_each_exchanged_pair_once(g):
+    """Each side of the swap test on named cases, against tau(x) == x,
+    with the number of images it looks up."""
+    ctx = RingContext(genus=g, factors=5)
+    for name, terms, i, j, fixed, lookups in _swap_side_cases(g):
+        x = RingElement(ctx, dict(terms))
+        assert (permute_factors(transposition(5, i + 1, j + 1), x) == x) == fixed, name
+        counted = RingElement(ctx, _CountedLookups(terms))
+        assert ring._fixed_by_swap(counted, i, j) == fixed, name
+        assert counted._coeffs.lookups == lookups, name
+
+
 def _cycle_parity(perm):
     """Parity of a permutation of range(k) from its cycles: k minus the
     number of cycles."""
@@ -819,13 +882,16 @@ def _closed_form_swap_sign(odd, i, j):
 
 
 def test_swap_sign_matches_the_closed_form():
-    """The swap test's sign per class against the closed form, for every
-    pair i < j of 9 factors and every odd mask: a1 at each odd factor but
-    j, b1 at j, so that the swap moves the tuple unless both ends are
-    units; m + s tau(m) is fixed exactly for the closed form's sign s."""
+    """The swap test's sign per class against the closed form, and the
+    closed form against permute_factors, whose sign is the one rule
+    _inversion_parity, for every pair i < j of 9 factors and every odd
+    mask: a1 at each odd factor but j, b1 at j, so that the swap moves
+    the tuple unless both ends are units; tau(m) = s m' for the closed
+    form's sign s, and m + s m' is fixed exactly for that sign."""
     ctx = RingContext(genus=1, factors=9)
     zero = (0,) * 9
     for i, j in itertools.combinations(range(9), 2):
+        tau = transposition(9, i + 1, j + 1)
         for odd in range(1 << 9):
             letters = [UNIT] * 9
             for k in range(9):
@@ -835,6 +901,8 @@ def test_swap_sign_matches_the_closed_form():
             moved[i], moved[j] = letters[j], letters[i]
             m, image = (tuple(letters), zero, ()), (tuple(moved), zero, ())
             negate = _closed_form_swap_sign(odd, i, j)
+            assert permute_factors(tau, RingElement(ctx, {m: 1})) \
+                == RingElement(ctx, {image: -1 if negate else 1}), (i, j, odd)
             if m == image:
                 assert ring._fixed_by_swap(RingElement(ctx, {m: 1}), i, j) != negate
                 continue
@@ -845,15 +913,16 @@ def test_swap_sign_matches_the_closed_form():
 
 def test_swaps_of_neighbours_add_one_sign_entry():
     """An S_60-invariant element with two odd letters per term: testing
-    all 59 neighbour swaps reads one (swap, window) sign, whatever the
-    positions of the odd letters."""
+    all 59 neighbour swaps adds no entry to permute_factors' sign table,
+    whatever the positions of the odd letters, since the swap test's
+    sign is in closed form."""
     ctx = RingContext(genus=1, factors=60)
     labels = (0,) * 60
     x = average_twist(ctx, labels, ctx.letter_at(1, alpha(1)) * ctx.letter_at(2, beta(1)))
     assert len(x.coeffs) == 60 * 59
     ring._reversed_parity.cache_clear()
     assert _fixed_by_stabilizer(labels, x)
-    assert ring._reversed_parity.cache_info().currsize <= 1
+    assert ring._reversed_parity.cache_info().currsize == 0
 
 
 def _letter_rule(lx, ly):
